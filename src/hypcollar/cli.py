@@ -73,6 +73,15 @@ def _check_keys(obj, allowed, path):
         )
 
 
+def _required(obj, key, path):
+    """obj[key], or a ConfigError naming the missing key and where."""
+    if key not in obj:
+        raise ConfigError(
+            "missing required key %r at %s" % (key, path or "top level")
+        )
+    return obj[key]
+
+
 def _number(value, path, allow_inf=False):
     if isinstance(value, bool):
         raise ConfigError("expected a number at %s" % path)
@@ -92,11 +101,11 @@ def parse_sequence(obj, path):
     kind = obj["kind"]
     if kind == "constant":
         _check_keys(obj, {"kind", "value"}, path)
-        return Constant(_number(obj["value"], path + ".value"))
+        return Constant(_number(_required(obj, "value", path), path + ".value"))
     if kind == "linear":
         _check_keys(obj, {"kind", "slope", "intercept"}, path)
         return Linear(
-            _number(obj["slope"], path + ".slope"),
+            _number(_required(obj, "slope", path), path + ".slope"),
             _number(obj.get("intercept", 0.0), path + ".intercept"),
         )
     if kind == "log_affine":
@@ -127,24 +136,26 @@ def parse_sequence(obj, path):
         )
     if kind == "alternating":
         _check_keys(obj, {"kind", "even", "odd"}, path)
-        even = parse_sequence(obj["even"], path + ".even")
-        odd = parse_sequence(obj["odd"], path + ".odd")
+        even = parse_sequence(_required(obj, "even", path), path + ".even")
+        odd = parse_sequence(_required(obj, "odd", path), path + ".odd")
         if not isinstance(even, LogAffine) or not isinstance(odd, LogAffine):
             raise ConfigError("alternating branches must be log_affine at %s" % path)
         return AlternatingLogAffine(even=even, odd=odd)
     if kind == "prefix":
         _check_keys(obj, {"kind", "values", "tail"}, path)
         values = tuple(
-            _number(v, path + ".values") for v in obj["values"]
+            _number(v, path + ".values")
+            for v in _required(obj, "values", path)
         )
         return ExplicitPrefixThenTail(
-            values=values, tail=parse_sequence(obj["tail"], path + ".tail")
+            values=values,
+            tail=parse_sequence(_required(obj, "tail", path), path + ".tail"),
         )
     if kind == "power_decay":
         _check_keys(obj, {"kind", "coef", "base"}, path)
         return ScaledPowerDecay(
-            _number(obj["coef"], path + ".coef"),
-            _number(obj["base"], path + ".base"),
+            _number(_required(obj, "coef", path), path + ".coef"),
+            _number(_required(obj, "base", path), path + ".base"),
         )
     raise ConfigError("unknown sequence kind %r at %s" % (kind, path))
 
@@ -168,19 +179,25 @@ def parse_surface(cfg):
     )
     t = cfg.get("type")
     use_twists = cfg.get("use_twists", False)
-    hyps = tuple(cfg.get("hypotheses_asserted", ()))
+    hyps = cfg.get("hypotheses_asserted", [])
     if not isinstance(use_twists, bool):
         raise ConfigError("use_twists must be a boolean")
+    if not (isinstance(hyps, list) and all(isinstance(h, str) for h in hyps)):
+        raise ConfigError("hypotheses_asserted must be a list of strings")
+
+    def sequence(key):
+        return parse_sequence(_required(cfg, key, ""), key)
+
     if t == "flute":
         spec = Flute(
             FluteSpec(
-                lengths=parse_sequence(cfg["lengths"], "lengths"),
+                lengths=sequence("lengths"),
                 twists=_twist_spec(cfg.get("twists"), "twists"),
             )
         )
     elif t == "bi_infinite_flute":
         spec = BiInfiniteFlute(
-            lengths_pos=parse_sequence(cfg["lengths"], "lengths"),
+            lengths_pos=sequence("lengths"),
             lengths_neg=parse_sequence(cfg["lengths_neg"], "lengths_neg")
             if "lengths_neg" in cfg
             else None,
@@ -191,27 +208,30 @@ def parse_surface(cfg):
         )
     elif t == "loch_ness":
         spec = LochNess(
-            lengths=parse_sequence(cfg["lengths"], "lengths"),
+            lengths=sequence("lengths"),
             twists=_twist_spec(cfg.get("twists"), "twists"),
             beta_bound=_number(cfg.get("beta_bound", 1.0), "beta_bound"),
         )
     elif t == "ladder":
         spec = Ladder(
-            lengths=parse_sequence(cfg["lengths"], "lengths"),
+            lengths=sequence("lengths"),
             twists=_twist_spec(cfg.get("twists"), "twists"),
             beta_bound=_number(cfg.get("beta_bound", 1.0), "beta_bound"),
         )
     elif t == "cantor_tree":
-        spec = CantorTree(parse_sequence(cfg["level_lengths"], "level_lengths"))
+        spec = CantorTree(sequence("level_lengths"))
     elif t == "bounded_boundary":
         spec = BoundedBoundary(
-            lengths=parse_sequence(cfg["lengths"], "lengths"),
+            lengths=sequence("lengths"),
             twists=_twist_spec(cfg.get("twists"), "twists"),
             count_exponent=_number(cfg.get("count_exponent", 0.0), "count_exponent"),
         )
     elif t == "cover":
+        rank = _required(cfg, "rank", "")
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ConfigError("rank must be an integer, got %r" % (rank,))
         spec = AbelianCover(
-            rank=int(cfg["rank"]),
+            rank=rank,
             config=cfg.get("config", "single"),
             L=parse_sequence(cfg["L"], "L") if "L" in cfg else None,
             tau=_twist_spec(cfg.get("tau"), "tau"),
@@ -220,11 +240,24 @@ def parse_surface(cfg):
         )
     else:
         raise ConfigError("unknown surface type %r" % (t,))
-    return spec, use_twists, hyps
+    return spec, use_twists, tuple(hyps)
+
+
+def _strict(data):
+    """data with each infinite float written "inf" or "-inf", as configs
+    write it: strict JSON has no infinity."""
+    if isinstance(data, float) and math.isinf(data):
+        return "inf" if data > 0 else "-inf"
+    if isinstance(data, dict):
+        return {key: _strict(value) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_strict(value) for value in data]
+    return data
 
 
 def _emit(data, output=None):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict(data), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -342,39 +375,41 @@ def _oracle_domain(cfg):
     )
     shape = cfg.get("shape")
     h = _number(cfg["h"], "h") if "h" in cfg else None
+
+    def num(key, allow_inf=False):
+        return _number(_required(cfg, key, ""), key, allow_inf=allow_inf)
+
     if shape == "rectangle":
         return rectangle_domain(
-            _number(cfg["width"], "width"),
-            _number(cfg["height"], "height"),
+            num("width"),
+            num("height"),
             h or 1.0 / 128,
         )
     if shape == "annulus":
-        return annulus_domain(
-            _number(cfg["r1"], "r1"), _number(cfg["r2"], "r2"), h or 1.0 / 128
-        )
+        return annulus_domain(num("r1"), num("r2"), h or 1.0 / 128)
     if shape == "annular_sector":
         return annular_sector_domain(
-            _number(cfg["r1"], "r1"),
-            _number(cfg["r2"], "r2"),
-            _number(cfg["theta"], "theta"),
+            num("r1"),
+            num("r2"),
+            num("theta"),
             h or 1.0 / 128,
         )
     if shape == "comb":
-        return comb_domain(_number(cfg["epsilon"], "epsilon"), h=h)
+        return comb_domain(num("epsilon"), h=h)
     if shape == "half_collar":
         spec = HalfCollarSpec(
-            _number(cfg["l_alpha"], "l_alpha"),
-            _number(cfg["l_gamma"], "l_gamma", allow_inf=True),
+            num("l_alpha"),
+            num("l_gamma", allow_inf=True),
         )
         return strip_domain(
             collar_modulus.nonstandard_half_collar_graphs(spec), h=h
         )
     if shape == "glued_collar":
         spec = GluedCollarSpec(
-            _number(cfg["l_alpha"], "l_alpha"),
-            _number(cfg["l_gamma"], "l_gamma", allow_inf=True),
-            _number(cfg["l_gamma2"], "l_gamma2", allow_inf=True),
-            _number(cfg["twist"], "twist"),
+            num("l_alpha"),
+            num("l_gamma", allow_inf=True),
+            num("l_gamma2", allow_inf=True),
+            num("twist"),
         )
         return strip_domain(collar_modulus.glued_collar_graphs(spec), h=h)
     raise ConfigError("unknown oracle shape %r" % (shape,))

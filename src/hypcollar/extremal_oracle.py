@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, splu
 
 CG_TOL = 1e-10
 CG_MAXITER = 200_000
@@ -172,6 +170,8 @@ def _assemble(cls, wrap):
     electrode neighbour is Dirichlet data (0 on a, 1 on b); an outside
     neighbour is insulating (no link).
     """
+    from scipy import sparse
+
     interior = cls == _IN
     n_unknown = int(interior.sum())
     idx = -np.ones(cls.shape, dtype=np.int64)
@@ -218,6 +218,8 @@ def _prolongation(lat, wrap):
 
     Returns the sparse interpolation and the coarse node classes.
     """
+    from scipy import sparse
+
     nx, ny = lat.shape
     coarse = lat[::2, ::2]
     n_fine = np.count_nonzero(lat == _IN)
@@ -288,6 +290,9 @@ def _multigrid(mat, cls, wrap):
     with _SWEEPS damped-Jacobi sweeps before and after its coarse
     correction, so the cycle is symmetric positive definite.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator, splu
+
     levels = []
     a, lat = mat, cls
     while a.shape[0] > _COARSEST and min(lat.shape) > 2:
@@ -321,6 +326,15 @@ def _multigrid(mat, cls, wrap):
         return x
 
     return LinearOperator(mat.shape, matvec=vcycle, dtype=float)
+
+
+def cg(A, b, **kwargs):
+    """scipy.sparse.linalg.cg, imported on the first solve, so that importing
+    this module loads no scipy.  It stays a module attribute for
+    `perfbench/tracing.py` to wrap."""
+    from scipy.sparse.linalg import cg as scipy_cg
+
+    return scipy_cg(A, b, **kwargs)
 
 
 def _energy(cls, u, wrap):

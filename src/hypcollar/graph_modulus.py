@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import ndimage
 
 
 class QuadratureError(ArithmeticError):
@@ -195,6 +194,22 @@ def area_between(pair, rel_tol=1e-8):
     return total
 
 
+def _sliding(op, values, width):
+    """op (np.minimum or np.maximum) over every run of `width` consecutive
+    values; entry j covers values[j : j + width].
+
+    van Herk / Gil-Werman: in blocks of `width`, a window is the suffix of
+    one block joined to the prefix of the next, so one forward and one
+    backward accumulation per block give every window in O(n), whatever the
+    width.  The edge padding only fills the last block; no window reads it.
+    """
+    n = len(values)
+    blocks = np.pad(values, (0, -n % width), mode="edge").reshape(-1, width)
+    prefix = op.accumulate(blocks, axis=1).ravel()
+    suffix = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return op(suffix[:n - width + 1], prefix[width - 1:n])
+
+
 def _windowed_deviation(pair, delta, samples):
     """Grid estimate of inf_x (window-min f - window-max g) / (f - g)."""
     step = pair.period / samples
@@ -203,12 +218,12 @@ def _windowed_deviation(pair, delta, samples):
     xs = pair.x1 + step * (np.arange(n_ext) - k)
     fv = np.array([pair.f(x) for x in xs])
     gv = np.array([pair.g(x) for x in xs])
-    size = 2 * k + 1
-    fmin = ndimage.minimum_filter1d(fv, size=size, mode="nearest")
-    gmax = ndimage.maximum_filter1d(gv, size=size, mode="nearest")
+    # the window about core sample i is [i - k, i + k], inside the samples
+    fmin = _sliding(np.minimum, fv, 2 * k + 1)
+    gmax = _sliding(np.maximum, gv, 2 * k + 1)
     core = slice(k, k + samples + 1)
     gapv = fv[core] - gv[core]
-    ratio = (fmin[core] - gmax[core]) / gapv
+    ratio = (fmin - gmax) / gapv
     i0 = int(np.argmin(ratio))
     return float(ratio[i0]), float(xs[core][i0]), step
 

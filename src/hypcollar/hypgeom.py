@@ -50,8 +50,14 @@ def eta_length(l_alpha, l_gamma):
     u = 0.5 * l_alpha
     if u > 700.0:
         # 1/cosh(u) = 2 e^{-u} / (1 + e^{-2u}); atanh(s) = s for tiny s.
-        return t * 2.0 * math.exp(-u)
-    return math.atanh(t / math.cosh(u))
+        eta = t * 2.0 * math.exp(-u)
+    else:
+        eta = math.atanh(t / math.cosh(u))
+    if eta == 0.0:
+        raise ArithmeticError(
+            "eta underflows to 0 at l_alpha = %r, l_gamma = %r" % (l_alpha, l_gamma)
+        )
+    return eta
 
 
 def ortho_between_boundaries(l_alpha, l_alpha1, l_alpha2):

@@ -1,12 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hypcollar
 from hypcollar import cli
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def _reject_constant(name):
+    raise ValueError("non-strict JSON constant %s" % name)
+
+
+def strict_json(text):
+    """Parse CLI output, refusing the non-standard Infinity and NaN."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -24,7 +37,7 @@ def test_classify_zero_twist_flute(tmp_path, capsys):
         },
     )
     assert run(["classify", "--config", cfg]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     assert out["kind"] == "Parabolic"
     assert out["criterion"] == "zero-twist-series"
     assert out["series"]["method"] == "bertrand-exact"
@@ -38,7 +51,7 @@ def test_classify_output_file(tmp_path):
     )
     out_path = tmp_path / "verdict.json"
     assert run(["classify", "--config", cfg, "--output", str(out_path)]) == 0
-    data = json.loads(out_path.read_text())
+    data = strict_json(out_path.read_text())
     assert data["kind"] == "Parabolic"
 
 
@@ -100,15 +113,84 @@ def test_twisted_criterion_needs_hypotheses(tmp_path, capsys):
     assert run(["classify", "--config", cfg]) == 0
 
 
+def test_hypotheses_asserted_must_be_a_list(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"type": "ladder",
+         "lengths": {"kind": "constant", "value": 1.0},
+         "twists": {"kind": "constant", "value": 0.5},
+         "use_twists": True,
+         "hypotheses_asserted": "abc"},
+    )
+    assert run(["classify", "--config", cfg]) == 2
+    assert "hypotheses_asserted must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [2.7, 2.0, True, "2"])
+def test_cover_rank_must_be_an_integer(tmp_path, capsys, rank):
+    cfg = write_config(
+        tmp_path,
+        {"type": "cover", "rank": rank, "config": "disjoint-pair",
+         "L": {"kind": "constant", "value": 1.0}},
+    )
+    assert run(["classify", "--config", cfg]) == 2
+    assert "rank must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("classify", {"type": "flute"}, "missing required key 'lengths' at top level"),
+    ("classify", {"type": "flute", "lengths": {"kind": "constant"}},
+     "missing required key 'value' at lengths"),
+    ("classify", {"type": "flute", "lengths": {
+        "kind": "prefix", "values": [1.0],
+        "tail": {"kind": "alternating", "even": {"kind": "log_affine", "a": 1.0}}}},
+     "missing required key 'odd' at lengths.tail"),
+    ("classify", {"type": "cover", "L": {"kind": "constant", "value": 1.0}},
+     "missing required key 'rank' at top level"),
+    ("oracle", {"shape": "rectangle", "width": 2.0},
+     "missing required key 'height' at top level"),
+])
+def test_missing_key_named_with_its_path(tmp_path, capsys, command, config,
+                                         message):
+    cfg = write_config(tmp_path, config)
+    assert run([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_classify_and_collar_load_no_scipy(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {"type": "flute",
+         "lengths": {"kind": "log_affine", "a": 4.0, "n0": 1.0},
+         "twists": {"kind": "constant", "value": 0.5}},
+    )
+    script = (
+        "import sys\n"
+        "from hypcollar import cli\n"
+        "assert cli.main(['classify', '--config', sys.argv[1]]) == 0\n"
+        "assert cli.main(['collar', '--l-alpha', '4', '--l-gamma', '1']) == 0\n"
+        "assert cli.main(['collar', '--l-alpha', '8', '--l-gamma', 'inf',\n"
+        "                 '--l-gamma2', 'inf', '--twist', '0.5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypcollar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_collar_standard(capsys):
     assert run(["collar", "--l-alpha", "2", "--standard"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     assert out["lambda"] == pytest.approx(0.3525134217776191, rel=1e-12)
 
 
 def test_collar_nonstandard(capsys):
     assert run(["collar", "--l-alpha", "8", "--l-gamma", "inf"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
+    assert out["l_gamma"] == "inf"
     assert 0 < out["lambda_lower"] <= out["lambda_upper"]
     assert out["lambda_upper"] > out["standard_lambda"]
 
@@ -124,10 +206,17 @@ def test_collar_glued(capsys):
         "collar", "--l-alpha", "8", "--l-gamma", "inf",
         "--l-gamma2", "inf", "--twist", "0.5",
     ]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     assert out["kind"] == "glued-collar"
     assert 0 < out["lambda_lower"] <= out["lambda_upper"]
     assert out["analytic_proxy"] > 0
+
+
+def test_collar_eta_underflow_is_numeric_failure(capsys):
+    # eta = 2 tanh(l_gamma) e^{-l_alpha/2} underflows to 0 at l_alpha = 2000
+    assert run(["collar", "--l-alpha", "2000", "--l-gamma", "inf"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "underflow" in err
 
 
 def test_collar_glued_needs_both_flags(capsys):
@@ -142,7 +231,7 @@ def test_oracle_rectangle(tmp_path, capsys):
         {"shape": "rectangle", "width": 2.0, "height": 1.0, "h": 0.0625},
     )
     assert run(["oracle", "--config", cfg]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     assert out["modulus"] == pytest.approx(2.0, rel=1e-6)
     assert out["extrapolated"] is True
 

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypcollar import collar_modulus as cm
 from hypcollar import graph_modulus as gm
@@ -123,3 +124,24 @@ def test_sandwich_property(offset, ratio):
     # vertical modulus is at least 1/max-gap and at most 1/min-gap
     assert 1.0 / (offset + ratio * offset) - 1e-9 <= bounds.lower
     assert bounds.lower <= 1.0 / (offset - ratio * offset) + 1e-9
+
+
+
+@st.composite
+def runs_and_widths(draw):
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=120))
+    return values, draw(st.integers(1, len(values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=runs_and_widths())
+@example(case=([3.0, -1.0, 2.0, 2.0, 0.5], 1))
+@example(case=([3.0, -1.0, 2.0, 2.0, 0.5], 5))
+@example(case=([7.0], 1))
+def test_sliding_extrema_match_brute_force(case):
+    values, width = case
+    windows = [values[j:j + width] for j in range(len(values) - width + 1)]
+    arr = np.array(values)
+    assert gm._sliding(np.minimum, arr, width).tolist() == [min(w) for w in windows]
+    assert gm._sliding(np.maximum, arr, width).tolist() == [max(w) for w in windows]

@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from hypcollar import collar_modulus as cm
-from hypcollar import graph_modulus as gm
 from hypcollar.hypgeom import standard_half_collar_lambda
 
 
@@ -45,17 +44,6 @@ def main():
         hi.append(res.bounds.upper * e)
     print("lower * e^(l/4): [%.6g, %.6g]" % (min(lo), max(lo)))
     print("upper * e^(l/4): [%.6g, %.6g]" % (min(hi), max(hi)))
-
-    print("# envelope vertical modulus vs four-exponential proxy")
-    worst = 0.0
-    for l in (4.0, 8.0, 16.0):
-        for t in (0.0, 0.125, 0.25, 0.375, 0.5):
-            spec = cm.GluedCollarSpec(l, math.inf, math.inf, t)
-            ratio = gm.vertical_modulus(cm.glued_collar_envelope(spec)) / (
-                cm.glued_collar_proxy(spec)
-            )
-            worst = max(worst, ratio)
-    print("GLUED_VMOD_C must exceed %.6g" % worst)
 
 
 if __name__ == "__main__":

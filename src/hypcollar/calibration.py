@@ -27,8 +27,3 @@ TWIST_GAIN_K = 700.0
 # (7-point grid): ranges of (bound * e^{l/4}) with margin.
 GLUED_HALF_TWIST_BAND_LOWER = (0.0055, 0.017)  # observed [0.00735, 0.01292]
 GLUED_HALF_TWIST_BAND_UPPER = (0.25, 0.90)     # observed [0.3275, 0.6939]
-
-# Envelope vertical modulus <= GLUED_VMOD_C * max of the four one-interval
-# exponentials over t in {0, 1/8, 1/4, 3/8, 1/2}, l in {4, 8, 16}.
-# Observed worst ratio 6.137.
-GLUED_VMOD_C = 7.0

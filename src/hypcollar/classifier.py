@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hypgeom import normalize_twist, standard_half_collar_lambda
+from .hypgeom import HypothesisError, normalize_twist
 from .surfaces import (
     AbelianCover,
     AlternatingLogAffine,
@@ -32,10 +32,8 @@ from .surfaces import (
     ScaledPowerDecay,
     SpecError,
     is_concave,
-    log_affine,
     sigma_sequence,
 )
-from .hypgeom import HypothesisError
 
 _TOL = 1e-12
 
@@ -148,22 +146,17 @@ def _term_value(terms, n):
     return math.exp(v)
 
 
-def _partial_sum_slope(term_fn, n_lo=10_000, n_hi=1_000_000, points=60):
-    ns = np.unique(np.geomspace(n_lo, n_hi, points).astype(np.int64))
+def _heuristic(term_fn, n_lo=10_000, n_hi=1_000_000):
+    """Partial-sum fallback: the decay exponent of the terms, fitted at 60
+    log-spaced n in [n_lo, n_hi], with an ambiguity band around 1."""
+    ns = np.unique(np.geomspace(n_lo, n_hi, 60).astype(np.int64))
     logs = []
     for n in ns:
         t = term_fn(int(n))
         if t <= 0 or not math.isfinite(t):
-            return None
+            return SeriesBehavior("inconclusive", "partial-sum", "non-power terms")
         logs.append(math.log(t))
-    slope = np.polyfit(np.log(ns.astype(float)), np.array(logs), 1)[0]
-    return float(-slope)
-
-
-def _heuristic(term_fn):
-    p_hat = _partial_sum_slope(term_fn)
-    if p_hat is None:
-        return SeriesBehavior("inconclusive", "partial-sum", "non-power terms")
+    p_hat = float(-np.polyfit(np.log(ns.astype(float)), np.array(logs), 1)[0])
     detail = "fitted exponent %.4f" % p_hat
     if p_hat < 0.9:
         return SeriesBehavior("diverges", "partial-sum", detail)
@@ -248,25 +241,8 @@ def classify_sigma_series(lengths, kappa=0.5):
             "sigma branches p=%g, p=%g" % (kappa * a, kappa * b),
         )
     sig = sigma_sequence(lengths, 200_000)
-    return _heuristic_list([math.exp(-kappa * s) for s in sig])
-
-
-def _heuristic_list(values):
-    ns = np.unique(np.geomspace(1000, len(values), 60).astype(np.int64))
-    logs = []
-    for n in ns:
-        t = values[n - 1]
-        if t <= 0 or not math.isfinite(t):
-            return SeriesBehavior("inconclusive", "partial-sum", "non-power terms")
-        logs.append(math.log(t))
-    slope = np.polyfit(np.log(ns.astype(float)), np.array(logs), 1)[0]
-    p_hat = float(-slope)
-    detail = "fitted exponent %.4f" % p_hat
-    if p_hat < 0.9:
-        return SeriesBehavior("diverges", "partial-sum", detail)
-    if p_hat > 1.1:
-        return SeriesBehavior("converges", "partial-sum", detail)
-    return SeriesBehavior("inconclusive", "partial-sum", detail)
+    terms = [math.exp(-kappa * s) for s in sig]
+    return _heuristic(lambda n: terms[n - 1], n_lo=1000, n_hi=len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +285,28 @@ def _has_bounded_subsequence(spec):
 
 
 def _constant_twist(twists):
+    """The twist of a Constant or slope-0 Linear twist spec, else None."""
     if isinstance(twists, Constant):
         return normalize_twist(twists.value)
+    if isinstance(twists, Linear) and twists.slope == 0:
+        return normalize_twist(twists.intercept)
     return None
+
+
+def _twisted_series(lengths, twists, poly=0.0):
+    """sum_n e^{-(1 - |t_n|) l_n / 2} / n^poly: exact (Bertrand) for a
+    constant twist, else the partial-sum heuristic."""
+    t = _constant_twist(twists)
+    if t is not None:
+        return classify_series(SeriesTerms(
+            lengths, kappa=0.5 * (1.0 - abs(t)), poly_exponent=poly
+        ))
+    return _heuristic(
+        lambda n: math.exp(
+            -0.5 * (1.0 - abs(normalize_twist(twists.term(n)))) * lengths.term(n)
+        )
+        / max(1.0, float(n) ** poly)
+    )
 
 
 def classify_flute(flute):
@@ -359,28 +354,10 @@ def classify_flute(flute):
             )
         return Verdict("Unknown", criterion="half-twist-series", series=beh)
     # general twists: sufficiency only
-    if t is not None:
-        kappa = 0.5 * (1.0 - abs(t))
-        beh = classify_series(SeriesTerms(lengths, kappa=kappa))
-    else:
-        def term(n):
-            tn = abs(normalize_twist(flute.twists.term(n)))
-            return math.exp(-0.5 * (1.0 - tn) * lengths.term(n))
-
-        beh = _heuristic(term)
+    beh = _twisted_series(lengths, flute.twists)
     if beh.verdict == "diverges":
         return Verdict("Parabolic", criterion="twisted-flute-series", series=beh)
     return Verdict("Unknown", criterion="twisted-flute-series", series=beh)
-
-
-def _count_poly_exponent(spec):
-    if isinstance(spec, (LochNess,)):
-        return 0.0
-    if isinstance(spec, (Ladder, BiInfiniteFlute)):
-        return 0.0  # constant factor 2
-    if isinstance(spec, BoundedBoundary):
-        return spec.count_exponent
-    raise SpecError("no level-count exponent for %r" % (spec,))
 
 
 _TWIST_HYPOTHESES = frozenset(
@@ -416,88 +393,59 @@ def classify_exhaustion(spec, use_twists=False, hypotheses_asserted=()):
     else:
         assumed = ("orthogeodesic-length-at-least-1",)
 
+    criterion = (
+        "twisted-collar-series" if use_twists else "untwisted-collar-series"
+    )
+    asserted = set(hypotheses_asserted) if use_twists else set()
     if isinstance(spec, BiInfiniteFlute):
-        kpos = _twist_kappa(spec.twists_pos) if use_twists else 0.5
-        kneg = _twist_kappa(spec.twists_neg_effective) if use_twists else 0.5
-        if kpos is None or kneg is None:
-            beh = _heuristic(lambda n: _bi_term(spec, n, use_twists))
-        else:
-            f1 = _exponent_forms(SeriesTerms(spec.lengths_pos, kappa=kpos))
-            f2 = _exponent_forms(SeriesTerms(spec.neg, kappa=kneg))
-            if f1 is None or f2 is None:
-                beh = _heuristic(lambda n: _bi_term(spec, n, use_twists))
-            else:
-                # 1/(A_n + B_n) is comparable to the fastest-decaying branch
-                dominant = max(
-                    (f for f in f1 + f2), key=lambda f: (f.p, f.q, f.r)
-                )
-                beh = SeriesBehavior(
-                    "diverges" if dominant.diverges() else "converges",
-                    "bertrand-exact",
-                    "dominant p=%g q=%g" % (dominant.p, dominant.q),
-                )
-        criterion = (
-            "twisted-collar-series" if use_twists else "untwisted-collar-series"
-        )
-        if beh.verdict == "diverges":
-            return Verdict("Parabolic", criterion=criterion, series=beh,
-                           hypotheses_assumed=tuple(
-                               sorted(set(assumed) | (set(hypotheses_asserted)
-                                                      if use_twists else set()))))
-        return Verdict("Unknown", criterion=criterion, series=beh,
-                       hypotheses_assumed=tuple(assumed))
+        beh = _bi_infinite_series(spec, use_twists)
+        if beh.verdict != "diverges":
+            asserted = set()  # bi-infinite Unknown verdicts list only `assumed`
+    elif isinstance(spec, (LochNess, Ladder, BoundedBoundary)):
+        twists = spec.twists if use_twists else Constant(0.0)
+        # |boundary X_n| is 1 (Loch Ness), 2 (ladder) or about n^p
+        poly = spec.count_exponent if isinstance(spec, BoundedBoundary) else 0.0
+        beh = _twisted_series(spec.lengths, twists, poly)
+    else:
+        raise SpecError("unknown exhaustion spec %r" % (spec,))
+    return Verdict(
+        "Parabolic" if beh.verdict == "diverges" else "Unknown",
+        criterion=criterion,
+        series=beh,
+        hypotheses_assumed=tuple(sorted(set(assumed) | asserted)),
+    )
 
-    if isinstance(spec, (LochNess, Ladder, BoundedBoundary)):
-        poly = _count_poly_exponent(spec)
-        kappa = _twist_kappa(spec.twists) if use_twists else 0.5
-        if kappa is None:
-            beh = _heuristic(
-                lambda n: math.exp(
-                    -0.5
-                    * (1.0 - abs(normalize_twist(spec.twists.term(n))))
-                    * spec.lengths.term(n)
-                )
-                / max(1.0, float(n) ** poly)
+
+def _bi_infinite_series(spec, use_twists):
+    """sum_n 1 / (e^{k_n l_n} + e^{k'_n l'_n}) over the two ends, with
+    k_n = (1 - |t_n|) / 2 if twists are used, else 1/2."""
+
+    def kappa(twists):
+        t = _constant_twist(twists) if use_twists else 0.0
+        return None if t is None else 0.5 * (1.0 - abs(t))
+
+    kpos, kneg = kappa(spec.twists_pos), kappa(spec.twists_neg_effective)
+    if kpos is not None and kneg is not None:
+        f1 = _exponent_forms(SeriesTerms(spec.lengths_pos, kappa=kpos))
+        f2 = _exponent_forms(SeriesTerms(spec.neg, kappa=kneg))
+        if f1 is not None and f2 is not None:
+            # 1/(A_n + B_n) is comparable to the fastest-decaying branch
+            dominant = max(f1 + f2, key=lambda f: (f.p, f.q, f.r))
+            return SeriesBehavior(
+                "diverges" if dominant.diverges() else "converges",
+                "bertrand-exact",
+                "dominant p=%g q=%g" % (dominant.p, dominant.q),
             )
-        else:
-            beh = classify_series(
-                SeriesTerms(spec.lengths, kappa=kappa, poly_exponent=poly)
-            )
-        criterion = (
-            "twisted-collar-series" if use_twists else "untwisted-collar-series"
-        )
-        assumed_all = tuple(
-            sorted(set(assumed) | (set(hypotheses_asserted) if use_twists else set()))
-        )
-        if beh.verdict == "diverges":
-            return Verdict(
-                "Parabolic", criterion=criterion, series=beh,
-                hypotheses_assumed=assumed_all,
-            )
-        return Verdict(
-            "Unknown", criterion=criterion, series=beh,
-            hypotheses_assumed=assumed_all,
-        )
-    raise SpecError("unknown exhaustion spec %r" % (spec,))
 
-
-def _twist_kappa(twists):
-    t = _constant_twist(twists)
-    if t is None:
-        return None
-    return 0.5 * (1.0 - abs(t))
-
-
-def _bi_term(spec, n, use_twists):
-    def one(lengths, twists):
+    def one(lengths, twists, n):
         k = 0.5
         if use_twists:
             k = 0.5 * (1.0 - abs(normalize_twist(twists.term(n))))
         return math.exp(k * lengths.term(n))
 
-    return 1.0 / (
-        one(spec.lengths_pos, spec.twists_pos)
-        + one(spec.neg, spec.twists_neg_effective)
+    return _heuristic(
+        lambda n: 1.0 / (one(spec.lengths_pos, spec.twists_pos, n)
+                         + one(spec.neg, spec.twists_neg_effective, n))
     )
 
 
@@ -509,59 +457,28 @@ def _classify_cantor(spec):
     the scaled-power-decay shape l_n = c n / base^n.
     """
     lengths = spec.level_lengths
-    if isinstance(lengths, ScaledPowerDecay):
+    while isinstance(lengths, ExplicitPrefixThenTail):
+        lengths = lengths.tail  # a finite prefix does not change convergence
+    if isinstance(lengths, ScaledPowerDecay) and lengths.base >= 2.0:
         # terms comparable to (base/2)^n / n
-        if lengths.base > 2.0:
-            beh = SeriesBehavior("diverges", "bertrand-exact",
-                                 "terms grow geometrically")
-            return Verdict("Parabolic", criterion="tree-collar-series", series=beh)
-        if lengths.base == 2.0:
-            beh = SeriesBehavior("diverges", "bertrand-exact", "p=1 q=0")
-            return Verdict("Parabolic", criterion="tree-collar-series", series=beh)
-        beh = SeriesBehavior("converges", "bertrand-exact",
-                             "terms decay geometrically")
-        return Verdict("Unknown", criterion="tree-collar-series", series=beh)
-    # lengths bounded below: lambda bounded, terms <= C 2^-n
-    beh = _heuristic(
-        lambda n: standard_half_collar_lambda(lengths.term(n)) / 2.0**n
-        if n < 500
-        else 0.0
-    )
-    if beh.verdict == "diverges":
+        detail = "terms grow geometrically" if lengths.base > 2.0 else "p=1 q=0"
+        beh = SeriesBehavior("diverges", "bertrand-exact", detail)
         return Verdict("Parabolic", criterion="tree-collar-series", series=beh)
+    # base < 2, or lengths that decay at most polynomially (every other
+    # shape), so that lambda(l_n) grows at most polynomially: the terms are
+    # at most C 2^-n n^k, and the series converges
+    beh = SeriesBehavior("converges", "bertrand-exact",
+                         "terms decay geometrically")
     return Verdict("Unknown", criterion="tree-collar-series", series=beh)
 
 
 def classify_cover(cov):
     """Sufficiency criteria for normal covers with free abelian deck group."""
     if cov.rank == 1:
-        kappa = _twist_kappa(cov.tau)
-        if kappa is None:
-            beh = _heuristic(
-                lambda n: math.exp(
-                    -0.5
-                    * (1.0 - abs(normalize_twist(cov.tau.term(n))))
-                    * cov.L.term(n)
-                )
-            )
-        else:
-            beh = classify_series(SeriesTerms(cov.L, kappa=kappa))
+        beh = _twisted_series(cov.L, cov.tau)
         crit = "cover-rank1-series"
     elif cov.rank == 2 and cov.config == "disjoint-pair":
-        kappa = _twist_kappa(cov.tau)
-        if kappa is None:
-            beh = _heuristic(
-                lambda n: math.exp(
-                    -0.5
-                    * (1.0 - abs(normalize_twist(cov.tau.term(n))))
-                    * cov.L.term(n)
-                )
-                / n
-            )
-        else:
-            beh = classify_series(
-                SeriesTerms(cov.L, kappa=kappa, poly_exponent=1.0)
-            )
+        beh = _twisted_series(cov.L, cov.tau, poly=1.0)
         crit = "cover-rank2-disjoint-series"
     elif cov.rank == 2 and cov.config == "intersecting-pair":
         if isinstance(cov.eps, Constant):

@@ -94,6 +94,20 @@ def _number(value, path, allow_inf=False):
     raise ConfigError("expected a number at %s, got %r" % (path, value))
 
 
+def _list(value, path):
+    if not isinstance(value, list):
+        raise ConfigError("expected a list at %s, got %r" % (path, value))
+    return value
+
+
+def _pair(value, path):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(
+            "expected a [coefficient, shift] pair at %s, got %r" % (path, value)
+        )
+    return _number(value[0], path), _number(value[1], path)
+
+
 def parse_sequence(obj, path):
     """Parse a sequence spec from strict JSON."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -118,11 +132,8 @@ def parse_sequence(obj, path):
                     "give either log_terms or a/n0 at %s, not both" % path
                 )
             terms = tuple(
-                (
-                    _number(t[0], path + ".log_terms"),
-                    _number(t[1], path + ".log_terms"),
-                )
-                for t in obj["log_terms"]
+                _pair(t, "%s.log_terms[%d]" % (path, i))
+                for i, t in enumerate(_list(obj["log_terms"], path + ".log_terms"))
             )
         else:
             a = _number(obj.get("a", 0.0), path + ".a")
@@ -144,8 +155,10 @@ def parse_sequence(obj, path):
     if kind == "prefix":
         _check_keys(obj, {"kind", "values", "tail"}, path)
         values = tuple(
-            _number(v, path + ".values")
-            for v in _required(obj, "values", path)
+            _number(v, "%s.values[%d]" % (path, i))
+            for i, v in enumerate(
+                _list(_required(obj, "values", path), path + ".values")
+            )
         )
         return ExplicitPrefixThenTail(
             values=values,

@@ -14,7 +14,6 @@ from .hypgeom import (
     HypothesisError,
     collar_width,
     eta_length,
-    standard_half_collar_lambda,
     validate_twist,
 )
 from .graph_modulus import (
@@ -227,21 +226,17 @@ def glued_collar_envelope(spec):
 
 
 def glued_collar_proxy(spec):
-    """Analytic proxy for 1/lambda of the glued collar.
+    """Analytic proxy for 1/lambda of the glued collar: max_i e^{r_i - |t| l/2}.
 
-    max of the four one-interval bounds for the envelope vertical modulus:
-    e^{r_i - |t| l / 2} and e^{r_i - (1 - |t|) l / 2}, i = 1, 2.  Up to a
-    bounded factor this is the envelope vertical modulus itself.
+    Up to a bounded factor this is the envelope vertical modulus.  The
+    one-interval bounds e^{r_i - (1 - |t|) l / 2} never exceed these, since
+    |t| <= 1/2.
     """
-    l = spec.l_alpha
     a = abs(spec.twist)
-    r1 = spec.side1.r_eta
-    r2 = spec.side2.r_eta
+    l = spec.l_alpha
     return max(
-        math.exp(r1 - 0.5 * a * l),
-        math.exp(r1 - 0.5 * (1.0 - a) * l),
-        math.exp(r2 - 0.5 * a * l),
-        math.exp(r2 - 0.5 * (1.0 - a) * l),
+        math.exp(spec.side1.r_eta - 0.5 * a * l),
+        math.exp(spec.side2.r_eta - 0.5 * a * l),
     )
 
 
@@ -259,7 +254,7 @@ def glued_collar_lambda(spec, samples=4096):
     Requires l_alpha >= 2.  The lower bound comes from the rectangle sandwich
     applied to the envelope pair (whose region is contained in the collar);
     the upper bound is the reciprocal of the vertical modulus of the full
-    graph pair.  Also returns the analytic proxy max{e^{r_i - |t| l/2}}.
+    graph pair.  Also returns 1 / glued_collar_proxy(spec).
     """
     if spec.l_alpha < 2.0:
         raise HypothesisError("glued-collar bounds require l_alpha >= 2")
@@ -273,10 +268,4 @@ def glued_collar_lambda(spec, samples=4096):
         provenance=("reciprocal", "envelope-sandwich", "full-vertical")
         + env_mod.provenance,
     )
-    a = abs(spec.twist)
-    l = spec.l_alpha
-    proxy = max(
-        math.exp(spec.side1.r_eta - 0.5 * a * l),
-        math.exp(spec.side2.r_eta - 0.5 * a * l),
-    )
-    return GluedCollarResult(bounds=bounds, proxy=1.0 / proxy)
+    return GluedCollarResult(bounds=bounds, proxy=1.0 / glued_collar_proxy(spec))

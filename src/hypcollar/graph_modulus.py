@@ -9,7 +9,7 @@ it controlled by the delta-rectangle deviation constant.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -292,98 +292,3 @@ def sandwich_bounds(pair, delta, samples=4096, rel_tol=1e-8):
             "rectangle-sandwich(c=%.6g, delta=%.6g, area=%.6g)" % (c, delta, area),
         ),
     )
-
-
-@dataclass(frozen=True)
-class DegeneracySample:
-    """Diagnostics for one member of a family of graph pairs."""
-
-    l: float
-    min_gap: float
-    max_abs_f: float
-    max_abs_g: float
-    area: float
-
-    @property
-    def gap_positive(self):
-        return self.min_gap > 0
-
-    @property
-    def area_ok(self):
-        return self.area <= 1.0 + 1e-12
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    samples: tuple
-    all_gaps_positive: bool
-    graphs_decay: bool
-    all_areas_ok: bool
-
-    @property
-    def ok(self):
-        return self.all_gaps_positive and self.graphs_decay and self.all_areas_ok
-
-
-def simply_degenerate_check(family, params, grid=512):
-    """Check the simple-degeneracy conditions on a sampled family.
-
-    family(l) must return a PeriodicFunctionPair.  For each sampled parameter
-    reports positivity of the gap, sup |f|, sup |g| and the area between the
-    graphs; `graphs_decay` records whether sup(|f|, |g|) is strictly
-    decreasing along the samples (the proxy for pointwise decay to zero).
-    """
-    out = []
-    for l in params:
-        pair = family(l)
-        xs = pair.x1 + pair.period * np.arange(grid + 1) / grid
-        fv = np.array([pair.f(x) for x in xs])
-        gv = np.array([pair.g(x) for x in xs])
-        out.append(
-            DegeneracySample(
-                l=float(l),
-                min_gap=float(np.min(fv - gv)),
-                max_abs_f=float(np.max(np.abs(fv))),
-                max_abs_g=float(np.max(np.abs(gv))),
-                area=area_between(pair),
-            )
-        )
-    sups = [max(s.max_abs_f, s.max_abs_g) for s in out]
-    decay = all(b < a for a, b in zip(sups[:-1], sups[1:]))
-    return DegeneracyReport(
-        samples=tuple(out),
-        all_gaps_positive=all(s.gap_positive for s in out),
-        graphs_decay=decay,
-        all_areas_ok=all(s.area_ok for s in out),
-    )
-
-
-@dataclass(frozen=True)
-class ComparabilityReport:
-    """Constants controlling mod / mod_vertical along a degenerating family."""
-
-    c: float
-    d: float
-    ratio_bound: Optional[float]
-
-    @property
-    def ok(self):
-        return self.ratio_bound is not None
-
-
-def comparability_constants(family, params, delta_of_l, samples=2048):
-    """Uniform comparability constants along a family of graph pairs.
-
-    c = inf over samples of the delta(l)-deviation constant;
-    d = inf over samples of delta(l)^2 * vertical modulus.
-    When both are positive,  1 <= mod/mod_vertical <= 3/c^2 + 3/d  uniformly.
-    """
-    c = math.inf
-    d = math.inf
-    for l in params:
-        pair = family(l)
-        delta = delta_of_l(l)
-        c = min(c, rectangle_deviation(pair, delta, samples=samples))
-        d = min(d, delta * delta * vertical_modulus(pair))
-    bound = 3.0 / (c * c) + 3.0 / d if (c > 0 and d > 0) else None
-    return ComparabilityReport(c=c, d=d, ratio_bound=bound)

@@ -60,49 +60,6 @@ def eta_length(l_alpha, l_gamma):
     return eta
 
 
-def ortho_between_boundaries(l_alpha, l_alpha1, l_alpha2):
-    """Length of the orthogeodesic between boundaries alpha and alpha1.
-
-    Right-angled hexagon relation for a pair of pants with boundary lengths
-    (l_alpha, l_alpha1, l_alpha2):
-
-        cosh l = coth(l_alpha1/2) coth(l_alpha/2)
-                 + cosh(l_alpha2/2) / (sinh(l_alpha1/2) sinh(l_alpha/2))
-    """
-    a = 0.5 * _require_positive("l_alpha", l_alpha)
-    a1 = 0.5 * _require_positive("l_alpha1", l_alpha1)
-    if math.isnan(l_alpha2) or l_alpha2 < 0:
-        raise ValueError("l_alpha2 must be >= 0, got %r" % (l_alpha2,))
-    a2 = 0.5 * float(l_alpha2)
-    arg = (1.0 / math.tanh(a1)) * (1.0 / math.tanh(a)) + math.cosh(a2) / (
-        math.sinh(a1) * math.sinh(a)
-    )
-    return math.acosh(arg)
-
-
-def flute_ortho_delta(l_n, l_next):
-    """Length of the arc delta_n between consecutive flute boundaries.
-
-    Each leg delta_n^i satisfies sinh(len) * sinh(l/2) = 1, i.e. its length is
-    collar_width(l/2); the two legs concatenate.
-    """
-    return collar_width(0.5 * _require_positive("l_n", l_n)) + collar_width(
-        0.5 * _require_positive("l_next", l_next)
-    )
-
-
-def saccheri_summit(l_delta, sigma):
-    """Summit length of a Saccheri quadrilateral.
-
-    Base l_delta, both legs of length sigma/2 at right angles:
-        sinh(s/2) = sinh(l_delta/2) * cosh(sigma/2).
-    """
-    l_delta = _require_positive("l_delta", l_delta)
-    if math.isnan(sigma) or sigma < 0 or math.isinf(sigma):
-        raise ValueError("sigma must be finite and >= 0, got %r" % (sigma,))
-    return 2.0 * math.asinh(math.sinh(0.5 * l_delta) * math.cosh(0.5 * sigma))
-
-
 def standard_half_collar_lambda(l):
     """Extremal distance across the standard half-collar of a geodesic.
 

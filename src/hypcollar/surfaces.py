@@ -177,12 +177,39 @@ def sequence_terms(spec, n_max, start=1):
     return [spec.term(n) for n in range(start, n_max + 1)]
 
 
+def _leading_coefficient(spec):
+    """First nonzero of (sum of log coefficients, log log coefficient, const),
+    the sign of a LogAffine's terms for large n; 0 if all three vanish."""
+    return next(
+        (x for x in (spec.log_coef_sum, spec.loglog_coef, spec.const) if x), 0.0
+    )
+
+
 def validate_lengths(spec, window=64, start=1):
-    """Check the first `window` terms are positive finite lengths."""
+    """Check that a length spec gives positive finite lengths.
+
+    The first `window` terms are evaluated.  Beyond them the shape decides: a
+    Linear spec needs slope >= 0 and a LogAffine spec a nonnegative leading
+    coefficient, in prefix tails and alternating branches too, so that the
+    terms do not turn negative for large n.
+    """
     for n in range(start, start + window):
         v = spec.term(n)
         if not (v > 0 and math.isfinite(v)):
             raise SpecError("length term %d is not a positive float: %r" % (n, v))
+    shapes = [spec]
+    while shapes:
+        shape = shapes.pop()
+        if isinstance(shape, ExplicitPrefixThenTail):
+            shapes.append(shape.tail)
+        elif isinstance(shape, AlternatingLogAffine):
+            shapes += [shape.even, shape.odd]
+        elif isinstance(shape, Linear) and shape.slope < 0:
+            raise SpecError("linear lengths with slope %r < 0 turn negative"
+                            % shape.slope)
+        elif isinstance(shape, LogAffine) and _leading_coefficient(shape) < 0:
+            raise SpecError("log-affine lengths with a negative leading "
+                            "coefficient turn negative: %r" % (shape,))
     return True
 
 
@@ -275,9 +302,6 @@ class ExhaustionSpec:
 class Flute(ExhaustionSpec):
     flute: FluteSpec
 
-    def boundary_counts(self, n):
-        return 1
-
 
 @dataclass(frozen=True)
 class BiInfiniteFlute(ExhaustionSpec):
@@ -301,9 +325,6 @@ class BiInfiniteFlute(ExhaustionSpec):
     def twists_neg_effective(self):
         return self.twists_neg if self.twists_neg is not None else self.twists_pos
 
-    def boundary_counts(self, n):
-        return 2
-
 
 @dataclass(frozen=True)
 class LochNess(ExhaustionSpec):
@@ -321,9 +342,6 @@ class LochNess(ExhaustionSpec):
     def __post_init__(self):
         validate_lengths(self.lengths)
 
-    def boundary_counts(self, n):
-        return 1
-
 
 @dataclass(frozen=True)
 class Ladder(ExhaustionSpec):
@@ -336,9 +354,6 @@ class Ladder(ExhaustionSpec):
     def __post_init__(self):
         validate_lengths(self.lengths)
 
-    def boundary_counts(self, n):
-        return 2
-
 
 @dataclass(frozen=True)
 class CantorTree(ExhaustionSpec):
@@ -348,9 +363,6 @@ class CantorTree(ExhaustionSpec):
 
     def __post_init__(self):
         validate_lengths(self.level_lengths)
-
-    def boundary_counts(self, n):
-        return 2**n
 
 
 @dataclass(frozen=True)
@@ -369,9 +381,6 @@ class BoundedBoundary(ExhaustionSpec):
         validate_lengths(self.lengths)
         if self.count_exponent < 0:
             raise SpecError("count exponent must be >= 0")
-
-    def boundary_counts(self, n):
-        return max(1, round(n**self.count_exponent))
 
 
 @dataclass(frozen=True)
@@ -404,34 +413,6 @@ class AbelianCover(ExhaustionSpec):
                 raise SpecError("intersecting-pair needs eps and ell specs")
         elif self.L is None:
             raise SpecError("cover needs an L spec")
-
-    def boundary_counts(self, n):
-        if self.config == "intersecting-pair" and self.rank == 2:
-            return 1
-        if self.rank == 1:
-            return 2
-        if self.rank == 2:
-            return 4 * n
-        return 2 * self.rank * n ** (self.rank - 1)
-
-
-def boundary_data(spec, n):
-    """(length, twist) pairs for the boundary curves of exhaustion level n."""
-    if isinstance(spec, Flute):
-        fl = spec.flute
-        return [(fl.lengths.term(n), fl.twists.term(n))]
-    if isinstance(spec, BiInfiniteFlute):
-        return [
-            (spec.lengths_pos.term(n), spec.twists_pos.term(n)),
-            (spec.neg.term(n), spec.twists_neg_effective.term(n)),
-        ]
-    if isinstance(spec, (LochNess, Ladder, BoundedBoundary)):
-        k = spec.boundary_counts(n)
-        return [(spec.lengths.term(n), spec.twists.term(n))] * k
-    if isinstance(spec, CantorTree):
-        return [(spec.level_lengths.term(n), 0.0)] * spec.boundary_counts(n)
-    if isinstance(spec, AbelianCover):
-        if spec.config == "intersecting-pair" and spec.rank == 2:
-            return [(spec.ell.term(n), 0.0)]
-        return [(spec.L.term(n), spec.tau.term(n))] * spec.boundary_counts(n)
-    raise SpecError("unknown exhaustion spec %r" % (spec,))
+        for spec in (self.L, self.eps, self.ell):
+            if spec is not None:
+                validate_lengths(spec)

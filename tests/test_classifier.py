@@ -231,6 +231,46 @@ def test_cantor_tree():
     assert v.kind == "Parabolic" and v.criterion == "tree-collar-series"
     v = cl.classify_exhaustion(sf.CantorTree(level_lengths=sf.Constant(1.0)))
     assert v.kind == "Unknown"
+    # lengths bounded below: terms <= C 2^-n, an exact convergence statement
+    assert (v.series.verdict, v.series.method) == ("converges", "bertrand-exact")
+    # a finite prefix does not hide a divergent power-decay tail
+    v = cl.classify_exhaustion(sf.CantorTree(level_lengths=sf.ExplicitPrefixThenTail(
+        values=(1.0,), tail=sf.ScaledPowerDecay(coef=1.0, base=3.0))))
+    assert v.kind == "Parabolic" and v.series.verdict == "diverges"
+
+
+def _twisted_verdicts(lengths, twists):
+    """Verdicts of a flute, a twisted Loch-Ness monster and a rank-1 cover."""
+    return (
+        cl.classify_flute(sf.FluteSpec(lengths=lengths, twists=twists)),
+        cl.classify_exhaustion(
+            sf.LochNess(lengths=lengths, twists=twists), use_twists=True,
+            hypotheses_asserted=("not-pair-of-pants",
+                                 "uniform-orthogeodesic-distance"),
+        ),
+        cl.classify_cover(sf.AbelianCover(rank=1, L=lengths, tau=twists)),
+    )
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
+def test_slope_zero_linear_twist_is_a_constant_twist(t):
+    lengths = sf.log_affine(a=3.0, n0=1.0)
+    linear = _twisted_verdicts(lengths, sf.Linear(slope=0.0, intercept=t))
+    assert linear == _twisted_verdicts(lengths, sf.Constant(t))
+    assert all(v.series.exact for v in linear)
+    if t == 0.5:
+        assert linear[0].criterion == "half-twist-series"
+
+
+def test_twisted_series_heuristic_for_varying_twists():
+    # a twist sequence that is not constant takes the partial-sum fallback
+    lengths = sf.log_affine(a=2.0, n0=1.0)
+    twists = sf.Linear(slope=1e-7, intercept=0.25)
+    for v in (
+        cl.classify_flute(sf.FluteSpec(lengths=lengths, twists=twists)),
+        cl.classify_cover(sf.AbelianCover(rank=1, L=lengths, tau=twists)),
+    ):
+        assert not v.series.exact
 
 
 def test_covers():

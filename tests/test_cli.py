@@ -157,6 +157,35 @@ def test_missing_key_named_with_its_path(tmp_path, capsys, command, config,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lengths, message", [
+    ({"kind": "log_affine", "log_terms": [1.0]},
+     "pair at lengths.log_terms[0]"),
+    ({"kind": "log_affine", "log_terms": [[1.0, 1.0], [2.0, 0.0, 3.0]]},
+     "pair at lengths.log_terms[1]"),
+    ({"kind": "log_affine", "log_terms": 5}, "list at lengths.log_terms"),
+    ({"kind": "prefix", "values": 5, "tail": {"kind": "constant", "value": 1.0}},
+     "list at lengths.values"),
+    ({"kind": "prefix", "values": [1.0, "x"],
+      "tail": {"kind": "constant", "value": 1.0}}, "at lengths.values[1]"),
+])
+def test_malformed_lists_named_with_their_path(tmp_path, capsys, lengths,
+                                               message):
+    cfg = write_config(tmp_path, {"type": "flute", "lengths": lengths})
+    assert run(["classify", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lengths", [
+    {"kind": "log_affine", "a": -1.0, "c": 10.0},
+    {"kind": "linear", "slope": -1.0, "intercept": 100.0},
+])
+def test_lengths_negative_far_out_are_config_errors(tmp_path, capsys, lengths):
+    for cfg in ({"type": "flute", "lengths": lengths},
+                {"type": "cover", "rank": 1, "L": lengths}):
+        assert run(["classify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "turn negative" in capsys.readouterr().err
+
+
 def test_classify_and_collar_load_no_scipy(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -99,6 +99,20 @@ def test_glued_result_fields():
     assert 0.01 < res.bounds.lower / res.proxy < 100.0
 
 
+def test_glued_proxy_is_the_four_interval_maximum():
+    # for |t| <= 1/2 the bounds e^{r_i - (1 - |t|) l/2} never exceed
+    # e^{r_i - |t| l/2}, so the two-exponential proxy is the four-way max
+    for l in (4.0, 8.0, 16.0):
+        for t in (-0.375, 0.0, 0.125, 0.25, 0.5):
+            spec = cm.GluedCollarSpec(l, 1.0, math.inf, t)
+            r = (spec.side1.r_eta, spec.side2.r_eta)
+            four = max(math.exp(ri - 0.5 * a * l)
+                       for ri in r for a in (abs(t), 1.0 - abs(t)))
+            assert cm.glued_collar_proxy(spec) == four
+            res = cm.glued_collar_lambda(spec)
+            assert res.proxy == 1.0 / four
+
+
 def test_glued_twist_improves_lower_bound():
     # twisting misaligns the two envelope spikes and widens the channel
     l = 12.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcollar import collar_modulus as cm
 from hypcollar import graph_modulus as gm
 
 
@@ -80,36 +79,6 @@ def test_pair_validate_rejects_crossing_graphs():
     )
     with pytest.raises(ValueError):
         pair.validate()
-
-
-def test_simply_degenerate_check_half_collars():
-    def family(l):
-        return cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(l, math.inf))
-
-    report = gm.simply_degenerate_check(family, (2.0, 4.0, 8.0, 16.0))
-    assert report.ok
-    assert report.all_gaps_positive and report.graphs_decay
-
-
-def test_simply_degenerate_check_flags_nondecaying_family():
-    def family(l):
-        return gm.constant_pair(1.0)  # gap does not shrink with l
-
-    report = gm.simply_degenerate_check(family, (2.0, 4.0, 8.0))
-    assert not report.graphs_decay
-    assert not report.ok
-
-
-def test_comparability_constants_envelope_family():
-    def family(l):
-        return cm.half_collar_envelope(cm.HalfCollarSpec(l, math.inf))
-
-    report = gm.comparability_constants(family, (2.0, 5.0, 10.0, 20.0),
-                                        delta_of_l=lambda l: 1.0 / l)
-    assert report.ok
-    assert report.c > 0.3
-    assert report.d > 1.7
-    assert report.ratio_bound == pytest.approx(3.0 / report.c**2 + 3.0 / report.d)
 
 
 @settings(max_examples=25, deadline=None)

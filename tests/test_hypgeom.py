@@ -56,47 +56,6 @@ def test_eta_monotone_in_gamma():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_ortho_between_boundaries():
-    mpmath.mp.dps = 40
-    # symmetric pants with a degenerate third boundary
-    want = float(
-        mpmath.acosh(
-            (mpmath.coth(1)) ** 2 + mpmath.cosh(0) / mpmath.sinh(1) ** 2
-        )
-    )
-    assert same_float(hg.ortho_between_boundaries(2.0, 2.0, 0.0), want, 1e-14)
-    # shrinking the third boundary shortens the orthogeodesic
-    a = hg.ortho_between_boundaries(2.0, 2.0, 1.0)
-    b = hg.ortho_between_boundaries(2.0, 2.0, 0.5)
-    assert b < a
-
-
-def test_short_boundary_forces_long_ortho():
-    # if one boundary is shorter than 2 acoth(cosh 1), the ortho exceeds 1
-    thresh = 2.0 * math.atanh(1.0 / math.cosh(1.0))
-    for l1 in (0.1, 0.5, 0.99 * thresh):
-        for l in (0.5, 2.0, 10.0):
-            assert hg.ortho_between_boundaries(l, l1, 0.7) >= 1.0
-
-
-def test_flute_ortho_delta():
-    assert same_float(
-        hg.flute_ortho_delta(2.0, 3.0),
-        hg.collar_width(1.0) + hg.collar_width(1.5),
-    )
-    # asymptotics: l(delta) * e^{l/2} -> 4 for equal long neighbors
-    l = 30.0
-    assert abs(hg.flute_ortho_delta(l, l) * math.exp(0.5 * l) - 4.0) < 1e-4
-
-
-def test_saccheri_summit():
-    mpmath.mp.dps = 40
-    want = float(2 * mpmath.asinh(mpmath.sinh(0.05) * mpmath.cosh(2)))
-    assert same_float(hg.saccheri_summit(0.1, 4.0), want, 1e-14)
-    # summit is longer than the base
-    assert hg.saccheri_summit(0.1, 4.0) > 0.1
-
-
 def test_standard_half_collar_lambda():
     mpmath.mp.dps = 40
     for l in (0.3, 1.0, 2.0, 4.0):
@@ -139,7 +98,3 @@ def test_domain_errors():
         hg.eta_length(math.inf, 1.0)
     with pytest.raises(ValueError):
         hg.eta_length(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        hg.saccheri_summit(1.0, -1.0)
-    with pytest.raises(ValueError):
-        hg.ortho_between_boundaries(1.0, 1.0, -0.5)

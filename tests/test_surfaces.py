@@ -49,6 +49,31 @@ def test_validate_lengths_rejects_nonpositive():
     assert sf.validate_lengths(sf.Constant(2.0))
 
 
+@pytest.mark.parametrize("spec", [
+    # positive on the first 64 terms, negative far out
+    sf.log_affine(a=-1.0, c=10.0),
+    sf.Linear(slope=-1.0, intercept=100.0),
+    sf.LogAffine(log_terms=((1.0, 1.0), (-1.0, 0.0)), loglog_coef=-0.1, const=5.0),
+    sf.ExplicitPrefixThenTail(values=(1.0,), tail=sf.Linear(slope=-0.5, intercept=80.0)),
+    sf.ExplicitPrefixThenTail(values=(1.0,), tail=sf.AlternatingLogAffine(
+        even=sf.log_affine(a=1.0, n0=1.0), odd=sf.log_affine(a=-1.0, c=20.0))),
+])
+def test_validate_lengths_reads_the_shape(spec):
+    with pytest.raises(sf.SpecError):
+        sf.validate_lengths(spec)
+    with pytest.raises(sf.SpecError):
+        sf.FluteSpec(lengths=spec)
+
+
+def test_validate_lengths_accepts_nonnegative_leading_coefficients():
+    for spec in (
+        sf.Linear(slope=0.0, intercept=1.0),
+        sf.log_affine(a=1.0, b=-1.0, c=1.0, n1=2.0),
+        sf.log_affine(b=1.0, c=-0.5, n1=20.0),
+    ):
+        assert sf.validate_lengths(spec)
+
+
 def test_sigma_identity_exact():
     lengths = sf.log_affine(a=3.0, c=0.5, n0=1.0)
     sigma = sf.sigma_sequence(lengths, 1000)
@@ -94,28 +119,6 @@ def test_flute_spec_validates_twists():
     sf.FluteSpec(lengths=sf.Constant(1.0), twists=sf.Constant(0.5))
     with pytest.raises(ValueError):
         sf.FluteSpec(lengths=sf.Constant(1.0), twists=sf.Constant(0.7))
-
-
-def test_boundary_data_counts():
-    flute = sf.Flute(sf.FluteSpec(lengths=sf.Constant(1.0)))
-    assert sf.boundary_data(flute, 5) == [(1.0, 0.0)]
-
-    bi = sf.BiInfiniteFlute(
-        lengths_pos=sf.Constant(1.0), lengths_neg=sf.Constant(2.0)
-    )
-    assert sf.boundary_data(bi, 3) == [(1.0, 0.0), (2.0, 0.0)]
-
-    cantor = sf.CantorTree(level_lengths=sf.Constant(1.0))
-    assert len(sf.boundary_data(cantor, 4)) == 16
-
-    bb = sf.BoundedBoundary(lengths=sf.Constant(1.0), count_exponent=2.0)
-    assert len(sf.boundary_data(bb, 3)) == 9
-
-    cov = sf.AbelianCover(rank=2, config="disjoint-pair", L=sf.Constant(1.0))
-    assert len(sf.boundary_data(cov, 2)) == 8
-
-    cov3 = sf.AbelianCover(rank=3, L=sf.Constant(1.0))
-    assert len(sf.boundary_data(cov3, 2)) == 2 * 3 * 4
 
 
 def test_cover_validation():

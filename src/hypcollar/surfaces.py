@@ -10,11 +10,31 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .hypgeom import validate_twist
 
 
 class SpecError(ValueError):
     """A sequence or surface spec is malformed."""
+
+
+def _check_start(start, n_max):
+    """The index check of the scalar `term`, for the run start, ..., n_max."""
+    if start < 1 and start <= n_max:
+        raise SpecError("indices start at n = 1")
+
+
+def _indices(start, n_max):
+    """The run start, ..., n_max as a float array of exact integers."""
+    _check_start(start, n_max)
+    return np.arange(start, n_max + 1, dtype=float)
+
+
+def _elementwise(spec, start, n_max):
+    """spec.term at each index of the run, keeping the scalar errors (such
+    as the OverflowError of a float power)."""
+    return np.array([spec.term(n) for n in range(start, n_max + 1)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +71,31 @@ class LogAffine:
             v += self.loglog_coef * math.log(math.log(arg))
         return v
 
+    def terms(self, start, n_max):
+        """`term` for n = start, ..., n_max, as a float array.
+
+        Each argument grows with n, so a run fails exactly when its first
+        index does, with the message `term` gives there.
+        """
+        ns = _indices(start, n_max)
+        v = np.full(len(ns), self.const, dtype=float)
+        for a, s in self.log_terms:
+            if len(ns) and start + s <= 0:
+                raise SpecError("log argument nonpositive at n = %d" % start)
+            arg = ns + s
+            np.log(arg, out=arg)
+            arg *= a
+            v += arg
+        if self.loglog_coef:
+            if len(ns) and start + self.loglog_shift <= 1:
+                raise SpecError("log log argument <= 1 at n = %d" % start)
+            arg = ns + self.loglog_shift
+            np.log(arg, out=arg)
+            np.log(arg, out=arg)
+            arg *= self.loglog_coef
+            v += arg
+        return v
+
     @property
     def log_coef_sum(self):
         return sum(a for a, _ in self.log_terms)
@@ -81,6 +126,9 @@ class Constant:
             raise SpecError("indices start at n = 1")
         return self.value
 
+    def terms(self, start, n_max):
+        return _elementwise(self, start, n_max)
+
     @property
     def is_bounded(self):
         return True
@@ -97,6 +145,12 @@ class Linear:
         if n < 1:
             raise SpecError("indices start at n = 1")
         return self.slope * n + self.intercept
+
+    def terms(self, start, n_max):
+        v = _indices(start, n_max)
+        v *= self.slope
+        v += self.intercept
+        return v
 
     @property
     def is_bounded(self):
@@ -123,6 +177,20 @@ class AlternatingLogAffine:
             return self.even.term(n // 2)
         return self.odd.term((n - 1) // 2)
 
+    def terms(self, start, n_max):
+        """`term` for n = start, ..., n_max, each branch filling every other
+        entry.  The branch of `start` goes first, so that a failing run
+        raises the error `term` meets first."""
+        if start < 2 and start <= n_max:
+            self.term(start)  # raises the scalar error for n < 2
+        v = np.empty(max(n_max - start + 1, 0))
+        branches = (self.even, self.odd) if start % 2 == 0 else (self.odd, self.even)
+        for offset, spec in enumerate(branches):
+            parity = (start + offset) % 2
+            v[offset::2] = spec.terms((start + offset - parity) // 2,
+                                      (n_max - parity) // 2)
+        return v
+
     @property
     def is_bounded(self):
         return self.even.is_bounded and self.odd.is_bounded
@@ -146,6 +214,13 @@ class ExplicitPrefixThenTail:
             return self.values[n - 1]
         return self.tail.term(n)
 
+    def terms(self, start, n_max):
+        _check_start(start, n_max)
+        return np.concatenate([
+            np.array(self.values[start - 1:n_max], dtype=float),
+            self.tail.terms(max(start, len(self.values) + 1), n_max),
+        ])
+
     @property
     def is_bounded(self):
         return self.tail.is_bounded
@@ -167,14 +242,18 @@ class ScaledPowerDecay:
             raise SpecError("indices start at n = 1")
         return self.coef * n / self.base**n
 
+    def terms(self, start, n_max):
+        return _elementwise(self, start, n_max)
+
     @property
     def is_bounded(self):
         return True
 
 
 def sequence_terms(spec, n_max, start=1):
-    """List [spec.term(start), ..., spec.term(n_max)]."""
-    return [spec.term(n) for n in range(start, n_max + 1)]
+    """Float array [spec.term(start), ..., spec.term(n_max)], evaluated as
+    one run; it agrees with `term` up to the last bit or so of a logarithm."""
+    return spec.terms(start, n_max)
 
 
 def _leading_coefficient(spec):
@@ -213,6 +292,17 @@ def validate_lengths(spec, window=64, start=1):
     return True
 
 
+def validate_twists(spec, field, window=32):
+    """Check that the first `window` terms of a twist spec lie in the
+    canonical interval (-1/2, 1/2]; errors name the spec's `field`."""
+    for n in range(1, window + 1):
+        t = spec.term(n)
+        try:
+            validate_twist(t)
+        except ValueError as exc:
+            raise SpecError("%s term %d: %s" % (field, n, exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # derived sequences
 # ---------------------------------------------------------------------------
@@ -222,14 +312,16 @@ def sigma_sequence(lengths, n_max, start=1):
     """The alternating partial sums sigma_n = l_n - sigma_{n-1}, sigma_1 = l_1.
 
     Identity: sigma_n + sigma_{n-1} = l_n for every n >= 2 (exactly, by
-    construction of the recurrence).
+    construction of the recurrence).  Computed in place as an alternating
+    cumulative sum, (-1)^k sigma = cumsum((-1)^k l), which rounds exactly as
+    the recurrence does: rounding to nearest commutes with negation.  The
+    sign is restored as 0 - x, so that an exact zero stays +0.0, as l - l
+    gives it in the recurrence.
     """
-    sigma = []
-    prev = 0.0
-    for n in range(start, n_max + 1):
-        s = lengths.term(n) - prev
-        sigma.append(s)
-        prev = s
+    sigma = sequence_terms(lengths, n_max, start)
+    np.negative(sigma[1::2], out=sigma[1::2])
+    np.cumsum(sigma, out=sigma)
+    np.subtract(0.0, sigma[1::2], out=sigma[1::2])
     return sigma
 
 
@@ -289,8 +381,7 @@ class FluteSpec:
 
     def __post_init__(self):
         validate_lengths(self.lengths)
-        for n in range(1, 33):
-            validate_twist(self.twists.term(n))
+        validate_twists(self.twists, "twists")
 
 
 @dataclass(frozen=True)
@@ -316,6 +407,9 @@ class BiInfiniteFlute(ExhaustionSpec):
         validate_lengths(self.lengths_pos)
         if self.lengths_neg is not None:
             validate_lengths(self.lengths_neg)
+        validate_twists(self.twists_pos, "twists_pos")
+        if self.twists_neg is not None:
+            validate_twists(self.twists_neg, "twists_neg")
 
     @property
     def neg(self):
@@ -341,6 +435,7 @@ class LochNess(ExhaustionSpec):
 
     def __post_init__(self):
         validate_lengths(self.lengths)
+        validate_twists(self.twists, "twists")
 
 
 @dataclass(frozen=True)
@@ -353,6 +448,7 @@ class Ladder(ExhaustionSpec):
 
     def __post_init__(self):
         validate_lengths(self.lengths)
+        validate_twists(self.twists, "twists")
 
 
 @dataclass(frozen=True)
@@ -379,6 +475,7 @@ class BoundedBoundary(ExhaustionSpec):
 
     def __post_init__(self):
         validate_lengths(self.lengths)
+        validate_twists(self.twists, "twists")
         if self.count_exponent < 0:
             raise SpecError("count exponent must be >= 0")
 
@@ -416,3 +513,4 @@ class AbelianCover(ExhaustionSpec):
         for spec in (self.L, self.eps, self.ell):
             if spec is not None:
                 validate_lengths(spec)
+        validate_twists(self.tau, "tau")

@@ -1,8 +1,11 @@
+import json
 import math
+import warnings
 
 import pytest
 
 from hypcollar import classifier as cl
+from hypcollar import cli
 from hypcollar import surfaces as sf
 from hypcollar.hypgeom import HypothesisError
 
@@ -72,6 +75,48 @@ def test_sigma_telescoping_exact():
 def test_sigma_constant_lengths_diverges():
     beh = cl.classify_sigma_series(sf.Constant(2.0))
     assert beh.verdict == "diverges" and beh.exact
+
+
+def _alternating_half_twist(a_even, a_odd):
+    """Config of a half-twisted flute with l_1 = 1 and branches a ln(k+1)."""
+    branch = lambda a: {"kind": "log_affine", "a": a, "n0": 1.0}
+    return {"type": "flute",
+            "lengths": {"kind": "prefix", "values": [1.0],
+                        "tail": {"kind": "alternating", "even": branch(a_even),
+                                 "odd": branch(a_odd)}},
+            "twists": {"kind": "constant", "value": 0.5}}
+
+
+@pytest.mark.parametrize("a_even, a_odd, code, text", [
+    # sigma runs to -inf on the odd indices: e^{-sigma/2} overflows (n = 1093)
+    (7.0, 5.0, 3, "numeric failure: math range error"),
+    (5.0, 5.0, 0, '"kind": "Unknown"'),
+])
+def test_sigma_heuristic_exit_codes(tmp_path, capsys, a_even, a_odd, code, text):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_alternating_half_twist(a_even, a_odd)))
+    assert cli.main(["classify", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert text in (captured.err if code else captured.out)
+
+
+def test_sigma_path_raises_no_warning():
+    alternating = lambda a_even, a_odd: sf.ExplicitPrefixThenTail(
+        values=(1.0,), tail=sf.AlternatingLogAffine(
+            even=sf.log_affine(a=a_even, n0=1.0), odd=sf.log_affine(a=a_odd, n0=1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lengths in (
+            sf.log_affine(a=5.0, c=0.1, n0=1.0, n1=2.0),
+            sf.log_affine(a=6.0, b=5.0, c=1.0, n0=1.0, n1=2.0),
+            sf.ExplicitPrefixThenTail(values=(1.0, 2.5), tail=sf.log_affine(a=6.0, n0=1.0)),
+            sf.Linear(slope=1.0, intercept=1.0),
+            alternating(5.0, 5.0),
+        ):
+            beh = cl.classify_sigma_series(lengths)
+            assert beh.method == "partial-sum"
+        with pytest.raises(OverflowError, match="math range error"):
+            cl.classify_sigma_series(alternating(7.0, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +256,21 @@ def test_bi_infinite_flute_dominant_branch():
         lengths_neg=sf.log_affine(a=2.0, n0=1.0),
     )
     assert cl.classify_exhaustion(spec).kind == "Parabolic"
+
+
+def test_bi_infinite_unknown_lists_the_asserted_hypotheses():
+    asserted = ("not-pair-of-pants", "uniform-orthogeodesic-distance")
+    for twists in (sf.Constant(0.5), sf.Linear(slope=0.01)):
+        spec = sf.BiInfiniteFlute(
+            lengths_pos=sf.log_affine(a=3.0, n0=1.0),
+            lengths_neg=sf.log_affine(a=5.0, n0=1.0),
+            twists_pos=twists,
+        )
+        v = cl.classify_exhaustion(spec, use_twists=True,
+                                   hypotheses_asserted=asserted)
+        assert v.kind == "Unknown"
+        assert v.hypotheses_assumed == tuple(sorted(
+            asserted + ("orthogeodesic-length-at-least-1",)))
 
 
 def test_bounded_boundary_count_exponent():

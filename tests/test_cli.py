@@ -87,6 +87,28 @@ def test_invalid_twist_is_config_error(tmp_path, capsys):
     assert run(["classify", "--config", cfg]) == 2
 
 
+_LOG2 = {"kind": "log_affine", "a": 2.0, "n0": 1.0}
+_TWIST_07 = {"kind": "constant", "value": 0.7}
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"type": "flute", "lengths": _LOG2, "twists": _TWIST_07}, "twists"),
+    ({"type": "loch_ness", "lengths": _LOG2, "twists": _TWIST_07}, "twists"),
+    ({"type": "ladder", "lengths": _LOG2, "twists": _TWIST_07}, "twists"),
+    ({"type": "bounded_boundary", "lengths": _LOG2, "twists": _TWIST_07}, "twists"),
+    ({"type": "bi_infinite_flute", "lengths": _LOG2, "twists": _TWIST_07},
+     "twists_pos"),
+    ({"type": "bi_infinite_flute", "lengths": _LOG2, "twists_neg": _TWIST_07},
+     "twists_neg"),
+    ({"type": "cover", "rank": 1, "L": _LOG2, "tau": _TWIST_07}, "tau"),
+])
+def test_every_twist_out_of_range_is_config_error(tmp_path, capsys, config,
+                                                   field):
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert "%s term 1: twist must lie in (-1/2, 1/2]" % field in err
+
+
 def test_missing_config_file(capsys):
     assert run(["classify", "--config", "/nonexistent/nope.json"]) == 2
 

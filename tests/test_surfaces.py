@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,117 @@ def test_sigma_identity_property(a, c):
     )
 
 
+_coef = st.floats(min_value=0.0, max_value=8.0)
+_shift = st.floats(min_value=0.0, max_value=5.0)
+_log_affine = st.builds(
+    sf.LogAffine,
+    log_terms=st.lists(st.tuples(_coef, _shift), max_size=3).map(tuple),
+    loglog_coef=_coef,
+    loglog_shift=st.floats(min_value=2.0, max_value=5.0),
+    const=st.floats(min_value=0.1, max_value=5.0),
+)
+_alternating = st.builds(sf.AlternatingLogAffine, even=_log_affine, odd=_log_affine)
+_shapes = st.one_of(
+    _log_affine,
+    _alternating,
+    st.builds(sf.Constant, st.floats(min_value=0.1, max_value=5.0)),
+    st.builds(sf.Linear, _coef, st.floats(min_value=0.1, max_value=5.0)),
+    st.builds(sf.ScaledPowerDecay, st.floats(min_value=0.1, max_value=5.0),
+              st.floats(min_value=1.1, max_value=4.0)),
+    st.builds(sf.ExplicitPrefixThenTail,
+              st.lists(st.floats(min_value=0.1, max_value=5.0), max_size=4).map(tuple),
+              st.one_of(_log_affine, _alternating)),
+)
+
+
+def _outcome(fn):
+    """Return value of fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except (sf.SpecError, OverflowError) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_shapes, start=st.sampled_from([1, 2]), count=st.integers(0, 300))
+def test_sequence_terms_match_term(spec, start, count):
+    n_max = start + count - 1
+    got = _outcome(lambda: sf.sequence_terms(spec, n_max, start))
+    want = _outcome(lambda: [spec.term(n) for n in range(start, n_max + 1)])
+    if isinstance(want, tuple):
+        # an alternating tail refuses n = 1, with the scalar message
+        assert got == want
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert len(got) == len(want)
+    for g, w in zip(got.tolist(), want):
+        assert math.isclose(g, w, rel_tol=1e-14, abs_tol=0.0), (g, w)
+
+
+def _scalar_sigma(terms):
+    sigma, prev = [], 0.0
+    for l in terms:
+        prev = l - prev
+        sigma.append(prev)
+    return np.array(sigma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_shapes, start=st.sampled_from([1, 2]), count=st.integers(0, 300))
+def test_sigma_sequence_is_the_recurrence_bit_for_bit(spec, start, count):
+    n_max = start + count - 1
+    sigma = _outcome(lambda: sf.sigma_sequence(spec, n_max, start))
+    terms = _outcome(lambda: sf.sequence_terms(spec, n_max, start))
+    if isinstance(terms, tuple):
+        assert sigma == terms
+        return
+    assert sigma.tobytes() == _scalar_sigma(terms.tolist()).tobytes()
+
+
+def test_sigma_sequence_long_run_bit_for_bit():
+    lengths = sf.ExplicitPrefixThenTail(values=(1.0,), tail=sf.AlternatingLogAffine(
+        even=sf.log_affine(a=7.0, n0=1.0), odd=sf.log_affine(a=5.0, n0=1.0)))
+    sigma = sf.sigma_sequence(lengths, 200_000)
+    terms = sf.sequence_terms(lengths, 200_000).tolist()
+    assert sigma.tobytes() == _scalar_sigma(terms).tobytes()
+
+
+@pytest.mark.parametrize("spec, start, message", [
+    (sf.log_affine(a=1.0, n0=-3.0), 1, "log argument nonpositive at n = 1"),
+    (sf.log_affine(a=1.0, n0=-3.0), 2, "log argument nonpositive at n = 2"),
+    (sf.LogAffine(log_terms=((1.0, 0.0), (2.0, -4.5))), 1,
+     "log argument nonpositive at n = 1"),
+    (sf.log_affine(a=1.0, b=1.0, n1=-0.5), 1, "log log argument <= 1 at n = 1"),
+    (sf.AlternatingLogAffine(even=sf.log_affine(a=1.0),
+                             odd=sf.log_affine(a=1.0, n0=-1.5)), 2,
+     "log argument nonpositive at n = 1"),
+    # both branches fail; the run meets the odd one first, at n = 3
+    (sf.AlternatingLogAffine(even=sf.log_affine(a=1.0, n0=-5.0),
+                             odd=sf.log_affine(b=1.0, n1=-0.5)), 3,
+     "log log argument <= 1 at n = 1"),
+    (sf.AlternatingLogAffine(even=sf.log_affine(a=1.0), odd=sf.log_affine(a=1.0)), 1,
+     "alternating specs start at n = 2; supply a prefix for n = 1"),
+    (sf.Linear(slope=1.0), 0, "indices start at n = 1"),
+])
+def test_sequence_terms_keep_the_scalar_errors(spec, start, message):
+    with pytest.raises(sf.SpecError) as scalar:
+        for n in range(start, 50):
+            spec.term(n)
+    assert str(scalar.value) == message
+    with pytest.raises(sf.SpecError) as run:
+        sf.sequence_terms(spec, 50, start)
+    assert str(run.value) == message
+    with pytest.raises(sf.SpecError) as run:
+        sf.sigma_sequence(spec, 50, start)
+    assert str(run.value) == message
+
+
+def test_power_decay_terms_keep_the_overflow_error():
+    spec = sf.ScaledPowerDecay(coef=1.0, base=2.0)
+    with pytest.raises(OverflowError):
+        sf.sequence_terms(spec, 2000)
+
+
 def test_is_concave_verdicts():
     assert sf.is_concave(sf.Constant(2.0)).proven
     assert sf.is_concave(sf.log_affine(a=4.0, b=1.0, c=0.1, n0=1.0)).proven
@@ -119,6 +231,27 @@ def test_flute_spec_validates_twists():
     sf.FluteSpec(lengths=sf.Constant(1.0), twists=sf.Constant(0.5))
     with pytest.raises(ValueError):
         sf.FluteSpec(lengths=sf.Constant(1.0), twists=sf.Constant(0.7))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda tw: sf.FluteSpec(lengths=sf.Constant(1.0), twists=tw), "twists"),
+    (lambda tw: sf.LochNess(lengths=sf.Constant(1.0), twists=tw), "twists"),
+    (lambda tw: sf.Ladder(lengths=sf.Constant(1.0), twists=tw), "twists"),
+    (lambda tw: sf.BoundedBoundary(lengths=sf.Constant(1.0), twists=tw), "twists"),
+    (lambda tw: sf.BiInfiniteFlute(lengths_pos=sf.Constant(1.0), twists_pos=tw),
+     "twists_pos"),
+    (lambda tw: sf.BiInfiniteFlute(lengths_pos=sf.Constant(1.0), twists_neg=tw),
+     "twists_neg"),
+    (lambda tw: sf.AbelianCover(rank=1, L=sf.Constant(1.0), tau=tw), "tau"),
+])
+def test_every_surface_validates_its_twists(build, field):
+    build(sf.Constant(0.5))
+    build(sf.Linear(slope=0.01, intercept=-0.25))
+    with pytest.raises(sf.SpecError, match=r"^%s term 1: twist must lie" % field):
+        build(sf.Constant(0.7))
+    # checked over the first 32 terms: 0.02 n leaves (-1/2, 1/2] at n = 26
+    with pytest.raises(sf.SpecError, match=r"^%s term 26: " % field):
+        build(sf.Linear(slope=0.02))
 
 
 def test_cover_validation():

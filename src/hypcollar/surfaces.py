@@ -292,10 +292,10 @@ def validate_lengths(spec, window=64, start=1):
     return True
 
 
-def validate_twists(spec, field, window=32):
-    """Check that the first `window` terms of a twist spec lie in the
-    canonical interval (-1/2, 1/2]; errors name the spec's `field`."""
-    for n in range(1, window + 1):
+def _validate_twists(spec, field):
+    """Check that the first 32 terms of a twist spec lie in the canonical
+    interval (-1/2, 1/2]; errors name the spec's `field`."""
+    for n in range(1, 33):
         t = spec.term(n)
         try:
             validate_twist(t)
@@ -381,7 +381,7 @@ class FluteSpec:
 
     def __post_init__(self):
         validate_lengths(self.lengths)
-        validate_twists(self.twists, "twists")
+        _validate_twists(self.twists, "twists")
 
 
 @dataclass(frozen=True)
@@ -407,9 +407,9 @@ class BiInfiniteFlute(ExhaustionSpec):
         validate_lengths(self.lengths_pos)
         if self.lengths_neg is not None:
             validate_lengths(self.lengths_neg)
-        validate_twists(self.twists_pos, "twists_pos")
+        _validate_twists(self.twists_pos, "twists_pos")
         if self.twists_neg is not None:
-            validate_twists(self.twists_neg, "twists_neg")
+            _validate_twists(self.twists_neg, "twists_neg")
 
     @property
     def neg(self):
@@ -435,7 +435,7 @@ class LochNess(ExhaustionSpec):
 
     def __post_init__(self):
         validate_lengths(self.lengths)
-        validate_twists(self.twists, "twists")
+        _validate_twists(self.twists, "twists")
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,7 @@ class Ladder(ExhaustionSpec):
 
     def __post_init__(self):
         validate_lengths(self.lengths)
-        validate_twists(self.twists, "twists")
+        _validate_twists(self.twists, "twists")
 
 
 @dataclass(frozen=True)
@@ -475,7 +475,7 @@ class BoundedBoundary(ExhaustionSpec):
 
     def __post_init__(self):
         validate_lengths(self.lengths)
-        validate_twists(self.twists, "twists")
+        _validate_twists(self.twists, "twists")
         if self.count_exponent < 0:
             raise SpecError("count exponent must be >= 0")
 
@@ -513,4 +513,4 @@ class AbelianCover(ExhaustionSpec):
         for spec in (self.L, self.eps, self.ell):
             if spec is not None:
                 validate_lengths(spec)
-        validate_twists(self.tau, "tau")
+        _validate_twists(self.tau, "tau")

@@ -103,6 +103,8 @@ def _exponents_single(spec, kappa, poly, length_factor):
                 q += 1.0
             elif spec.loglog_coef != 0:
                 r += 1.0
+            elif spec.const == 0:  # l_n ~ C / n^k, so 1/l_n ~ n^k
+                p -= spec.vanishing_order
         return _Exponents(p=p, q=q, r=r)
     if isinstance(spec, Linear):
         if kappa > 0 and spec.slope > 0:

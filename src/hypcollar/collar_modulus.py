@@ -23,20 +23,17 @@ from .graph_modulus import (
     vertical_modulus,
 )
 
-_CLAMP_GUARD = 1e-12
-
-
-def _clamped_arccos(arg):
-    if arg > 1.0:
-        arg = 1.0
-    elif arg < -1.0:
-        arg = -1.0
-    return math.acos(arg)
-
 
 def _wrap(x):
     """Reduce x modulo 1 into [-1/2, 1/2]."""
     return x - math.floor(x + 0.5)
+
+
+def _lift(op, l, cr, x):
+    """op(min(cosh(l x) / cr, 1)) on the period about 0.  Over l, op = acos
+    gives the equidistant lift and op = asin gives pi/(2l) minus that lift,
+    without the cancellation."""
+    return op(min(math.cosh(l * _wrap(x)) / cr, 1.0))
 
 
 @dataclass(frozen=True)
@@ -101,23 +98,21 @@ def nonstandard_half_collar_graphs(spec):
 
     f is the horizontal line pi/(2 l); g dips below it following the lift of
     the equidistant arc, g(x) = arccos(cosh(l x) / cosh(r(eta))) / l on one
-    period [-1/2, 1/2].
+    period [-1/2, 1/2].  About the midline pi/(2l) the offsets are F = 0 and
+    G = arcsin(min(cosh(l x) / cosh(r(eta)), 1)) / l.
     """
     l = spec.l_alpha
-    r = spec.r_eta
-    cr = math.cosh(r)
+    cr = math.cosh(spec.r_eta)
     half_pi_over_l = 0.5 * math.pi / l
-
-    def g(x):
-        xg = _wrap(x)
-        return _clamped_arccos(math.cosh(l * xg) / cr) / l
 
     return PeriodicFunctionPair(
         f=lambda x: half_pi_over_l,
-        g=g,
+        g=lambda x: _lift(math.acos, l, cr, x) / l,
         period=1.0, x1=-0.5, x2=0.5,
         breakpoints=(0.0,),
         label="half-collar(l=%g, l_gamma=%g)" % (l, spec.l_gamma),
+        F=lambda x: 0.0,
+        G=lambda x: _lift(math.asin, l, cr, x) / l,
     )
 
 
@@ -132,16 +127,17 @@ def half_collar_envelope(spec):
     r = spec.r_eta
     half_pi_over_l = 0.5 * math.pi / l
 
-    def h(x):
-        xg = _wrap(x)
-        return half_pi_over_l - math.exp(l * abs(xg) - r) / (2.0 * l)
+    def k(x):
+        return math.exp(l * abs(_wrap(x)) - r) / (2.0 * l)
 
     return PeriodicFunctionPair(
         f=lambda x: half_pi_over_l,
-        g=h,
+        g=lambda x: half_pi_over_l - k(x),
         period=1.0, x1=-0.5, x2=0.5,
         breakpoints=(0.0,),
         label="half-collar-envelope(l=%g)" % l,
+        F=lambda x: 0.0,
+        G=k,
     )
 
 
@@ -152,7 +148,7 @@ def half_collar_envelope_vertical_modulus(spec):
 
 
 def nonstandard_half_collar_lambda(spec, samples=4096):
-    """Certified bounds on the extremal distance of the nonstandard half-collar.
+    """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 
     Requires l_alpha >= 1.  With delta = 1/l_alpha, the rectangle sandwich for
     the graph pair bounds the collar modulus, and extremal distance is its
@@ -175,24 +171,22 @@ def glued_collar_graphs(spec):
 
     The upper graph is the reflected equidistant lift of the first side; the
     lower graph is the equidistant lift of the second side translated by t.
+    About the midline pi/(2l) the offsets are the arcsin forms of the two
+    sides, arcsin(min(u_i, 1)) / l.
     """
     l = spec.l_alpha
     cr1 = math.cosh(spec.side1.r_eta)
     cr2 = math.cosh(spec.side2.r_eta)
     t = spec.twist
 
-    def f(x):
-        xg = _wrap(x)
-        return (math.pi - _clamped_arccos(math.cosh(l * xg) / cr1)) / l
-
-    def g(x):
-        xs = _wrap(x - t)
-        return _clamped_arccos(math.cosh(l * xs) / cr2) / l
-
     return PeriodicFunctionPair(
-        f=f, g=g, period=1.0, x1=-0.5, x2=0.5,
+        f=lambda x: (math.pi - _lift(math.acos, l, cr1, x)) / l,
+        g=lambda x: _lift(math.acos, l, cr2, x - t) / l,
+        period=1.0, x1=-0.5, x2=0.5,
         breakpoints=(0.0, t),
         label="glued-collar(l=%g, t=%g)" % (l, t),
+        F=lambda x: _lift(math.asin, l, cr1, x) / l,
+        G=lambda x: _lift(math.asin, l, cr2, x - t) / l,
     )
 
 
@@ -210,18 +204,20 @@ def glued_collar_envelope(spec):
     t = spec.twist
     half_pi_over_l = 0.5 * math.pi / l
 
-    def h1(x):
-        xg = _wrap(x)
-        return half_pi_over_l + math.exp(l * abs(xg) - r1) / (2.0 * l)
+    def k1(x):
+        return math.exp(l * abs(_wrap(x)) - r1) / (2.0 * l)
 
-    def h2(x):
-        xs = _wrap(x - t)
-        return half_pi_over_l - math.exp(l * abs(xs) - r2) / (2.0 * l)
+    def k2(x):
+        return math.exp(l * abs(_wrap(x - t)) - r2) / (2.0 * l)
 
     return PeriodicFunctionPair(
-        f=h1, g=h2, period=1.0, x1=-0.5, x2=0.5,
+        f=lambda x: half_pi_over_l + k1(x),
+        g=lambda x: half_pi_over_l - k2(x),
+        period=1.0, x1=-0.5, x2=0.5,
         breakpoints=(0.0, t),
         label="glued-collar-envelope(l=%g, t=%g)" % (l, t),
+        F=k1,
+        G=k2,
     )
 
 
@@ -249,7 +245,7 @@ class GluedCollarResult:
 
 
 def glued_collar_lambda(spec, samples=4096):
-    """Certified bounds on the extremal distance of a glued collar.
+    """Two-sided bounds on the extremal distance of a glued collar.
 
     Requires l_alpha >= 2.  The lower bound comes from the rectangle sandwich
     applied to the envelope pair (whose region is contained in the collar);

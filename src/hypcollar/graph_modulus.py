@@ -1,15 +1,17 @@
 """Moduli of curve families between a pair of periodic graphs.
 
 A ``PeriodicFunctionPair`` holds two periodic functions f > g on a window
-[x1, x2] covering one period.  The modulus of the family of vertical segments
-joining the graphs is the integral of 1/(f-g); the modulus of the full
+[x1, x2] covering one period, written about a constant midline m as
+f = m + F and g = m - G; only the offsets F and G enter the bounds, so m is
+never stored.  The modulus of the family of vertical segments joining the
+graphs is the integral of 1/(F+G); the modulus of the full
 connecting family is squeezed between the vertical modulus and a multiple of
 it controlled by the delta-rectangle deviation constant.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,7 +29,14 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PeriodicFunctionPair:
-    """Two periodic graphs f > g over one period [x1, x2]."""
+    """Two periodic graphs f > g over one period [x1, x2].
+
+    The bounds read only the offsets F, G >= 0 about a constant midline m,
+    f = m + F and g = m - G, so the gap F + G is never the difference of two
+    nearly equal numbers.  Offsets left out are taken about m = 0, F = f and
+    G = -g, from the pair's current f and g.  The oracle reads f and g, which
+    pairs may give in their own closed forms.
+    """
 
     f: Callable[[float], float]
     g: Callable[[float], float]
@@ -36,6 +45,8 @@ class PeriodicFunctionPair:
     x2: float
     breakpoints: tuple = ()
     label: str = ""
+    F: Optional[Callable[[float], float]] = None
+    G: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not (self.period > 0 and math.isfinite(self.period)):
@@ -43,8 +54,13 @@ class PeriodicFunctionPair:
         if not math.isclose(self.x2 - self.x1, self.period, rel_tol=1e-12):
             raise ValueError("window [x1, x2] must span exactly one period")
 
+    def offsets(self):
+        """The offset callables (F, G); about 0 when left out."""
+        return self.F or self.f, self.G or (lambda x: -self.g(x))
+
     def gap(self, x):
-        return self.f(x) - self.g(x)
+        F, G = self.offsets()
+        return F(x) + G(x)
 
     def validate(self, samples=256):
         """Spot-check f > g and periodicity on a grid; raise on failure."""
@@ -66,7 +82,12 @@ class PeriodicFunctionPair:
 
 @dataclass(frozen=True)
 class ModulusBounds:
-    """Certified interval for a modulus (or extremal distance)."""
+    """Two-sided bounds on a modulus (or extremal distance).
+
+    They come from adaptive quadrature, whose error is estimated locally,
+    and from a deviation constant sampled on a grid, which can only
+    overestimate it; so they are not yet certified by construction.
+    """
 
     lower: float
     upper: float
@@ -110,6 +131,7 @@ def scaled_pair(pair, s):
     """Scale both axes by s > 0 (modulus quantities are scale invariant)."""
     if not s > 0:
         raise ValueError("scale must be positive")
+    F, G = pair.offsets()
     return PeriodicFunctionPair(
         f=lambda x: s * pair.f(x / s),
         g=lambda x: s * pair.g(x / s),
@@ -118,6 +140,8 @@ def scaled_pair(pair, s):
         x2=s * pair.x2,
         breakpoints=tuple(s * b for b in pair.breakpoints),
         label=pair.label,
+        F=lambda x: s * F(x / s),
+        G=lambda x: s * G(x / s),
     )
 
 
@@ -173,24 +197,24 @@ def _split_points(pair):
 
 
 def vertical_modulus(pair, rel_tol=1e-8):
-    """Modulus of the vertical segment family: integral of dx / (f - g)."""
+    """Modulus of the vertical segment family: integral of dx / (F + G)."""
+    F, G = pair.offsets()
     total = 0.0
     pts = _split_points(pair)
     for a, b in zip(pts[:-1], pts[1:]):
         total += adaptive_simpson(
-            lambda x: 1.0 / (pair.f(x) - pair.g(x)), a, b, rel_tol=rel_tol
+            lambda x: 1.0 / (F(x) + G(x)), a, b, rel_tol=rel_tol
         )
     return total
 
 
 def area_between(pair, rel_tol=1e-8):
     """Area of the region between the graphs over one period."""
+    F, G = pair.offsets()
     total = 0.0
     pts = _split_points(pair)
     for a, b in zip(pts[:-1], pts[1:]):
-        total += adaptive_simpson(
-            lambda x: pair.f(x) - pair.g(x), a, b, rel_tol=rel_tol
-        )
+        total += adaptive_simpson(lambda x: F(x) + G(x), a, b, rel_tol=rel_tol)
     return total
 
 
@@ -211,47 +235,18 @@ def _sliding(op, values, width):
 
 
 def _windowed_deviation(pair, delta, samples):
-    """Grid estimate of inf_x (window-min f - window-max g) / (f - g)."""
+    """Grid estimate of inf_x (window-min F + window-min G) / (F + G), which
+    is the window-min of f minus the window-max of g over the gap."""
     step = pair.period / samples
     k = int(math.ceil(delta / step))
-    n_ext = samples + 2 * k + 1
-    xs = pair.x1 + step * (np.arange(n_ext) - k)
-    fv = np.array([pair.f(x) for x in xs])
-    gv = np.array([pair.g(x) for x in xs])
+    xs = pair.x1 + step * (np.arange(samples + 2 * k + 1) - k)
+    F, G = pair.offsets()
+    Fv = np.array([F(x) for x in xs])
+    Gv = np.array([G(x) for x in xs])
     # the window about core sample i is [i - k, i + k], inside the samples
-    fmin = _sliding(np.minimum, fv, 2 * k + 1)
-    gmax = _sliding(np.maximum, gv, 2 * k + 1)
+    window = _sliding(np.minimum, Fv, 2 * k + 1) + _sliding(np.minimum, Gv, 2 * k + 1)
     core = slice(k, k + samples + 1)
-    gapv = fv[core] - gv[core]
-    ratio = (fmin - gmax) / gapv
-    i0 = int(np.argmin(ratio))
-    return float(ratio[i0]), float(xs[core][i0]), step
-
-
-def _deviation_at(pair, delta, x, fine=801):
-    ts = np.linspace(x - delta, x + delta, fine)
-    fmin = min(pair.f(t) for t in ts)
-    gmax = max(pair.g(t) for t in ts)
-    return (fmin - gmax) / (pair.f(x) - pair.g(x))
-
-
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(func, a, b, iters=48):
-    c = b - _PHI * (b - a)
-    d = a + _PHI * (b - a)
-    fc, fd = func(c), func(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _PHI * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _PHI * (b - a)
-            fd = func(d)
-    return min(fc, fd)
+    return float(np.min(window / (Fv[core] + Gv[core])))
 
 
 def rectangle_deviation(pair, delta, samples=4096):
@@ -260,13 +255,12 @@ def rectangle_deviation(pair, delta, samples=4096):
     c_delta = inf_x m_delta(x) / (f(x) - g(x)) where m_delta(x) is the minimum
     of f minus the maximum of g over [x - delta, x + delta].  Always in (0, 1]
     for separated graphs.  Estimated on a uniform grid of `samples` points per
-    period and refined around the grid minimiser by golden-section search.
+    period, from the offsets: m_delta is the window minimum of F plus that
+    of G.
     """
     if not (0 < delta):
         raise ValueError("delta must be positive")
-    c_grid, x0, step = _windowed_deviation(pair, delta, samples)
-    c_ref = _golden_min(lambda x: _deviation_at(pair, delta, x), x0 - step, x0 + step)
-    c = min(c_grid, c_ref, 1.0)
+    c = min(_windowed_deviation(pair, delta, samples), 1.0)
     if not c > 0:
         raise ValueError("deviation constant is nonpositive; graphs overlap "
                          "within the delta window")

@@ -102,7 +102,14 @@ class LogAffine:
 
     @property
     def is_bounded(self):
-        return all(a == 0 for a, _ in self.log_terms) and self.loglog_coef == 0
+        return self.log_coef_sum == 0 and self.loglog_coef == 0
+
+    @property
+    def vanishing_order(self):
+        """First k >= 1 with sum_i a_i s_i^k != 0: when sum_i a_i = 0, the log
+        terms tend to 0 like 1/n^k.  0 if every such moment vanishes."""
+        return next((k for k in range(1, len(self.log_terms) + 1)
+                     if sum(a * s ** k for a, s in self.log_terms)), 0)
 
 
 def log_affine(a=0.0, b=0.0, c=0.0, n0=0.0, n1=1.0):

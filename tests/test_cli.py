@@ -208,6 +208,18 @@ def test_lengths_negative_far_out_are_config_errors(tmp_path, capsys, lengths):
         assert "turn negative" in capsys.readouterr().err
 
 
+def test_cancelling_log_lengths_decay_like_a_power(tmp_path, capsys):
+    # l_n = ln((n+2)/(n+1)) ~ 1/n, so the rank-3 terms n^-2 / l_n ~ 1/n
+    cfg = write_config(tmp_path, {
+        "type": "cover", "rank": 3,
+        "L": {"kind": "log_affine", "log_terms": [[1, 2], [-1, 1]]}})
+    assert run(["classify", "--config", cfg]) == 0
+    out = strict_json(capsys.readouterr().out)
+    assert out["kind"] == "Parabolic"
+    assert out["series"]["verdict"] == "diverges"
+    assert out["series"]["detail"] == "p=1 q=0 r=0"
+
+
 def test_classify_and_collar_load_no_scipy(tmp_path):
     cfg = write_config(
         tmp_path,

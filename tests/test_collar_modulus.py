@@ -1,7 +1,11 @@
+import json
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypcollar import cli
 from hypcollar import collar_modulus as cm
 from hypcollar import graph_modulus as gm
 from hypcollar import hypgeom as hg
@@ -131,3 +135,47 @@ def test_glued_twist_sign_symmetry():
     b = cm.glued_collar_lambda(cm.GluedCollarSpec(l, math.inf, math.inf, -0.25))
     assert a.bounds.lower == pytest.approx(b.bounds.lower, rel=1e-6)
     assert a.bounds.upper == pytest.approx(b.bounds.upper, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--l-alpha", "80", "--l-gamma", "inf"], 0),
+    (["--l-alpha", "80", "--l-gamma", "inf", "--l-gamma2", "inf", "--twist", "0"], 0),
+    # eta = 2 tanh(l_gamma) e^{-l_alpha/2} underflows to 0
+    (["--l-alpha", "2000", "--l-gamma", "inf"], 3),
+])
+def test_collar_exit_codes_at_long_alpha(capsys, argv, rc):
+    # at l_alpha = 80 the gap f - g rounds to 0 near x = 0; F + G does not
+    assert cli.main(["collar"] + argv) == rc
+    if rc == 0:
+        out = json.loads(capsys.readouterr().out)
+        lower, upper = out["lambda_lower"], out["lambda_upper"]
+        assert math.isfinite(upper) and 0.0 < lower <= upper
+
+
+def test_half_collar_gap_matches_high_precision_arcsin():
+    l = 62.0
+    spec = cm.HalfCollarSpec(l, math.inf)
+    pair = cm.nonstandard_half_collar_graphs(spec)
+    with mpmath.workdps(50):
+        cr = mpmath.cosh(mpmath.mpf(spec.r_eta))
+        for x in (0.0, 1e-3, -0.01, 0.1, 0.25, -0.4, 0.5):
+            u = min(mpmath.cosh(l * mpmath.mpf(x)) / cr, 1)
+            want = mpmath.asin(u) / l
+            assert abs(pair.gap(x) - want) <= 1e-12 * want, x
+
+
+_GAMMA = st.one_of(st.just(math.inf), st.floats(0.01, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.floats(1.0, 8.0), d1=_GAMMA, d2=_GAMMA,
+       t=st.floats(-0.49, 0.5), x=st.floats(-0.5, 0.5))
+def test_offsets_sum_to_the_graph_gap(l, d1, d2, t, x):
+    # where f - g loses little to cancellation, F + G must agree with it
+    floor = hg.collar_width(0.5 * l)
+    spec = cm.GluedCollarSpec(l, floor + d1, floor + d2, t)
+    for pair in (cm.nonstandard_half_collar_graphs(spec.side1),
+                 cm.half_collar_envelope(spec.side1),
+                 cm.glued_collar_graphs(spec), cm.glued_collar_envelope(spec)):
+        assert pair.F(x) >= 0.0 and pair.G(x) >= 0.0
+        assert pair.gap(x) == pytest.approx(pair.f(x) - pair.g(x), rel=1e-12)

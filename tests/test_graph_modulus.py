@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,6 +58,15 @@ def test_scaled_pair_invariance():
         assert gm.rectangle_deviation(scaled, 0.1 * s) == pytest.approx(
             gm.rectangle_deviation(base, 0.1), rel=1e-6
         )
+
+
+def test_replaced_graphs_reach_the_bounds():
+    # offsets left out are read from the pair's current f and g, so a copy
+    # with new graphs is bounded by those graphs, not the original ones
+    pair = dataclasses.replace(gm.constant_pair(1.0), f=lambda x: 2.0)
+    assert gm.vertical_modulus(pair) == pytest.approx(0.5, rel=1e-12)
+    assert gm.area_between(pair) == pytest.approx(2.0, rel=1e-12)
+    assert gm.rectangle_deviation(pair, 0.1) == pytest.approx(1.0)
 
 
 def test_rectangle_deviation_small_window_limit():

@@ -21,6 +21,14 @@ def test_log_affine_multiple_log_terms():
     assert spec.log_coef_sum == 3.0
 
 
+def test_cancelling_log_terms_are_bounded_and_vanish_like_a_power():
+    # ln(n+3) - 2 ln(n+2) + ln(n+1) ~ -1/n^2: the first moment 3 - 4 + 1 is 0
+    spec = sf.LogAffine(log_terms=((1.0, 3.0), (-2.0, 2.0), (1.0, 1.0)))
+    assert spec.is_bounded and spec.vanishing_order == 2
+    assert spec.term(10**4) * 1e8 == pytest.approx(-1.0, rel=1e-3)
+    assert sf.LogAffine(log_terms=((1.0, 2.0), (-1.0, 1.0))).vanishing_order == 1
+
+
 def test_alternating_and_prefix():
     alt = sf.AlternatingLogAffine(
         even=sf.LogAffine(log_terms=((1.0, 1.0), (2.0, 0.0))),

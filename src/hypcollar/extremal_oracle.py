@@ -7,7 +7,9 @@ geometric V-cycle with Galerkin coarse operators, after Briggs, Henson &
 McCormick, "A Multigrid Tutorial", SIAM 2000), and the modulus of the family
 of curves connecting the electrodes is the discrete Dirichlet energy.
 Values at two meshes (h and h/2) are combined by Richardson extrapolation
-assuming first-order convergence.
+assuming first-order convergence.  The two meshes share one lattice (the one
+at h is the h/2 lattice at even indices) and one multigrid hierarchy of
+transfers, and the h/2 solve starts from the interpolated h solution.
 """
 
 import math
@@ -77,51 +79,42 @@ class ModulusEstimate:
     raw_values: tuple
     error_bar: float
     extrapolated: bool
+    unknowns: tuple  # interior nodes at each mesh
+    iterations: tuple  # PCG iterations at each mesh
 
 
 # node classes
 _OUT, _IN, _A, _B = 0, 1, 2, 3
 
 
-def _classify_strip(dom, h):
+def _classes(dom, h):
+    """Node classes of the lattice at mesh h, and for a strip profile the gap
+    between the graphs at each lattice column (None for predicates).
+
+    Node coordinates are x0 + h·i and y0 + h·j.  Those of mesh h/2 at even
+    indices are those of mesh h bit for bit (0.5·h is exact), so the lattice
+    at h is the one at h/2 taken at even indices, once _check has accepted
+    both meshes.
+    """
     x0, y0, x1, y1 = dom.bbox
     if dom.periodic_x:
         nx = int(round(dom.periodic_x / h))
-        if not math.isclose(nx * h, dom.periodic_x, rel_tol=1e-9):
-            raise ResolutionError("mesh must divide the period")
-        xs = x0 + h * np.arange(nx)
     else:
         nx = int(math.floor((x1 - x0) / h)) + 1
-        xs = x0 + h * np.arange(nx)
     ny = int(math.floor((y1 - y0) / h)) + 1
+    xs = x0 + h * np.arange(nx)
     ys = y0 + h * np.arange(ny)
-    fcol = np.array([dom.f_of_x(x) for x in xs])
-    gcol = np.array([dom.g_of_x(x) for x in xs])
-    if np.min(fcol - gcol) < 3.0 * h:
-        raise ResolutionError(
-            "gap %.3g is thinner than 3 mesh cells (h = %.3g); refine the mesh"
-            % (float(np.min(fcol - gcol)), h)
-        )
-    Y = ys[None, :]
-    F = fcol[:, None]
-    G = gcol[:, None]
-    cls = np.full((len(xs), ny), _OUT, dtype=np.int8)
-    cls[(Y > G) & (Y < F)] = _IN
-    cls[Y >= F] = _A
-    cls[Y <= G] = _B
-    return cls
-
-
-def _classify_predicates(dom, h):
-    x0, y0, x1, y1 = dom.bbox
-    if dom.periodic_x:
-        nx = int(round(dom.periodic_x / h))
-        xs = x0 + h * np.arange(nx)
-    else:
-        nx = int(math.floor((x1 - x0) / h)) + 1
-        xs = x0 + h * np.arange(nx)
-    ny = int(math.floor((y1 - y0) / h)) + 1
-    ys = y0 + h * np.arange(ny)
+    if dom.f_of_x is not None and dom.g_of_x is not None:
+        fcol = np.array([dom.f_of_x(x) for x in xs])
+        gcol = np.array([dom.g_of_x(x) for x in xs])
+        Y = ys[None, :]
+        F = fcol[:, None]
+        G = gcol[:, None]
+        cls = np.full((nx, ny), _OUT, dtype=np.int8)
+        cls[(Y > G) & (Y < F)] = _IN
+        cls[Y >= F] = _A
+        cls[Y <= G] = _B
+        return cls, fcol - gcol
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     cls = np.full(X.shape, _OUT, dtype=np.int8)
     a = dom.electrode_a(X, Y)
@@ -130,19 +123,32 @@ def _classify_predicates(dom, h):
     cls[inn] = _IN
     cls[a] = _A
     cls[b] = _B
-    return cls
+    return cls, None
 
 
-def _lattice(dom, h):
-    """Node classes of the domain's lattice at mesh h."""
-    if dom.f_of_x is not None and dom.g_of_x is not None:
-        return _classify_strip(dom, h)
-    cls = _classify_predicates(dom, h)
-    if dom.min_feature is not None and dom.min_feature < 3.0 * h:
+def _check(dom, h, gaps):
+    """Refuse mesh h if it does not divide the period or cannot resolve the
+    domain's thinnest feature; gaps are the strip gaps at its columns."""
+    if dom.periodic_x and not math.isclose(
+            round(dom.periodic_x / h) * h, dom.periodic_x, rel_tol=1e-9):
+        raise ResolutionError("mesh must divide the period")
+    if gaps is not None:
+        if np.min(gaps) < 3.0 * h:
+            raise ResolutionError(
+                "gap %.3g is thinner than 3 mesh cells (h = %.3g); "
+                "refine the mesh" % (float(np.min(gaps)), h)
+            )
+    elif dom.min_feature is not None and dom.min_feature < 3.0 * h:
         raise ResolutionError(
             "feature size %.3g is thinner than 3 mesh cells (h = %.3g)"
             % (dom.min_feature, h)
         )
+
+
+def _lattice(dom, h):
+    """Node classes of the domain's lattice at mesh h."""
+    cls, gaps = _classes(dom, h)
+    _check(dom, h, gaps)
     return cls
 
 
@@ -168,38 +174,55 @@ def _assemble(cls, wrap):
 
     The unknowns are the interior nodes in row-major lattice order.  An
     electrode neighbour is Dirichlet data (0 on a, 1 on b); an outside
-    neighbour is insulating (no link).
+    neighbour is insulating (no link).  The CSR arrays are filled straight
+    from the lattice, ringed by outside nodes (or, along a periodic x, by
+    its own first and last rows), with int32 indices.
     """
     from scipy import sparse
 
-    interior = cls == _IN
-    n_unknown = int(interior.sum())
-    idx = -np.ones(cls.shape, dtype=np.int64)
-    idx[interior] = np.arange(n_unknown)
+    stride = cls.shape[1] + 2
+    ring = np.pad(cls, 1, constant_values=_OUT)
+    nodes = np.flatnonzero(ring == _IN)
+    n_unknown = len(nodes)
+    index = np.full(ring.shape, -1, dtype=np.int32)
+    index.flat[nodes] = np.arange(n_unknown, dtype=np.int32)
+    if wrap:
+        for arr in (ring, index):
+            arr[0], arr[-1] = arr[-2], arr[1]
+    ring, index = ring.ravel(), index.ravel()
 
-    rows, cols, vals = [], [], []
+    # a row's links in increasing column order (off the periodic seam):
+    # x-1, y-1, the node itself, y+1, x+1
+    steps = (-stride, -1, 0, 1, stride)
+    near = [ring[nodes + step] for step in steps]
+    diag = np.full(n_unknown, -1.0)
     rhs = np.zeros(n_unknown)
-    diag = np.zeros(n_unknown)
-    for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nc = _neighbour(cls, sx, sy, wrap, _OUT)[interior]
-        ni = _neighbour(idx, sx, sy, wrap, -1)[interior]
-        diag += nc != _OUT
-        rhs += nc == _B
-        inter = np.flatnonzero(nc == _IN)
-        rows.append(inter)
-        cols.append(ni[inter])
-        vals.append(-np.ones(len(inter)))
-
+    for k in near:
+        diag += k != _OUT
+        rhs += k == _B
     if not np.any(rhs):
         raise OracleError("electrode b is not adjacent to the interior; "
                           "domain appears disconnected")
-    rows.append(np.arange(n_unknown))
-    cols.append(np.arange(n_unknown))
-    vals.append(diag)
-    mat = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown),
-    )
+    links = [k == _IN for k in near]
+    del near
+
+    row_len = np.zeros(n_unknown, dtype=np.int32)
+    for link in links:
+        row_len += link
+    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    del row_len
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    at = indptr[:-1].copy()
+    for step, link in zip(steps, links):
+        slots = at[link]
+        indices[slots] = index[nodes[link] + step]
+        data[slots] = diag[link] if step == 0 else -1.0
+        at[link] += 1
+    mat = sparse.csr_matrix((data, indices, indptr),
+                            shape=(n_unknown, n_unknown))
+    mat.sum_duplicates()  # sorts the seam rows; merges links when nx <= 2
     return mat, rhs
 
 
@@ -280,29 +303,45 @@ def _prolongation(lat, wrap):
     return interp, coarse
 
 
-def _multigrid(mat, cls, wrap):
+def _transfers(lat, wrap):
+    """The interpolations of the multigrid hierarchy below a lattice, each
+    with its restriction (the transpose) stored as CSR.
+
+    Lattices are halved by _prolongation until at most _COARSEST unknowns
+    are left or the lattice is too thin to halve.  The hierarchy below
+    lat[::2, ::2] is this one without its first level, so meshes h and h/2
+    share one.
+    """
+    chain = []
+    n = np.count_nonzero(lat == _IN)
+    while n > _COARSEST and min(lat.shape) > 2:
+        interp, lat = _prolongation(lat, wrap)
+        n = interp.shape[1]
+        if n == 0:
+            break
+        chain.append((interp, interp.T.tocsr()))
+    return chain
+
+
+def _multigrid(mat, transfers):
     """Geometric multigrid V-cycle for the lattice matrix, as a linear
     operator to precondition CG with.
 
-    Levels are coarsened by _prolongation with Galerkin operators P^T A P
-    until at most _COARSEST unknowns are left or the lattice is too thin to
-    halve; the coarsest level is solved by sparse LU.  Each level smooths
-    with _SWEEPS damped-Jacobi sweeps before and after its coarse
+    The levels are those of `transfers` (from _transfers), with Galerkin
+    operators R A P; the coarsest level is solved by sparse LU.  Each level
+    smooths with _SWEEPS damped-Jacobi sweeps before and after its coarse
     correction, so the cycle is symmetric positive definite.
     """
     from scipy import sparse
     from scipy.sparse.linalg import LinearOperator, splu
 
     levels = []
-    a, lat = mat, cls
-    while a.shape[0] > _COARSEST and min(lat.shape) > 2:
-        interp, lat = _prolongation(lat, wrap)
-        if interp.shape[1] == 0:
-            break
+    a = mat
+    for interp, restrict in transfers:
         d = a.diagonal()  # 0 at an interior node with no linked neighbour
         damp = np.divide(_OMEGA, d, out=np.zeros_like(d), where=d > 0)
-        levels.append((a, damp, interp))
-        a = (interp.T @ (a @ interp)).tocsr()
+        levels.append((a, damp, interp, restrict))
+        a = (restrict @ (a @ interp)).tocsr()
     # The shift keeps the factorisation defined when some interior nodes are
     # linked to neither electrode: the lattice matrix is then singular, but
     # the system stays consistent and their potential carries no energy.
@@ -311,14 +350,14 @@ def _multigrid(mat, cls, wrap):
 
     def vcycle(r):
         down = []
-        for a, damp, interp in levels:
+        for a, damp, _, restrict in levels:
             x = damp * r
             for _ in range(_SWEEPS - 1):
                 x += damp * (r - a @ x)
             down.append((x, r))
-            r = interp.T @ (r - a @ x)
+            r = restrict @ (r - a @ x)
         x = coarsest(r)
-        for (a, damp, interp), (xf, rf) in zip(levels[::-1], down[::-1]):
+        for (a, damp, interp, _), (xf, rf) in zip(levels[::-1], down[::-1]):
             xf += interp @ x
             for _ in range(_SWEEPS):
                 xf += damp * (rf - a @ xf)
@@ -355,12 +394,11 @@ def _energy(cls, u, wrap):
     return energy
 
 
-def _solve_at(dom, h):
-    """Discrete energy at mesh h and the number of PCG iterations taken."""
-    cls = _lattice(dom, h)
+def _solve(cls, wrap, transfers, h, x0=None):
+    """Discrete energy of the lattice cls at mesh h, its interior potential
+    and the number of PCG iterations taken, starting from x0."""
     if not np.any(cls == _IN):
         raise OracleError("no interior nodes at h = %.3g" % h)
-    wrap = dom.periodic_x is not None
     mat, rhs = _assemble(cls, wrap)
     iterations = 0
 
@@ -368,15 +406,22 @@ def _solve_at(dom, h):
         nonlocal iterations
         iterations += 1
 
-    u, info = cg(mat, rhs, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER,
-                 M=_multigrid(mat, cls, wrap), callback=count)
+    u, info = cg(mat, rhs, x0=x0, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER,
+                 M=_multigrid(mat, transfers), callback=count)
     if info != 0:
         raise OracleError("conjugate gradients did not reach residual %.0e "
                           "within %d iterations" % (CG_TOL, CG_MAXITER))
     energy = _energy(cls, u, wrap)
     if energy <= 0.0:
         raise OracleError("zero energy: electrodes are not connected")
-    return energy, iterations
+    return energy, u, iterations
+
+
+def _solve_at(dom, h):
+    """_solve on the domain's own lattice and hierarchy at mesh h."""
+    cls = _lattice(dom, h)
+    wrap = dom.periodic_x is not None
+    return _solve(cls, wrap, _transfers(cls, wrap), h)
 
 
 def discrete_modulus(domain, refine=True):
@@ -385,20 +430,36 @@ def discrete_modulus(domain, refine=True):
     Solves at meshes h and h/2 and Richardson-extrapolates assuming
     first-order convergence; error_bar is the difference of the two raw
     values.  With refine=False only the base mesh is used.
+
+    The refined estimate classifies one lattice, at h/2, and solves on its
+    even-indexed nodes at h first, with the multigrid hierarchy of h/2 less
+    its first level; the h/2 solve starts from the h potential interpolated
+    by that first level.  Mesh h is checked and solved before mesh h/2 is
+    checked, so a refusal is the one a solve at h alone would give.
     """
-    v1, _ = _solve_at(domain, domain.h)
+    h = domain.h
     if not refine:
+        v, u, iterations = _solve_at(domain, h)
         return ModulusEstimate(
-            value=v1, meshes=(domain.h,), raw_values=(v1,),
-            error_bar=math.inf, extrapolated=False,
+            value=v, meshes=(h,), raw_values=(v,), error_bar=math.inf,
+            extrapolated=False, unknowns=(len(u),), iterations=(iterations,),
         )
-    v2, _ = _solve_at(domain, 0.5 * domain.h)
+    wrap = domain.periodic_x is not None
+    fine, gaps = _classes(domain, 0.5 * h)
+    _check(domain, h, None if gaps is None else gaps[::2])
+    transfers = _transfers(fine, wrap)
+    v1, u1, it1 = _solve(fine[::2, ::2], wrap, transfers[1:], h)
+    _check(domain, 0.5 * h, gaps)
+    x0 = transfers[0][0] @ u1 if transfers else None
+    v2, u2, it2 = _solve(fine, wrap, transfers, 0.5 * h, x0)
     return ModulusEstimate(
         value=2.0 * v2 - v1,
-        meshes=(domain.h, 0.5 * domain.h),
+        meshes=(h, 0.5 * h),
         raw_values=(v1, v2),
         error_bar=abs(v2 - v1),
         extrapolated=True,
+        unknowns=(len(u1), len(u2)),
+        iterations=(it1, it2),
     )
 
 
@@ -518,10 +579,9 @@ def strip_domain(pair, h=None, name=None):
     region (the modulus of the family joining the two boundary curves).
     """
     xs = pair.x1 + pair.period * np.arange(2049) / 2048.0
-    gaps = np.array([pair.f(x) - pair.g(x) for x in xs])
-    fmax = max(pair.f(x) for x in xs)
-    gmin = min(pair.g(x) for x in xs)
-    min_gap = float(np.min(gaps))
+    fs = [pair.f(x) for x in xs]
+    gs = [pair.g(x) for x in xs]
+    min_gap = float(np.min(np.subtract(fs, gs)))
     if h is None:
         h = min(min_gap / 4.0, pair.period / 64.0)
     # snap to an integer division of the period
@@ -534,7 +594,7 @@ def strip_domain(pair, h=None, name=None):
     pad = 2 * h
     return GridDomain(
         h=h,
-        bbox=(pair.x1, gmin - pad, pair.x2, fmax + pad),
+        bbox=(pair.x1, min(gs) - pad, pair.x2, max(fs) + pad),
         f_of_x=pair.f,
         g_of_x=pair.g,
         periodic_x=pair.period,

@@ -129,15 +129,15 @@ def test_preconditioned_solve_matches_direct(dom):
         cls = eo._lattice(dom, h)
         mat, rhs = eo._assemble(cls, wrap)
         direct = eo._energy(cls, spsolve(mat.tocsc(), rhs), wrap)
-        energy, _ = eo._solve_at(dom, h)
+        energy, _, _ = eo._solve_at(dom, h)
         assert energy == pytest.approx(direct, rel=1e-10)
 
 
 def test_multigrid_iterations_do_not_grow_with_refinement():
     # the count of an unpreconditioned CG grows like 1/h
     dom = eo.annulus_domain(1.0, math.e, h=1.0 / 32)
-    _, coarse = eo._solve_at(dom, dom.h)
-    _, fine = eo._solve_at(dom, 0.5 * dom.h)
+    _, _, coarse = eo._solve_at(dom, dom.h)
+    _, _, fine = eo._solve_at(dom, 0.5 * dom.h)
     assert fine <= 1.5 * coarse
 
 
@@ -159,3 +159,125 @@ def test_interior_nodes_linked_to_no_electrode_carry_no_energy(centre, radius):
     plain = domain(lambda x, y: np.zeros_like(x, dtype=bool))
     assert eo.discrete_modulus(disc).raw_values == pytest.approx(
         eo.discrete_modulus(plain).raw_values, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        eo.rectangle_domain(3.0, 1.0, h=1.0 / 16),
+        eo.annulus_domain(1.0, math.e, h=1.0 / 32),
+        eo.annular_sector_domain(1.0, 2.0, math.pi / 2, h=1.0 / 16),
+        eo.comb_domain(0.2),
+        # 45 cells per period
+        eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+    ],
+    ids=["rectangle", "annulus", "sector", "comb", "odd-periodic-strip"],
+)
+def test_lattice_at_h_is_the_even_nodes_at_half_h(dom):
+    coarse = eo._lattice(dom, dom.h)
+    fine = eo._lattice(dom, 0.5 * dom.h)
+    assert np.count_nonzero(coarse == eo._IN) > 0
+    assert np.array_equal(coarse, fine[::2, ::2])
+
+
+def _flat_strip(gap, dip_at=None, dip=None, h=1.0 / 16):
+    """Periodic strip 0 < y < gap over [0, 1); at x == dip_at the upper
+    graph comes down to dip."""
+    return eo.GridDomain(
+        h=h,
+        bbox=(0.0, -2 * h, 1.0, gap + 2 * h),
+        f_of_x=lambda x: dip if x == dip_at else gap,
+        g_of_x=lambda x: 0.0,
+        periodic_x=1.0,
+    )
+
+
+def test_refusals_keep_their_order(tmp_path, monkeypatch, capsys):
+    from hypcollar import cli
+
+    h = 1.0 / 16
+    # 2.5 h passes at h/2 (>= 1.5 h) but not at h: the refusal names h
+    thin = _flat_strip(2.5 * h)
+    eo._lattice(thin, 0.5 * h)
+    with pytest.raises(eo.ResolutionError, match=r"\(h = %.3g\)" % h):
+        eo.discrete_modulus(thin)
+    monkeypatch.setattr(cli, "_oracle_domain", lambda cfg: thin)
+    config = tmp_path / "strip.json"
+    config.write_text('{"shape": "rectangle"}')
+    assert cli.main(["oracle", "--config", str(config)]) == cli.EXIT_RESOLUTION
+    assert "(h = %.3g)" % h in capsys.readouterr().err
+    # a dip at an odd node of h/2 is seen at h/2 only: h is refused first
+    # when both are, and h is solved first when only h/2 is
+    for gap, refused in ((2.5 * h, h), (4 * h, 0.5 * h)):
+        dipped = _flat_strip(gap, dip_at=0.5 * h, dip=h)
+        with pytest.raises(eo.ResolutionError, match=r"\(h = %.3g\)" % refused):
+            eo.discrete_modulus(dipped)
+    assert eo.discrete_modulus(dipped, refine=False).raw_values[0] > 0
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        eo.annulus_domain(1.0, math.e, h=1.0 / 32),
+        eo.comb_domain(0.2),
+        eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+    ],
+    ids=["annulus", "comb", "odd-periodic-strip"],
+)
+def test_refined_estimate_matches_independent_solves(dom):
+    est = eo.discrete_modulus(dom)
+    coarse = eo._solve_at(dom, dom.h)
+    fine = eo._solve_at(dom, 0.5 * dom.h)
+    assert est.raw_values == pytest.approx((coarse[0], fine[0]), rel=1e-12)
+    assert est.unknowns == (len(coarse[1]), len(fine[1]))
+    assert est.iterations[0] == coarse[2]
+    # the h/2 solve starts from the interpolated h potential
+    assert est.iterations[1] <= fine[2]
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize("shape", [(1, 4), (2, 3), (3, 5), (6, 7)])
+def test_assembly_matches_a_loop_over_the_lattice(shape, wrap):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        cls = rng.choice(4, size=shape, p=[0.2, 0.5, 0.1, 0.2]).astype(np.int8)
+        nodes = list(zip(*np.nonzero(cls == eo._IN)))
+        if not nodes:
+            continue
+        number = {node: k for k, node in enumerate(nodes)}
+        want = np.zeros((len(nodes), len(nodes)))
+        rhs = np.zeros(len(nodes))
+        for (i, j), k in number.items():
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ni, nj = i + di, j + dj
+                if wrap:
+                    ni %= shape[0]
+                if not (0 <= ni < shape[0] and 0 <= nj < shape[1]):
+                    continue
+                c = cls[ni, nj]
+                want[k, k] += c != eo._OUT
+                rhs[k] += c == eo._B
+                if c == eo._IN:
+                    want[k, number[ni, nj]] -= 1.0
+        if not rhs.any():
+            with pytest.raises(eo.OracleError):
+                eo._assemble(cls, wrap)
+            continue
+        mat, got_rhs = eo._assemble(cls, wrap)
+        assert mat.has_canonical_format
+        assert np.array_equal(mat.toarray(), want)
+        assert np.array_equal(got_rhs, rhs)
+
+
+def test_periodic_predicates_need_a_dividing_mesh():
+    # 1/16 does not divide the period 1.03: the lattice would not close up
+    dom = eo.GridDomain(
+        h=1.0 / 16,
+        bbox=(0.0, 0.0, 1.03, 1.0),
+        inside=lambda x, y: (y > 0) & (y < 1),
+        electrode_a=lambda x, y: y <= 0,
+        electrode_b=lambda x, y: y >= 1,
+        periodic_x=1.03,
+    )
+    with pytest.raises(eo.ResolutionError, match="divide the period"):
+        eo.discrete_modulus(dom)

@@ -217,13 +217,6 @@ def _telescoping_branches(lengths):
         and math.isclose(ao, a1 + a2, rel_tol=1e-12, abs_tol=1e-12)
     ):
         return None
-    # safety net: the even-branch difference sigma_{2k} - a ln(k+s+1) must be
-    # constant in k if the closed form really applies
-    sig = sigma_sequence(lengths, 41)
-    d1 = sig[23] - a1 * math.log(12 + s1)
-    d2 = sig[39] - a1 * math.log(20 + s1)
-    if not math.isclose(d1, d2, rel_tol=0, abs_tol=1e-9):
-        return None
     return (a1, a2)
 
 
@@ -349,8 +342,7 @@ def classify_flute(flute):
                 reason="Incomplete",
                 series=sig,
             )
-        conc = is_concave(lengths)
-        if conc.proven and beh.verdict == "converges" and beh.exact:
+        if is_concave(lengths) and beh.verdict == "converges" and beh.exact:
             return Verdict(
                 "NotParabolic",
                 criterion="half-twist-series",

@@ -1,8 +1,9 @@
 """Command-line interface: classify, collar, sweep, oracle, verify.
 
 Configs are strict JSON: unknown keys are rejected with the offending path.
-Exit codes: 0 success, 2 malformed config, 3 numeric failure, 4 geometric
-hypothesis violation, 5 mesh-resolution refusal.
+Exit codes: 0 success, 1 a failed verify check, 2 malformed config,
+3 numeric failure, 4 geometric hypothesis violation, 5 mesh-resolution
+refusal.
 """
 
 import argparse
@@ -33,7 +34,7 @@ from .extremal_oracle import (
     rectangle_domain,
     strip_domain,
 )
-from .graph_modulus import QuadratureError, sandwich_bounds
+from .graph_modulus import QuadratureError, constant_pair, sandwich_bounds
 from .hypgeom import HypothesisError, standard_half_collar_lambda
 from .surfaces import (
     AbelianCover,
@@ -181,8 +182,6 @@ def _twist_spec(obj, path):
 
 def parse_surface(cfg):
     """Parse a classify config into an exhaustion spec plus options."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(
         cfg,
         {"type", "lengths", "twists", "beta_bound", "count_exponent",
@@ -278,13 +277,20 @@ def _emit(data, output=None):
         sys.stdout.write(text)
 
 
-def cmd_classify(args):
-    with open(args.config) as fh:
+def _load_config(path):
+    """The JSON object in the config file at path."""
+    with open(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("invalid JSON: %s" % exc)
-    spec, use_twists, hyps = parse_surface(cfg)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
+def cmd_classify(args):
+    spec, use_twists, hyps = parse_surface(_load_config(args.config))
     verdict = classify_exhaustion(
         spec, use_twists=use_twists, hypotheses_asserted=hyps
     )
@@ -342,13 +348,7 @@ def cmd_collar(args):
 
 
 def cmd_sweep(args):
-    with open(args.config) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("invalid JSON: %s" % exc)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    cfg = _load_config(args.config)
     _check_keys(cfg, {"family", "a", "b", "s"}, "")
     family = cfg.get("family")
     if family == "two-parameter":
@@ -429,13 +429,7 @@ def _oracle_domain(cfg):
 
 
 def cmd_oracle(args):
-    with open(args.config) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("invalid JSON: %s" % exc)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    cfg = _load_config(args.config)
     refine = cfg.get("refine", True)
     dom = _oracle_domain(cfg)
     est = discrete_modulus(dom, refine=bool(refine))
@@ -453,68 +447,86 @@ def cmd_oracle(args):
     return EXIT_OK
 
 
-def _verify_calibration():
-    checks = []
-    r = discrete_modulus(rectangle_domain(3.0, 1.0, 1.0 / 64))
-    checks.append(("rectangle-3x1", r.value, 3.0, abs(r.value / 3.0 - 1) < 5e-3))
-    a = discrete_modulus(annulus_domain(1.0, math.e, 1.0 / 64))
-    checks.append(
-        ("annulus-e", a.value, 2 * math.pi, abs(a.value / (2 * math.pi) - 1) < 1e-2)
-    )
-    s = discrete_modulus(annular_sector_domain(1.0, math.e, math.pi / 2, 1.0 / 64))
-    checks.append(
-        ("sector-2/pi", s.value, 2 / math.pi, abs(s.value / (2 / math.pi) - 1) < 1e-2)
-    )
-    return checks
+# Oracle self-checks.  Each returns rows (name, value, target, ok); the
+# verify suites run them on coarse meshes and the acceptance criteria on
+# their own.
 
 
-def _verify_standard_collar():
-    checks = []
-    from .graph_modulus import constant_pair
+def _closed_form(name, value, target, tol):
+    """A row that passes when value / target and its reciprocal are both
+    within tol of 1, so that a modulus and its reciprocal check alike."""
+    r = value / target
+    return name, value, target, max(abs(r - 1.0), abs(1.0 / r - 1.0)) < tol
 
+
+def calibration_checks(h):
+    """Oracle moduli at mesh h of the 3 x 1 rectangle (3), the annulus
+    1 < r < e (2 pi) and its quarter sector, whose radial sides are joined
+    with modulus ln(e) / (pi / 2)."""
+    rect = discrete_modulus(rectangle_domain(3.0, 1.0, h)).value
+    ann = discrete_modulus(annulus_domain(1.0, math.e, h)).value
+    sector = discrete_modulus(
+        annular_sector_domain(1.0, math.e, math.pi / 2, h)).value
+    return [
+        _closed_form("rectangle-3x1", rect, 3.0, 5e-3),
+        _closed_form("annulus-e", ann, 2 * math.pi, 1e-2),
+        _closed_form("sector-2/pi", sector, 2 / math.pi, 1e-2),
+    ]
+
+
+def standard_collar_checks():
+    """The standard half-collar of l in {1, 2, 4} is conformally a periodic
+    strip of height lambda(l): the oracle's reciprocal modulus of that strip,
+    at mesh lambda / 64, against lambda."""
+    rows = []
     for l in (1.0, 2.0, 4.0):
         lam = standard_half_collar_lambda(l)
         est = discrete_modulus(strip_domain(constant_pair(lam), h=lam / 64))
-        checks.append(
-            ("standard-collar-l=%g" % l, 1.0 / est.value, lam,
-             abs(1.0 / est.value / lam - 1) < 2e-2)
-        )
-    return checks
+        rows.append(_closed_form("standard-collar-l=%g" % l, 1.0 / est.value,
+                                 lam, 2e-2))
+    return rows
 
 
-def _verify_comb():
-    checks = []
-    prev = None
-    for eps in (0.2, 0.1):
+def comb_checks(epsilons):
+    """Ratio of the comb's vertical-segment modulus to its oracle modulus at
+    each epsilon; a row passes when its ratio is below the previous one."""
+    rows, prev = [], math.inf
+    for eps in epsilons:
         est = discrete_modulus(comb_domain(eps))
         ratio = comb_vertical_modulus(eps) / est.value
-        ok = ratio < prev if prev is not None else True
-        checks.append(("comb-eps=%g" % eps, ratio, "decreasing", ok))
+        rows.append(("comb-eps=%g" % eps, ratio, "decreasing", ratio < prev))
         prev = ratio
-    return checks
+    return rows
 
 
-def _verify_sandwich():
-    checks = []
-    for l_gamma in (math.inf, 1.0):
-        spec = HalfCollarSpec(4.0, l_gamma)
-        pair = collar_modulus.nonstandard_half_collar_graphs(spec)
-        sb = sandwich_bounds(pair, 1.0 / 4.0)
+def sandwich_checks(specs, inside):
+    """Oracle modulus of each collar spec's strip against the sandwich
+    bounds of its pair at delta = 1 / l_alpha; a row passes when
+    inside(estimate, bounds)."""
+    rows = []
+    for spec in specs:
+        if isinstance(spec, GluedCollarSpec):
+            pair = collar_modulus.glued_collar_graphs(spec)
+            name = "glued-collar-l=%g-t=%g" % (spec.l_alpha, spec.twist)
+        else:
+            pair = collar_modulus.nonstandard_half_collar_graphs(spec)
+            name = "half-collar-l=%g-gamma=%s" % (spec.l_alpha, spec.l_gamma)
+        sb = sandwich_bounds(pair, 1.0 / spec.l_alpha)
         est = discrete_modulus(strip_domain(pair))
-        ok = sb.lower <= est.value <= sb.upper
-        checks.append(
-            ("half-collar-l=4-gamma=%s" % l_gamma, est.value,
-             "[%g, %g]" % (sb.lower, sb.upper), ok)
-        )
-    return checks
+        rows.append((name, est.value, "[%g, %g]" % (sb.lower, sb.upper),
+                     inside(est, sb)))
+    return rows
 
 
 def cmd_verify(args):
     suites = {
-        "calibration": _verify_calibration,
-        "standard-collar": _verify_standard_collar,
-        "comb": _verify_comb,
-        "sandwich": _verify_sandwich,
+        "calibration": lambda: calibration_checks(1.0 / 64),
+        "standard-collar": standard_collar_checks,
+        "comb": lambda: comb_checks((0.2, 0.1)),
+        "sandwich": lambda: sandwich_checks(
+            [HalfCollarSpec(4.0, l_gamma) for l_gamma in (math.inf, 1.0)],
+            lambda est, sb: sb.lower <= est.value <= sb.upper,
+        ),
     }
     if args.suite not in suites:
         raise ConfigError(

@@ -147,7 +147,7 @@ def half_collar_envelope_vertical_modulus(spec):
     return 4.0 * (1.0 - math.exp(-0.5 * l)) * math.exp(spec.r_eta)
 
 
-def nonstandard_half_collar_lambda(spec, samples=4096):
+def nonstandard_half_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 
     Requires l_alpha >= 1.  With delta = 1/l_alpha, the rectangle sandwich for
@@ -158,7 +158,7 @@ def nonstandard_half_collar_lambda(spec, samples=4096):
         raise HypothesisError("half-collar bounds require l_alpha >= 1")
     pair = nonstandard_half_collar_graphs(spec)
     delta = 1.0 / spec.l_alpha
-    mod = sandwich_bounds(pair, delta, samples=samples)
+    mod = sandwich_bounds(pair, delta)
     return ModulusBounds(
         lower=1.0 / mod.upper,
         upper=1.0 / mod.lower,
@@ -244,7 +244,7 @@ class GluedCollarResult:
     proxy: float
 
 
-def glued_collar_lambda(spec, samples=4096):
+def glued_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of a glued collar.
 
     Requires l_alpha >= 2.  The lower bound comes from the rectangle sandwich
@@ -256,7 +256,7 @@ def glued_collar_lambda(spec, samples=4096):
         raise HypothesisError("glued-collar bounds require l_alpha >= 2")
     env = glued_collar_envelope(spec)
     delta = 1.0 / spec.l_alpha
-    env_mod = sandwich_bounds(env, delta, samples=samples)
+    env_mod = sandwich_bounds(env, delta)
     full_v = vertical_modulus(glued_collar_graphs(spec))
     bounds = ModulusBounds(
         lower=1.0 / env_mod.upper,

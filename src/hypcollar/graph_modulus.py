@@ -15,6 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# grid points per period of the deviation constant's estimate
+_SAMPLES = 4096
+
 
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to converge on some subinterval."""
@@ -61,23 +64,6 @@ class PeriodicFunctionPair:
     def gap(self, x):
         F, G = self.offsets()
         return F(x) + G(x)
-
-    def validate(self, samples=256):
-        """Spot-check f > g and periodicity on a grid; raise on failure."""
-        xs = self.x1 + self.period * np.arange(samples) / samples
-        for x in xs:
-            if not self.f(x) > self.g(x):
-                raise ValueError("f <= g at x = %g" % x)
-        for x in (self.x1, self.x1 + 0.3 * self.period):
-            if not math.isclose(
-                self.f(x), self.f(x + self.period), rel_tol=1e-9, abs_tol=1e-12
-            ):
-                raise ValueError("f is not periodic at x = %g" % x)
-            if not math.isclose(
-                self.g(x), self.g(x + self.period), rel_tol=1e-9, abs_tol=1e-12
-            ):
-                raise ValueError("g is not periodic at x = %g" % x)
-        return True
 
 
 @dataclass(frozen=True)
@@ -196,25 +182,23 @@ def _split_points(pair):
     return sorted(set(pts))
 
 
-def vertical_modulus(pair, rel_tol=1e-8):
+def vertical_modulus(pair):
     """Modulus of the vertical segment family: integral of dx / (F + G)."""
     F, G = pair.offsets()
     total = 0.0
     pts = _split_points(pair)
     for a, b in zip(pts[:-1], pts[1:]):
-        total += adaptive_simpson(
-            lambda x: 1.0 / (F(x) + G(x)), a, b, rel_tol=rel_tol
-        )
+        total += adaptive_simpson(lambda x: 1.0 / (F(x) + G(x)), a, b)
     return total
 
 
-def area_between(pair, rel_tol=1e-8):
+def area_between(pair):
     """Area of the region between the graphs over one period."""
     F, G = pair.offsets()
     total = 0.0
     pts = _split_points(pair)
     for a, b in zip(pts[:-1], pts[1:]):
-        total += adaptive_simpson(lambda x: F(x) + G(x), a, b, rel_tol=rel_tol)
+        total += adaptive_simpson(lambda x: F(x) + G(x), a, b)
     return total
 
 
@@ -234,49 +218,49 @@ def _sliding(op, values, width):
     return op(suffix[:n - width + 1], prefix[width - 1:n])
 
 
-def _windowed_deviation(pair, delta, samples):
+def _windowed_deviation(pair, delta):
     """Grid estimate of inf_x (window-min F + window-min G) / (F + G), which
     is the window-min of f minus the window-max of g over the gap."""
-    step = pair.period / samples
+    step = pair.period / _SAMPLES
     k = int(math.ceil(delta / step))
-    xs = pair.x1 + step * (np.arange(samples + 2 * k + 1) - k)
+    xs = pair.x1 + step * (np.arange(_SAMPLES + 2 * k + 1) - k)
     F, G = pair.offsets()
     Fv = np.array([F(x) for x in xs])
     Gv = np.array([G(x) for x in xs])
     # the window about core sample i is [i - k, i + k], inside the samples
     window = _sliding(np.minimum, Fv, 2 * k + 1) + _sliding(np.minimum, Gv, 2 * k + 1)
-    core = slice(k, k + samples + 1)
+    core = slice(k, k + _SAMPLES + 1)
     return float(np.min(window / (Fv[core] + Gv[core])))
 
 
-def rectangle_deviation(pair, delta, samples=4096):
+def rectangle_deviation(pair, delta):
     """Deviation constant c_delta of the pair.
 
     c_delta = inf_x m_delta(x) / (f(x) - g(x)) where m_delta(x) is the minimum
     of f minus the maximum of g over [x - delta, x + delta].  Always in (0, 1]
-    for separated graphs.  Estimated on a uniform grid of `samples` points per
+    for separated graphs.  Estimated on a uniform grid of 4096 points per
     period, from the offsets: m_delta is the window minimum of F plus that
     of G.
     """
     if not (0 < delta):
         raise ValueError("delta must be positive")
-    c = min(_windowed_deviation(pair, delta, samples), 1.0)
+    c = min(_windowed_deviation(pair, delta), 1.0)
     if not c > 0:
         raise ValueError("deviation constant is nonpositive; graphs overlap "
                          "within the delta window")
     return c
 
 
-def sandwich_bounds(pair, delta, samples=4096, rel_tol=1e-8):
+def sandwich_bounds(pair, delta):
     """Two-sided bounds for the modulus of the full connecting family.
 
         mod_vertical <= mod <= (3 / c_delta^2) mod_vertical + A / delta^2
 
     where A is the area between the graphs over one period.
     """
-    lower = vertical_modulus(pair, rel_tol=rel_tol)
-    c = rectangle_deviation(pair, delta, samples=samples)
-    area = area_between(pair, rel_tol=rel_tol)
+    lower = vertical_modulus(pair)
+    c = rectangle_deviation(pair, delta)
+    area = area_between(pair)
     upper = 3.0 / (c * c) * lower + area / (delta * delta)
     return ModulusBounds(
         lower=lower,

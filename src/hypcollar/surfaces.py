@@ -8,7 +8,7 @@ explicit prefixes, and the scaled power decay used by trees).
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -271,15 +271,15 @@ def _leading_coefficient(spec):
     )
 
 
-def validate_lengths(spec, window=64, start=1):
+def validate_lengths(spec):
     """Check that a length spec gives positive finite lengths.
 
-    The first `window` terms are evaluated.  Beyond them the shape decides: a
+    The first 64 terms are evaluated.  Beyond them the shape decides: a
     Linear spec needs slope >= 0 and a LogAffine spec a nonnegative leading
     coefficient, in prefix tails and alternating branches too, so that the
     terms do not turn negative for large n.
     """
-    for n in range(start, start + window):
+    for n in range(1, 65):
         v = spec.term(n)
         if not (v > 0 and math.isfinite(v)):
             raise SpecError("length term %d is not a positive float: %r" % (n, v))
@@ -332,42 +332,20 @@ def sigma_sequence(lengths, n_max, start=1):
     return sigma
 
 
-@dataclass(frozen=True)
-class ConcavityVerdict:
-    """Outcome of a concavity test: 'yes', 'yes-on-window' or 'no'."""
+def is_concave(lengths):
+    """Is the length sequence provably non-decreasing with
+    2 l_n >= l_{n+1} + l_{n-1} for every n?
 
-    kind: str
-    witness: Optional[int] = None
-
-    @property
-    def proven(self):
-        return self.kind == "yes"
-
-
-def is_concave(lengths, window=200):
-    """Is the length sequence non-decreasing with 2 l_n >= l_{n+1} + l_{n-1}?
-
-    Analytic 'yes' is only issued for shapes where it holds for all n
-    (constants; LogAffine with nonnegative coefficients).  Otherwise the
-    conditions are checked on the first `window` terms and the verdict is
-    'yes-on-window' (which consumers must not treat as a proof) or 'no' with
-    a witness index.
+    True only for the shapes where this holds for all n: constants, Linear
+    with slope >= 0, and LogAffine with nonnegative coefficients.  False
+    means not proven, not that the sequence fails.
     """
     if isinstance(lengths, Constant):
-        return ConcavityVerdict("yes")
+        return True
     if isinstance(lengths, LogAffine):
-        if all(a >= 0 for a, _ in lengths.log_terms) and lengths.loglog_coef >= 0:
-            return ConcavityVerdict("yes")
-    if isinstance(lengths, Linear) and lengths.slope >= 0:
-        return ConcavityVerdict("yes")
-    terms = sequence_terms(lengths, window)
-    for i in range(1, len(terms)):
-        if terms[i] < terms[i - 1] - 1e-12:
-            return ConcavityVerdict("no", witness=i + 1)
-    for i in range(1, len(terms) - 1):
-        if 2.0 * terms[i] < terms[i - 1] + terms[i + 1] - 1e-12:
-            return ConcavityVerdict("no", witness=i + 1)
-    return ConcavityVerdict("yes-on-window")
+        return (all(a >= 0 for a, _ in lengths.log_terms)
+                and lengths.loglog_coef >= 0)
+    return isinstance(lengths, Linear) and lengths.slope >= 0
 
 
 # ---------------------------------------------------------------------------

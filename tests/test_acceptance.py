@@ -11,9 +11,8 @@ import time
 import numpy as np
 
 from hypcollar import classifier as cl
+from hypcollar import cli
 from hypcollar import collar_modulus as cm
-from hypcollar import extremal_oracle as eo
-from hypcollar import graph_modulus as gm
 from hypcollar import hypgeom as hg
 from hypcollar import surfaces as sf
 from hypcollar.calibration import (
@@ -47,22 +46,15 @@ def test_criterion_01_closed_form_identities():
     _report(1, "closed-form identities to 1e-10 (%.2fs)" % dt)
 
 
+def _assert_rows(rows):
+    failed = [row for row in rows if not row[3]]
+    assert not failed, failed
+
+
 def test_criterion_02_oracle_calibration():
     t0 = time.perf_counter()
-    h = 1.0 / 128  # refinement solves at 1/256
-
-    est = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h))
-    assert abs(est.value / 3.0 - 1.0) < 5e-3
-
-    est = eo.discrete_modulus(eo.annulus_domain(1.0, math.e, h))
-    assert abs(est.value / (2.0 * math.pi) - 1.0) < 1e-2
-
-    theta = math.pi / 2
-    est = eo.discrete_modulus(eo.annular_sector_domain(1.0, math.e, theta, h))
-    # electrodes are the radial sides; the circular-arc family is its
-    # reciprocal, with modulus theta / ln(r2/r1)
-    assert abs((1.0 / est.value) / (theta / 1.0) - 1.0) < 1e-2
-
+    # refinement solves at 1/256
+    _assert_rows(cli.calibration_checks(1.0 / 128))
     dt = time.perf_counter() - t0
     assert dt < 60.0
     _report(2, "oracle calibration: rectangle 0.5%%, annulus and sector "
@@ -71,12 +63,7 @@ def test_criterion_02_oracle_calibration():
 
 def test_criterion_03_standard_collar_cross_check():
     t0 = time.perf_counter()
-    for l in (1.0, 2.0, 4.0):
-        lam = hg.standard_half_collar_lambda(l)
-        # the standard half-collar is conformally a A x lam(l) periodic strip
-        strip = eo.strip_domain(gm.constant_pair(lam), h=lam / 64.0)
-        est = eo.discrete_modulus(strip)
-        assert abs((1.0 / est.value) / lam - 1.0) < 2e-2, l
+    _assert_rows(cli.standard_collar_checks())
     dt = time.perf_counter() - t0
     assert dt < 60.0
     _report(3, "closed-form standard collar distance reproduced by the "
@@ -85,29 +72,20 @@ def test_criterion_03_standard_collar_cross_check():
 
 def test_criterion_04_sandwich_inclusion():
     t0 = time.perf_counter()
-    cases = []
-    for l_alpha in (2.0, 6.0, 10.0):
-        for l_gamma in (1.0, math.inf):
-            pair = cm.nonstandard_half_collar_graphs(
-                cm.HalfCollarSpec(l_alpha, l_gamma)
-            )
-            cases.append((l_alpha, pair))
-    for l_alpha in (4.0, 8.0):
-        for t in (0.0, 0.25, 0.5):
-            pair = cm.glued_collar_graphs(
-                cm.GluedCollarSpec(l_alpha, math.inf, math.inf, t)
-            )
-            cases.append((l_alpha, pair))
-    for l_alpha, pair in cases:
-        delta = 1.0 / l_alpha
-        sb = gm.sandwich_bounds(pair, delta)
-        est = eo.discrete_modulus(eo.strip_domain(pair))
-        assert est.value + est.error_bar >= sb.lower, pair.label
-        assert est.value - est.error_bar <= sb.upper, pair.label
+    specs = [cm.HalfCollarSpec(l_alpha, l_gamma)
+             for l_alpha in (2.0, 6.0, 10.0) for l_gamma in (1.0, math.inf)]
+    specs += [cm.GluedCollarSpec(l_alpha, math.inf, math.inf, t)
+              for l_alpha in (4.0, 8.0) for t in (0.0, 0.25, 0.5)]
+    # the error bars overlap the bounds: l = 6, l_gamma = 1 needs its bar
+    _assert_rows(cli.sandwich_checks(
+        specs,
+        lambda est, sb: (est.value + est.error_bar >= sb.lower
+                         and est.value - est.error_bar <= sb.upper),
+    ))
     dt = time.perf_counter() - t0
     assert dt < 600.0
     _report(4, "oracle modulus inside the rectangle-sandwich bounds for "
-               "%d collar domains (%.1fs)" % (len(cases), dt))
+               "%d collar domains (%.1fs)" % (len(specs), dt))
 
 
 def test_criterion_05_asymptotic_bands():
@@ -153,15 +131,13 @@ def test_criterion_06_twist_gain():
 
 def test_criterion_07_comb_ratio_decreasing():
     t0 = time.perf_counter()
-    ratios = []
-    for eps in (0.2, 0.1, 0.05):
-        est = eo.discrete_modulus(eo.comb_domain(eps))
-        ratios.append(eo.comb_vertical_modulus(eps) / est.value)
-    assert ratios[0] > ratios[1] > ratios[2]
+    rows = cli.comb_checks((0.2, 0.1, 0.05))
+    _assert_rows(rows)
     dt = time.perf_counter() - t0
     assert dt < 300.0
     _report(7, "comb vertical-to-full modulus ratio strictly decreasing: "
-               "%.3f > %.3f > %.3f (%.1fs)" % (*ratios, dt))
+               "%.3f > %.3f > %.3f (%.1fs)"
+               % (*(value for _, value, _, _ in rows), dt))
 
 
 def test_criterion_08_flute_tables_exact():

@@ -2,7 +2,9 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypcollar import classifier as cl
 from hypcollar import cli
@@ -38,8 +40,6 @@ def test_series_boundary_cases_exact():
 
 def test_series_agrees_with_partial_sums():
     # numeric cross-check away from the boundary
-    import numpy as np
-
     for a in (1.0, 3.0):
         spec = sf.log_affine(a=a, n0=1.0)
         beh = cl.classify_series(cl.SeriesTerms(spec, kappa=0.5))
@@ -70,6 +70,34 @@ def test_sigma_telescoping_exact():
     assert beh.verdict == "converges"
     beh = cl.classify_sigma_series(cl.two_parameter_flute(1.5, 5.0).lengths)
     assert beh.verdict == "diverges"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=st.floats(min_value=0.01, max_value=10.0),
+    b=st.floats(min_value=0.01, max_value=10.0),
+    s=st.floats(min_value=-0.9, max_value=10.0),
+    c=st.floats(min_value=-5.0, max_value=5.0),
+    l1=st.floats(min_value=0.01, max_value=10.0),
+)
+def test_telescoping_closed_form_holds_on_the_matched_shape(a, b, s, c, l1):
+    # l_{2k} = a ln(k+s+1) + b ln(k+s) + c, l_{2k+1} = (a+b) ln(k+s+1) + c
+    lengths = sf.ExplicitPrefixThenTail(
+        values=(l1,),
+        tail=sf.AlternatingLogAffine(
+            even=sf.LogAffine(log_terms=((a, s + 1.0), (b, s)), const=c),
+            odd=sf.LogAffine(log_terms=((a + b, s + 1.0),), const=c),
+        ),
+    )
+    assert cl._telescoping_branches(lengths) == (a, b)
+    sigma = sf.sigma_sequence(lengths, 401)  # sigma[n - 1] is sigma_n
+    k = np.arange(1, 201)
+    even = sigma[2 * k - 1] - a * np.log(k + s + 1.0)
+    odd = sigma[2 * k] - b * np.log(k + s + 1.0)
+    # constant in k, at the values sigma_2 and sigma_3 give
+    const = b * math.log(s + 1.0) + c - l1
+    assert np.max(np.abs(even - const)) < 1e-9
+    assert np.max(np.abs(odd - (c - const))) < 1e-9
 
 
 def test_sigma_constant_lengths_diverges():

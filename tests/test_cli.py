@@ -113,10 +113,15 @@ def test_missing_config_file(capsys):
     assert run(["classify", "--config", "/nonexistent/nope.json"]) == 2
 
 
-def test_invalid_json(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["classify", "sweep", "oracle"])
+def test_invalid_json(command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    assert run(["classify", "--config", str(path)]) == 2
+    assert run([command, "--config", str(path)]) == 2
+    assert "config error: invalid JSON: " in capsys.readouterr().err
+    path.write_text("[1]")
+    assert run([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
 def test_twisted_criterion_needs_hypotheses(tmp_path, capsys):

@@ -78,19 +78,6 @@ def test_rectangle_deviation_small_window_limit():
     assert devs[0] <= devs[1] <= devs[2] + 1e-12
 
 
-def test_pair_validate_rejects_crossing_graphs():
-    pair = gm.PeriodicFunctionPair(
-        f=lambda x: math.sin(2.0 * math.pi * x),
-        g=lambda x: 0.0,
-        period=1.0,
-        x1=0.0,
-        x2=1.0,
-        label="crossing",
-    )
-    with pytest.raises(ValueError):
-        pair.validate()
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     offset=st.floats(min_value=1.0, max_value=5.0),

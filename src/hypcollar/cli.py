@@ -383,7 +383,7 @@ def _oracle_domain(cfg):
     _check_keys(
         cfg,
         {"shape", "width", "height", "h", "r1", "r2", "theta", "epsilon",
-         "l_alpha", "l_gamma", "l_gamma2", "twist", "refine"},
+         "l_alpha", "l_gamma", "l_gamma2", "twist"},
         "",
     )
     shape = cfg.get("shape")
@@ -429,10 +429,8 @@ def _oracle_domain(cfg):
 
 
 def cmd_oracle(args):
-    cfg = _load_config(args.config)
-    refine = cfg.get("refine", True)
-    dom = _oracle_domain(cfg)
-    est = discrete_modulus(dom, refine=bool(refine))
+    dom = _oracle_domain(_load_config(args.config))
+    est = discrete_modulus(dom)
     _emit(
         {
             "domain": dom.name,
@@ -489,12 +487,15 @@ def standard_collar_checks():
 
 def comb_checks(epsilons):
     """Ratio of the comb's vertical-segment modulus to its oracle modulus at
-    each epsilon; a row passes when its ratio is below the previous one."""
+    each epsilon.  The vertical segments are a subfamily of the connecting
+    family, so the ratio is below 1; a row passes when its ratio is below 1
+    and below the previous row's."""
     rows, prev = [], math.inf
     for eps in epsilons:
         est = discrete_modulus(comb_domain(eps))
         ratio = comb_vertical_modulus(eps) / est.value
-        rows.append(("comb-eps=%g" % eps, ratio, "decreasing", ratio < prev))
+        rows.append(("comb-eps=%g" % eps, ratio, "< 1 and decreasing",
+                     ratio < min(1.0, prev)))
         prev = ratio
     return rows
 

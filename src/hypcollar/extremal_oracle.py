@@ -6,10 +6,12 @@ boundary is solved with multigrid-preconditioned CG, residual 1e-10 (a
 geometric V-cycle with Galerkin coarse operators, after Briggs, Henson &
 McCormick, "A Multigrid Tutorial", SIAM 2000), and the modulus of the family
 of curves connecting the electrodes is the discrete Dirichlet energy.
-Values at two meshes (h and h/2) are combined by Richardson extrapolation
-assuming first-order convergence.  The two meshes share one lattice (the one
-at h is the h/2 lattice at even indices) and one multigrid hierarchy of
-transfers, and the h/2 solve starts from the interpolated h solution.
+Every estimate solves at two meshes (h and h/2) and combines the values by
+Richardson extrapolation assuming first-order convergence.  The two meshes
+share one lattice (the one at h is the h/2 lattice at even indices) and one
+multigrid hierarchy of transfers, which are bilinear interpolations
+renormalised over the nodes that are not outside; the h/2 solve starts from
+the h solution interpolated by the first of them, with electrode b at 1.
 """
 
 import math
@@ -209,86 +211,58 @@ def _assemble(cls, wrap):
     return mat, rhs
 
 
+def _line(n, wrap):
+    """Linear interpolation onto n points of a line from its even-indexed
+    points; along a periodic line of even length the last point lies
+    between the last even point and the first."""
+    from scipy import sparse
+
+    m = (n + 1) // 2
+    odd = np.arange(1, n, 2)
+    right = odd // 2 + 1
+    keep = wrap | (right < m)
+    rows = np.concatenate((np.arange(0, n, 2), odd, odd[keep]))
+    cols = np.concatenate((np.arange(m), odd // 2, right[keep] % m))
+    vals = np.repeat([1.0, 0.5, 0.5], [m, len(odd), np.count_nonzero(keep)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, m))
+
+
 def _prolongation(lat, wrap):
-    """Interpolation onto a lattice from its even-indexed nodes.
+    """Bilinear interpolation onto a lattice from its even-indexed nodes.
 
     lat holds node classes; the coarse lattice is lat[::2, ::2] and its
-    interior nodes are the coarse unknowns.  A fine node on a coarse node
-    takes its value.  A fine node between two coarse nodes of a lattice line
-    averages them over its links along the line: an electrode counts with
-    value 0 and an outside node not at all, so constants are kept along
-    insulating boundaries.  A fine node at a cell centre averages the
-    interpolants of its four neighbours the same way.  Every coarse unknown
-    is injected at its own fine node, so the interpolation has full column
-    rank and the Galerkin operator P^T A P is positive definite with A.
+    interior nodes are the coarse unknowns.  The weights are those of the
+    tensor product of linear interpolations along x (wrapping along a
+    periodic x) and y, on the interior fine nodes, each row renormalised
+    over the coarse nodes that are not outside: an electrode counts with
+    its value and an outside node not at all, so constants are kept along
+    insulating boundaries.  Every coarse unknown is injected at its own fine
+    node, so the interpolation has full column rank and the Galerkin
+    operator P^T A P is positive definite with A.
 
-    Returns the sparse interpolation and the coarse node classes.
+    Returns the sparse interpolation of the coarse unknowns, each fine row's
+    weight on coarse electrode-b nodes (so that interp @ u + lift lifts a
+    coarse potential with b at 1 and a at 0), and the coarse node classes.
     """
     from scipy import sparse
 
-    nx, ny = lat.shape
     coarse = lat[::2, ::2]
-    n_fine = np.count_nonzero(lat == _IN)
-    n_coarse = np.count_nonzero(coarse == _IN)
-    cidx = -np.ones(coarse.shape, dtype=np.int64)
-    cidx[coarse == _IN] = np.arange(n_coarse)
-    # pad to odd sizes, so that every odd line lies between two even ones
-    rows = -np.ones((nx + 1 - nx % 2, ny + 1 - ny % 2), dtype=np.int64)
-    rows[:nx, :ny][lat == _IN] = np.arange(n_fine)
-    if nx % 2 == 0:
-        if wrap:
-            lat = np.concatenate((lat, lat[:1]))
-            cidx = np.concatenate((cidx, cidx[:1]))
-        else:
-            lat = np.pad(lat, ((0, 1), (0, 0)), constant_values=_OUT)
-            cidx = np.pad(cidx, ((0, 1), (0, 0)), constant_values=-1)
-    if ny % 2 == 0:
-        lat = np.pad(lat, ((0, 0), (0, 1)), constant_values=_OUT)
-        cidx = np.pad(cidx, ((0, 0), (0, 1)), constant_values=-1)
-    kc = lat[::2, ::2]
-
-    def average(terms):
-        """(coarse index, weight) pairs of the mean over linked neighbours;
-        terms lists (neighbour class, its (coarse index, weight) pairs)."""
-        links = sum((k != _OUT).astype(float) for k, _ in terms)
-        inv = np.divide(1.0, links, out=np.zeros_like(links), where=links > 0)
-        return [(c, w * ((k == _IN) * inv)) for k, pairs in terms
-                for c, w in pairs]
-
-    one = np.ones(kc.shape)
-    on_x = average([(kc[:-1], [(cidx[:-1], one[:-1])]),
-                    (kc[1:], [(cidx[1:], one[1:])])])
-    on_y = average([(kc[:, :-1], [(cidx[:, :-1], one[:, :-1])]),
-                    (kc[:, 1:], [(cidx[:, 1:], one[:, 1:])])])
-    kx, ky = lat[1::2, ::2], lat[::2, 1::2]
-    centre = average([
-        (ky[:-1], [(c[:-1], w[:-1]) for c, w in on_y]),
-        (ky[1:], [(c[1:], w[1:]) for c, w in on_y]),
-        (kx[:, :-1], [(c[:, :-1], w[:, :-1]) for c, w in on_x]),
-        (kx[:, 1:], [(c[:, 1:], w[:, 1:]) for c, w in on_x]),
-    ])
-
-    r_all, c_all, w_all = [], [], []
-    for fine, pairs in ((rows[::2, ::2], [(cidx, one)]),
-                        (rows[1::2, ::2], on_x),
-                        (rows[::2, 1::2], on_y),
-                        (rows[1::2, 1::2], centre)):
-        for c, w in pairs:
-            keep = (fine >= 0) & (w != 0)
-            r_all.append(fine[keep])
-            c_all.append(c[keep])
-            w_all.append(w[keep])
-    interp = sparse.csr_matrix(
-        (np.concatenate(w_all),
-         (np.concatenate(r_all), np.concatenate(c_all))),
-        shape=(n_fine, n_coarse),
-    )
-    return interp, coarse
+    kc = coarse.ravel()
+    weights = sparse.kron(_line(lat.shape[0], wrap),
+                          _line(lat.shape[1], False), format="csr")
+    weights = weights[np.flatnonzero(lat == _IN)]
+    total = weights @ (kc != _OUT).astype(float)
+    scale = np.divide(1.0, total, out=np.zeros_like(total), where=total > 0)
+    interp = weights[:, np.flatnonzero(kc == _IN)]
+    interp.data *= np.repeat(scale, np.diff(interp.indptr))
+    lift = scale * (weights @ (kc == _B).astype(float))
+    return interp, lift, coarse
 
 
 def _transfers(lat, wrap):
     """The interpolations of the multigrid hierarchy below a lattice, each
-    with its restriction (the transpose) stored as CSR.
+    with its restriction (the transpose) stored as CSR and its electrode-b
+    lift.
 
     Lattices are halved by _prolongation until at most _COARSEST unknowns
     are left or the lattice is too thin to halve.  The hierarchy below
@@ -298,11 +272,11 @@ def _transfers(lat, wrap):
     chain = []
     n = np.count_nonzero(lat == _IN)
     while n > _COARSEST and min(lat.shape) > 2:
-        interp, lat = _prolongation(lat, wrap)
+        interp, lift, lat = _prolongation(lat, wrap)
         n = interp.shape[1]
         if n == 0:
             break
-        chain.append((interp, interp.T.tocsr()))
+        chain.append((interp, interp.T.tocsr(), lift))
     return chain
 
 
@@ -320,7 +294,7 @@ def _multigrid(mat, transfers):
 
     levels = []
     a = mat
-    for interp, restrict in transfers:
+    for interp, restrict, _ in transfers:
         d = a.diagonal()  # 0 at an interior node with no linked neighbour
         damp = np.divide(_OMEGA, d, out=np.zeros_like(d), where=d > 0)
         levels.append((a, damp, interp, restrict))
@@ -393,33 +367,31 @@ def _solve_at(dom, h):
     return _solve(cls, wrap, _transfers(cls, wrap), h)
 
 
-def discrete_modulus(domain, refine=True):
+def discrete_modulus(domain):
     """Discrete modulus of the family of curves joining the two electrodes.
 
     Solves at meshes h and h/2 and Richardson-extrapolates assuming
     first-order convergence; error_bar is the difference of the two raw
-    values.  With refine=False only the base mesh is used.
+    values.
 
-    The refined estimate classifies one lattice, at h/2, and solves on its
+    The estimate classifies one lattice, at h/2, and solves on its
     even-indexed nodes at h first, with the multigrid hierarchy of h/2 less
-    its first level; the h/2 solve starts from the h potential interpolated
-    by that first level.  Mesh h is checked and solved before mesh h/2 is
-    checked, so a refusal is the one a solve at h alone would give.
+    its first level; the h/2 solve starts from the h potential, with
+    electrode b at 1, interpolated by that first level.  Mesh h is checked
+    and solved before mesh h/2 is checked, so a refusal is the one a solve
+    at h alone would give.
     """
     h = domain.h
-    if not refine:
-        v, u, iterations = _solve_at(domain, h)
-        return ModulusEstimate(
-            value=v, meshes=(h,), raw_values=(v,), error_bar=math.inf,
-            extrapolated=False, unknowns=(len(u),), iterations=(iterations,),
-        )
     wrap = domain.periodic_x is not None
     fine, gaps = _classes(domain, 0.5 * h)
     _check(domain, h, None if gaps is None else gaps[::2])
     transfers = _transfers(fine, wrap)
     v1, u1, it1 = _solve(fine[::2, ::2], wrap, transfers[1:], h)
     _check(domain, 0.5 * h, gaps)
-    x0 = transfers[0][0] @ u1 if transfers else None
+    x0 = None
+    if transfers:
+        interp, _, lift = transfers[0]
+        x0 = interp @ u1 + lift
     v2, u2, it2 = _solve(fine, wrap, transfers, 0.5 * h, x0)
     return ModulusEstimate(
         value=2.0 * v2 - v1,
@@ -432,7 +404,7 @@ def discrete_modulus(domain, refine=True):
     )
 
 
-def rectangle_domain(width, height, h, name="rectangle"):
+def rectangle_domain(width, height, h):
     """Rectangle [0, w] x [0, h], electrodes = bottom and top sides."""
     return GridDomain(
         h=h,
@@ -440,11 +412,11 @@ def rectangle_domain(width, height, h, name="rectangle"):
         inside=lambda x, y: (x >= 0) & (x <= width) & (y > 0) & (y < height),
         electrode_a=lambda x, y: (y <= 0) & (x >= 0) & (x <= width),
         electrode_b=lambda x, y: (y >= height) & (x >= 0) & (x <= width),
-        name=name,
+        name="rectangle",
     )
 
 
-def annulus_domain(r1, r2, h, name="annulus"):
+def annulus_domain(r1, r2, h):
     """Round annulus, electrodes = the two boundary circles."""
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
@@ -455,11 +427,11 @@ def annulus_domain(r1, r2, h, name="annulus"):
         inside=lambda x, y: (np.hypot(x, y) > r1) & (np.hypot(x, y) < r2),
         electrode_a=lambda x, y: np.hypot(x, y) <= r1,
         electrode_b=lambda x, y: np.hypot(x, y) >= r2,
-        name=name,
+        name="annulus",
     )
 
 
-def annular_sector_domain(r1, r2, theta, h, name="annular-sector"):
+def annular_sector_domain(r1, r2, theta, h):
     """Annular sector of opening theta, electrodes = the two radial sides.
 
     The modulus of curves joining the radial sides is ln(r2/r1) / theta.
@@ -487,11 +459,11 @@ def annular_sector_domain(r1, r2, theta, h, name="annular-sector"):
         inside=inside,
         electrode_a=lambda x, y: (y <= 0) & (x > 0) & rb(x, y),
         electrode_b=lambda x, y: (np.arctan2(y, x) >= theta) & rb(x, y),
-        name=name,
+        name="annular-sector",
     )
 
 
-def comb_domain(epsilon, h=None, name="comb"):
+def comb_domain(epsilon, h=None):
     """Comb region: [0,1] x [0, eps] minus slits hanging from the top.
 
     N = ceil(1 / eps^2) and the slits sit at x = k/N, k = 2..N-1, spanning
@@ -529,7 +501,7 @@ def comb_domain(epsilon, h=None, name="comb"):
         electrode_b=lambda x, y: ((y >= epsilon) | on_slit(x, y))
         & (x >= 0) & (x <= 1),
         min_feature=spacing,
-        name=name,
+        name="comb",
     )
 
 
@@ -540,7 +512,7 @@ def comb_vertical_modulus(epsilon):
     return 1.0 / epsilon
 
 
-def strip_domain(pair, h=None, name=None):
+def strip_domain(pair, h=None):
     """One period of the region between the graphs of a PeriodicFunctionPair.
 
     x is periodic with the pair's period; the two graphs are the electrodes,
@@ -567,6 +539,5 @@ def strip_domain(pair, h=None, name=None):
         f_of_x=pair.f,
         g_of_x=pair.g,
         periodic_x=pair.period,
-        min_feature=min_gap,
-        name=name or (pair.label or "strip"),
+        name=pair.label or "strip",
     )

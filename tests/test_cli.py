@@ -310,6 +310,27 @@ def test_oracle_mesh_refusal_exit_5(tmp_path, capsys):
     assert "refusal" in capsys.readouterr().err
 
 
+def test_oracle_refine_key_is_unknown(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"shape": "rectangle", "width": 2.0,
+                                  "height": 1.0, "refine": False})
+    assert run(["oracle", "--config", cfg]) == 2
+    assert "unknown key(s) refine" in capsys.readouterr().err
+
+
+def test_comb_rows_need_a_ratio_below_one(monkeypatch):
+    # the vertical segments are a subfamily of the connecting family, so an
+    # oracle value below 1/eps fails a row even when it has no predecessor
+    from hypcollar import extremal_oracle as eo
+
+    monkeypatch.setattr(cli, "discrete_modulus", lambda dom: eo.ModulusEstimate(
+        value=4.0, meshes=(dom.h,), raw_values=(4.0,), error_bar=0.0,
+        extrapolated=False, unknowns=(0,), iterations=(0,)))
+    (row,) = cli.comb_checks((0.2,))
+    assert row[1] == pytest.approx(1.25)
+    assert row[2] == "< 1 and decreasing"
+    assert not row[3]
+
+
 def test_sweep_csv_deterministic(tmp_path):
     cfg = write_config(
         tmp_path, {"family": "scaled", "s": [1.0, 1.5, 2.5]}

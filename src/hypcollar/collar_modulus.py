@@ -10,6 +10,8 @@ reciprocal of the periodic-annulus modulus, which the rectangle-sandwich of
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hypgeom import (
     HypothesisError,
     collar_width,
@@ -26,14 +28,19 @@ from .graph_modulus import (
 
 def _wrap(x):
     """Reduce x modulo 1 into [-1/2, 1/2]."""
-    return x - math.floor(x + 0.5)
+    return x - np.floor(x + 0.5)
 
 
 def _lift(op, l, cr, x):
-    """op(min(cosh(l x) / cr, 1)) on the period about 0.  Over l, op = acos
-    gives the equidistant lift and op = asin gives pi/(2l) minus that lift,
+    """op(min(cosh(l x) / cr, 1)) on the period about 0.  Over l, op = arccos
+    gives the equidistant lift and op = arcsin gives pi/(2l) minus that lift,
     without the cancellation."""
-    return op(min(math.cosh(l * _wrap(x)) / cr, 1.0))
+    return op(np.minimum(np.cosh(l * _wrap(x)) / cr, 1.0))
+
+
+def _envelope(l, r, x):
+    """The envelope offset e^{l |x| - r} / (2l) on the period about 0."""
+    return np.exp(l * np.abs(_wrap(x)) - r) / (2.0 * l)
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,13 @@ def nonstandard_half_collar_graphs(spec):
     half_pi_over_l = 0.5 * math.pi / l
 
     return PeriodicFunctionPair(
-        f=lambda x: half_pi_over_l,
-        g=lambda x: _lift(math.acos, l, cr, x) / l,
+        f=lambda x: np.full_like(x, half_pi_over_l, dtype=float),
+        g=lambda x: _lift(np.arccos, l, cr, x) / l,
         period=1.0, x1=-0.5, x2=0.5,
         breakpoints=(0.0,),
         label="half-collar(l=%g, l_gamma=%g)" % (l, spec.l_gamma),
-        F=lambda x: 0.0,
-        G=lambda x: _lift(math.asin, l, cr, x) / l,
+        F=lambda x: np.zeros_like(x, dtype=float),
+        G=lambda x: _lift(np.arcsin, l, cr, x) / l,
     )
 
 
@@ -127,17 +134,14 @@ def half_collar_envelope(spec):
     r = spec.r_eta
     half_pi_over_l = 0.5 * math.pi / l
 
-    def k(x):
-        return math.exp(l * abs(_wrap(x)) - r) / (2.0 * l)
-
     return PeriodicFunctionPair(
-        f=lambda x: half_pi_over_l,
-        g=lambda x: half_pi_over_l - k(x),
+        f=lambda x: np.full_like(x, half_pi_over_l, dtype=float),
+        g=lambda x: half_pi_over_l - _envelope(l, r, x),
         period=1.0, x1=-0.5, x2=0.5,
         breakpoints=(0.0,),
         label="half-collar-envelope(l=%g)" % l,
-        F=lambda x: 0.0,
-        G=k,
+        F=lambda x: np.zeros_like(x, dtype=float),
+        G=lambda x: _envelope(l, r, x),
     )
 
 
@@ -172,7 +176,8 @@ def glued_collar_graphs(spec):
     The upper graph is the reflected equidistant lift of the first side; the
     lower graph is the equidistant lift of the second side translated by t.
     About the midline pi/(2l) the offsets are the arcsin forms of the two
-    sides, arcsin(min(u_i, 1)) / l.
+    sides, arcsin(min(u_i, 1)) / l.  The second side's offset peaks, with a
+    kink, at x = t +- 1/2, which is a breakpoint with 0 and t.
     """
     l = spec.l_alpha
     cr1 = math.cosh(spec.side1.r_eta)
@@ -180,13 +185,13 @@ def glued_collar_graphs(spec):
     t = spec.twist
 
     return PeriodicFunctionPair(
-        f=lambda x: (math.pi - _lift(math.acos, l, cr1, x)) / l,
-        g=lambda x: _lift(math.acos, l, cr2, x - t) / l,
+        f=lambda x: (math.pi - _lift(np.arccos, l, cr1, x)) / l,
+        g=lambda x: _lift(np.arccos, l, cr2, x - t) / l,
         period=1.0, x1=-0.5, x2=0.5,
-        breakpoints=(0.0, t),
+        breakpoints=(0.0, t, t + 0.5),
         label="glued-collar(l=%g, t=%g)" % (l, t),
-        F=lambda x: _lift(math.asin, l, cr1, x) / l,
-        G=lambda x: _lift(math.asin, l, cr2, x - t) / l,
+        F=lambda x: _lift(np.arcsin, l, cr1, x) / l,
+        G=lambda x: _lift(np.arcsin, l, cr2, x - t) / l,
     )
 
 
@@ -196,7 +201,8 @@ def glued_collar_envelope(spec):
     h1(x) = pi/(2l) + e^{l|x|}/(2l e^{r1}) <= f and
     h2(x) = pi/(2l) - e^{l|x-t|}/(2l e^{r2}) >= g,
     so the envelope region sits inside the glued collar while its gap
-    k1 + k2 is a sum of two explicit exponentials.
+    k1 + k2 is a sum of two explicit exponentials.  k2 peaks at x = t +- 1/2,
+    a breakpoint with 0 and t.
     """
     l = spec.l_alpha
     r1 = spec.side1.r_eta
@@ -205,16 +211,16 @@ def glued_collar_envelope(spec):
     half_pi_over_l = 0.5 * math.pi / l
 
     def k1(x):
-        return math.exp(l * abs(_wrap(x)) - r1) / (2.0 * l)
+        return _envelope(l, r1, x)
 
     def k2(x):
-        return math.exp(l * abs(_wrap(x - t)) - r2) / (2.0 * l)
+        return _envelope(l, r2, x - t)
 
     return PeriodicFunctionPair(
         f=lambda x: half_pi_over_l + k1(x),
         g=lambda x: half_pi_over_l - k2(x),
         period=1.0, x1=-0.5, x2=0.5,
-        breakpoints=(0.0, t),
+        breakpoints=(0.0, t, t + 0.5),
         label="glued-collar-envelope(l=%g, t=%g)" % (l, t),
         F=k1,
         G=k2,

@@ -43,8 +43,10 @@ class GridDomain:
 
     Either give vectorised point predicates (`inside`, `electrode_a`,
     `electrode_b` taking numpy arrays x, y), or a strip profile
-    (`f_of_x`, `g_of_x` scalar callables) in which case the region is
-    g(x) < y < f(x) with electrode a on the upper graph and b on the lower.
+    (`f_of_x`, `g_of_x` numpy functions mapping an array of x to the array of
+    values of its shape; a constant may return a scalar) in which case the
+    region is g(x) < y < f(x) with electrode a on the upper graph and b on
+    the lower.
     `periodic_x` identifies x and x + periodic_x.
     """
 
@@ -53,8 +55,8 @@ class GridDomain:
     inside: Optional[Callable] = None
     electrode_a: Optional[Callable] = None
     electrode_b: Optional[Callable] = None
-    f_of_x: Optional[Callable[[float], float]] = None
-    g_of_x: Optional[Callable[[float], float]] = None
+    f_of_x: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    g_of_x: Optional[Callable[[np.ndarray], np.ndarray]] = None
     periodic_x: Optional[float] = None
     min_feature: Optional[float] = None
     name: str = ""
@@ -89,6 +91,13 @@ class ModulusEstimate:
 _OUT, _IN, _A, _B = 0, 1, 2, 3
 
 
+def _profile(func, xs):
+    """A strip profile on the array xs, broadcast to its shape; overflow,
+    division by zero and invalid operations raise FloatingPointError."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return np.broadcast_to(np.asarray(func(xs), dtype=float), xs.shape)
+
+
 def _classes(dom, h):
     """Node classes of the lattice at mesh h, and for a strip profile the gap
     between the graphs at each lattice column (None for predicates).
@@ -107,8 +116,8 @@ def _classes(dom, h):
     xs = x0 + h * np.arange(nx)
     ys = y0 + h * np.arange(ny)
     if dom.f_of_x is not None and dom.g_of_x is not None:
-        fcol = np.array([dom.f_of_x(x) for x in xs])
-        gcol = np.array([dom.g_of_x(x) for x in xs])
+        fcol = _profile(dom.f_of_x, xs)
+        gcol = _profile(dom.g_of_x, xs)
         Y = ys[None, :]
         F = fcol[:, None]
         G = gcol[:, None]
@@ -520,9 +529,8 @@ def strip_domain(pair, h=None):
     region (the modulus of the family joining the two boundary curves).
     """
     xs = pair.x1 + pair.period * np.arange(2049) / 2048.0
-    fs = [pair.f(x) for x in xs]
-    gs = [pair.g(x) for x in xs]
-    min_gap = float(np.min(np.subtract(fs, gs)))
+    fs, gs = _profile(pair.f, xs), _profile(pair.g, xs)
+    min_gap = float(np.min(fs - gs))
     if h is None:
         h = min(min_gap / 4.0, pair.period / 64.0)
     # snap to an integer division of the period
@@ -535,7 +543,8 @@ def strip_domain(pair, h=None):
     pad = 2 * h
     return GridDomain(
         h=h,
-        bbox=(pair.x1, min(gs) - pad, pair.x2, max(fs) + pad),
+        bbox=(pair.x1, float(np.min(gs)) - pad,
+              pair.x2, float(np.max(fs)) + pad),
         f_of_x=pair.f,
         g_of_x=pair.g,
         periodic_x=pair.period,

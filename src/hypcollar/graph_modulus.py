@@ -17,6 +17,8 @@ import numpy as np
 
 # grid points per period of the deviation constant's estimate
 _SAMPLES = 4096
+# most intervals one level of the adaptive quadrature may hold
+_MAX_OPEN = 1 << 16
 
 
 class QuadratureError(ArithmeticError):
@@ -39,17 +41,22 @@ class PeriodicFunctionPair:
     nearly equal numbers.  Offsets left out are taken about m = 0, F = f and
     G = -g, from the pair's current f and g.  The oracle reads f and g, which
     pairs may give in their own closed forms.
+
+    Each of f, g, F and G is a numpy function: it maps an array of x to the
+    array of values of the same shape (a 0-d input gives a 0-d value), and
+    the bounds evaluate it on whole grids.  A constant may return a scalar,
+    which the bounds broadcast.
     """
 
-    f: Callable[[float], float]
-    g: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
     period: float
     x1: float
     x2: float
     breakpoints: tuple = ()
     label: str = ""
-    F: Optional[Callable[[float], float]] = None
-    G: Optional[Callable[[float], float]] = None
+    F: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    G: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (self.period > 0 and math.isfinite(self.period)):
@@ -96,8 +103,9 @@ def constant_pair(gap, period=1.0, label="constant-gap"):
     if not gap > 0:
         raise ValueError("gap must be positive")
     return PeriodicFunctionPair(
-        f=lambda x: gap, g=lambda x: 0.0, period=period, x1=0.0, x2=period,
-        label=label,
+        f=lambda x: np.full_like(x, gap, dtype=float),
+        g=lambda x: np.zeros_like(x, dtype=float),
+        period=period, x1=0.0, x2=period, label=label,
     )
 
 
@@ -107,8 +115,8 @@ def sinusoid_pair(offset, amplitude, period=1.0, label="sinusoid-gap"):
         raise ValueError("graphs must stay separated: offset > |amplitude|")
     w = 2.0 * math.pi / period
     return PeriodicFunctionPair(
-        f=lambda x: offset + amplitude * math.sin(w * x),
-        g=lambda x: 0.0,
+        f=lambda x: offset + amplitude * np.sin(w * x),
+        g=lambda x: np.zeros_like(x, dtype=float),
         period=period, x1=0.0, x2=period, label=label,
     )
 
@@ -131,45 +139,73 @@ def scaled_pair(pair, s):
     )
 
 
-def _simpson(func, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = func(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(func, a, fa, b, fb, m, fm, whole, tol, floor, depth, max_depth):
-    lm, flm, left = _simpson(func, a, fa, m, fm)
-    rm, frm, right = _simpson(func, m, fm, b, fb)
-    err = (left + right - whole) / 15.0
-    # the floor keeps deep refinements from chasing error below fp noise
-    if abs(err) <= max(tol, floor):
-        return left + right + err
-    if depth >= max_depth:
-        raise QuadratureError(a, b, left + right)
-    return _adaptive(
-        func, a, fa, m, fm, lm, flm, left, 0.5 * tol, floor, depth + 1,
-        max_depth,
-    ) + _adaptive(
-        func, m, fm, b, fb, rm, frm, right, 0.5 * tol, floor, depth + 1,
-        max_depth,
-    )
+def _sample(func, xs):
+    """func on the array xs, as a float array of its shape (a constant
+    callable may return a scalar).  Overflow, division by zero and invalid
+    operations raise FloatingPointError, an ArithmeticError, as the math
+    module's scalar functions raise."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        values = np.asarray(func(xs), dtype=float)
+    return values if values.shape == xs.shape else np.broadcast_to(values, xs.shape)
 
 
 def adaptive_simpson(func, a, b, rel_tol=1e-8, max_depth=40):
     """Adaptive Simpson quadrature with a relative tolerance.
 
-    Raises QuadratureError (carrying the offending subinterval) if the depth
-    cap is reached before the local error estimate meets the tolerance.
+    The bisection tree is walked one level at a time: the midpoints of the
+    two halves of every interval still open at a level go to func in one
+    array call.  An interval at depth d is accepted when the
+    Richardson-corrected error estimate of its halves is within
+    rel_tol·|whole|/2^d, or within a 5e-16 relative floor that keeps deep
+    refinements from chasing fp noise.  The accepted values are summed back
+    up the tree, left half plus right half, as the recursive form adds them.
+
+    Raises QuadratureError carrying the leftmost interval that fails at the
+    depth cap, if the cap is reached before the estimate meets the
+    tolerance; or carrying the leftmost interval split at a level whose
+    next would hold more than _MAX_OPEN intervals (a NaN integrand, say,
+    splits every interval at every level).
     """
     if not b > a:
         raise ValueError("integration needs b > a")
-    fa, fb = func(a), func(b)
-    m, fm, whole = _simpson(func, a, fa, b, fb)
-    scale = abs(whole) + 1e-300
-    return _adaptive(
-        func, a, fa, b, fb, m, fm, whole, rel_tol * scale, 5e-16 * scale, 0,
-        max_depth,
-    )
+    m = 0.5 * (a + b)
+    fa, fm, fb = _sample(func, np.array([a, m, b]))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    scale = abs(float(whole)) + 1e-300
+    tol, floor = rel_tol * scale, 5e-16 * scale
+    # the intervals open at a level, left to right: ends, midpoint, the
+    # values there and Simpson's estimate
+    a, m, b, fa, fm, fb, whole = (np.array([v]) for v in (a, m, b, fa, fm, fb, whole))
+    levels = []  # per level: the interval values, and which were split
+    for depth in range(max_depth + 1):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        fq = _sample(func, np.concatenate((lm, rm)))
+        flm, frm = fq[:len(a)], fq[len(a):]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (left + right - whole) / 15.0
+        split = ~(np.abs(err) <= max(tol, floor))
+        levels.append((left + right + err, split))
+        if not split.any():
+            break
+        n = 2 * np.count_nonzero(split)
+        if depth == max_depth or n > _MAX_OPEN:
+            i = int(np.argmax(split))
+            raise QuadratureError(float(a[i]), float(b[i]), float(left[i] + right[i]))
+
+        def halves(lo, hi):
+            # each split interval's left half's lo beside its right half's hi
+            out = np.empty(n)
+            out[0::2], out[1::2] = lo[split], hi[split]
+            return out
+
+        a, m, b = halves(a, m), halves(lm, rm), halves(m, b)
+        fa, fm, fb = halves(fa, fm), halves(flm, frm), halves(fm, fb)
+        whole = halves(left, right)
+        tol *= 0.5
+    for (values, split), (below, _) in zip(levels[-2::-1], levels[:0:-1]):
+        values[split] = below[0::2] + below[1::2]
+    return float(levels[0][0][0])
 
 
 def _split_points(pair):
@@ -187,6 +223,7 @@ def vertical_modulus(pair):
     F, G = pair.offsets()
     total = 0.0
     pts = _split_points(pair)
+    # a zero gap raises FloatingPointError
     for a, b in zip(pts[:-1], pts[1:]):
         total += adaptive_simpson(lambda x: 1.0 / (F(x) + G(x)), a, b)
     return total
@@ -225,8 +262,7 @@ def _windowed_deviation(pair, delta):
     k = int(math.ceil(delta / step))
     xs = pair.x1 + step * (np.arange(_SAMPLES + 2 * k + 1) - k)
     F, G = pair.offsets()
-    Fv = np.array([F(x) for x in xs])
-    Gv = np.array([G(x) for x in xs])
+    Fv, Gv = _sample(F, xs), _sample(G, xs)
     # the window about core sample i is [i - k, i + k], inside the samples
     window = _sliding(np.minimum, Fv, 2 * k + 1) + _sliding(np.minimum, Gv, 2 * k + 1)
     core = slice(k, k + _SAMPLES + 1)

@@ -1,7 +1,9 @@
 import json
 import math
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +154,18 @@ def test_collar_exit_codes_at_long_alpha(capsys, argv, rc):
         assert math.isfinite(upper) and 0.0 < lower <= upper
 
 
+@pytest.mark.parametrize("argv", [
+    ["--l-alpha", "1421", "--l-gamma", "inf"],
+    ["--l-alpha", "1421", "--l-gamma", "inf", "--l-gamma2", "inf", "--twist", "0.25"],
+])
+def test_collar_overflow_raises_not_warns(argv):
+    # eta is still positive at l_alpha = 1421, but cosh(l/2) overflows (and
+    # the glued gap reads 0): a numeric failure, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["collar"] + argv) == cli.EXIT_NUMERIC
+
+
 def test_half_collar_gap_matches_high_precision_arcsin():
     l = 62.0
     spec = cm.HalfCollarSpec(l, math.inf)
@@ -179,3 +193,39 @@ def test_offsets_sum_to_the_graph_gap(l, d1, d2, t, x):
                  cm.glued_collar_graphs(spec), cm.glued_collar_envelope(spec)):
         assert pair.F(x) >= 0.0 and pair.G(x) >= 0.0
         assert pair.gap(x) == pytest.approx(pair.f(x) - pair.g(x), rel=1e-12)
+
+
+def _collar_pairs(l, t):
+    spec = cm.GluedCollarSpec(l, math.inf, hg.collar_width(0.5 * l) + 0.5, t)
+    return {
+        "half": cm.nonstandard_half_collar_graphs(spec.side1),
+        "half-envelope": cm.half_collar_envelope(spec.side1),
+        "glued": cm.glued_collar_graphs(spec),
+        "glued-envelope": cm.glued_collar_envelope(spec),
+    }
+
+
+@pytest.mark.parametrize("l", [1.0, 8.0, 62.0, 80.0])
+@pytest.mark.parametrize("t", [0.0, 0.25, -0.25, 0.5])
+def test_pair_callables_on_arrays_match_their_points(l, t):
+    # one array call gives, bit for bit, what the callable gives at each point
+    xs = np.concatenate((np.linspace(-0.5, 0.5, 1001), [-1.3, 0.75, 2.0 + t]))
+    for name, pair in _collar_pairs(l, t).items():
+        for fn in (pair.f, pair.g, pair.F, pair.G):
+            values = fn(xs)
+            assert values.shape == xs.shape, name
+            points = np.array([fn(float(x)) for x in xs])
+            assert np.array_equal(values, points), name
+
+
+@pytest.mark.parametrize("l", [4.0, 8.0, 30.0])
+@pytest.mark.parametrize("t", [-0.375, -0.25, 0.125, 0.25, 0.5])
+def test_glued_offsets_peak_at_declared_breakpoints(l, t):
+    # each offset is monotone between the split points, so its maximum over
+    # a fine grid is attained at a declared breakpoint or at a window end
+    xs = np.linspace(-0.5, 0.5, 100001)
+    pairs = _collar_pairs(l, t)
+    for pair in (pairs["glued"], pairs["glued-envelope"]):
+        ends = np.array(gm._split_points(pair))
+        for offset in (pair.F, pair.G):
+            assert offset(xs).max() <= offset(ends).max() * (1.0 + 1e-12), pair.label

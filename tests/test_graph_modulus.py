@@ -5,22 +5,122 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hypcollar import collar_modulus as cm
 from hypcollar import graph_modulus as gm
 
 
 def test_adaptive_simpson_known_integrals():
-    v = gm.adaptive_simpson(math.exp, 0.0, 1.0, rel_tol=1e-12)
+    v = gm.adaptive_simpson(np.exp, 0.0, 1.0, rel_tol=1e-12)
     assert abs(v - (math.e - 1.0)) < 1e-12
-    v = gm.adaptive_simpson(lambda x: math.sqrt(abs(x)), -1.0, 1.0, rel_tol=1e-10)
+    v = gm.adaptive_simpson(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, rel_tol=1e-10)
     assert abs(v - 4.0 / 3.0) < 1e-9
 
 
 def test_adaptive_simpson_depth_exhaustion():
     with pytest.raises(gm.QuadratureError) as exc:
-        gm.adaptive_simpson(lambda x: math.sin(50.0 * x), 0.0, 10.0,
+        gm.adaptive_simpson(lambda x: np.sin(50.0 * x), 0.0, 10.0,
                             rel_tol=1e-13, max_depth=2)
     a, b = exc.value.interval
     assert 0.0 <= a < b <= 10.0
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0, 0.0), (-3.0, 0.5, -1.0, 2.0),
+                                    (0.25, 7.0, 0.0, -0.125)])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.3, 2.1), (-2.0, 3.0)])
+def test_adaptive_simpson_is_exact_on_cubics(coeffs, a, b):
+    c0, c1, c2, c3 = coeffs
+    cubic = lambda x: c0 + x * (c1 + x * (c2 + x * c3))
+    prim = lambda x: x * (c0 + x * (c1 / 2 + x * (c2 / 3 + x * c3 / 4)))
+    v = gm.adaptive_simpson(cubic, a, b, rel_tol=1e-14, max_depth=0)
+    assert v == pytest.approx(prim(b) - prim(a), rel=1e-14, abs=1e-14)
+
+
+def _recursive_simpson(f, a, b, rel_tol=1e-8, max_depth=40):
+    """Reference: the depth-first recursive form of the adaptive rule, one
+    scalar call of f per new point."""
+    def simpson(a, fa, b, fb):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def walk(a, fa, b, fb, m, fm, whole, tol, floor, depth):
+        lm, flm, left = simpson(a, fa, m, fm)
+        rm, frm, right = simpson(m, fm, b, fb)
+        err = (left + right - whole) / 15.0
+        if abs(err) <= max(tol, floor):
+            return left + right + err
+        assert depth < max_depth
+        return (walk(a, fa, m, fm, lm, flm, left, 0.5 * tol, floor, depth + 1)
+                + walk(m, fm, b, fb, rm, frm, right, 0.5 * tol, floor, depth + 1))
+
+    fa, fb = f(a), f(b)
+    m, fm, whole = simpson(a, fa, b, fb)
+    scale = abs(whole) + 1e-300
+    return walk(a, fa, b, fb, m, fm, whole, rel_tol * scale, 5e-16 * scale, 0)
+
+
+@pytest.mark.parametrize("name", ["exp", "sqrt-abs", "sin50", "half-collar", "glued-envelope"])
+def test_level_walk_matches_the_recursive_form(name):
+    # the same points, tolerances and sums: equal bit for bit
+    half = cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(8.0, math.inf))
+    env = cm.glued_collar_envelope(cm.GluedCollarSpec(6.0, math.inf, 2.0, 0.25))
+    f, a, b = {
+        "exp": (np.exp, 0.0, 1.0),
+        "sqrt-abs": (lambda x: np.sqrt(np.abs(x)), -1.0, 0.7),
+        "sin50": (lambda x: np.sin(50.0 * x), 0.0, 10.0),
+        # 27 levels deep into the square-root end at x = 1/2
+        "half-collar": (lambda x: 1.0 / half.gap(x), 0.0, 0.5),
+        "glued-envelope": (env.gap, -0.5, 0.25),
+    }[name]
+    assert gm.adaptive_simpson(f, a, b) == _recursive_simpson(lambda x: float(f(x)), a, b)
+
+
+def _simpson(f, a, b):
+    m = 0.5 * (a + b)
+    return (b - a) / 6.0 * (f(a) + 4.0 * f(m) + f(b))
+
+
+def _failing_at_cap(f, a, b, rel_tol, max_depth):
+    """Brute force: every interval of the bisection tree at depth max_depth
+    whose error test fails, left to right, level by level from the root."""
+    scale = abs(_simpson(f, a, b)) + 1e-300
+    level = [(a, b)]
+    for depth in range(max_depth + 1):
+        fails = []
+        for lo, hi in level:
+            m = 0.5 * (lo + hi)
+            err = (_simpson(f, lo, m) + _simpson(f, m, hi) - _simpson(f, lo, hi)) / 15.0
+            if not abs(err) <= max(rel_tol * scale * 0.5 ** depth, 5e-16 * scale):
+                fails.append((lo, hi))
+        level = [half for lo, hi in fails
+                 for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+    return fails
+
+
+@pytest.mark.parametrize("a, b, rel_tol, max_depth", [
+    (0.0, 10.0, 1e-13, 2), (0.0, 10.0, 1e-13, 5),
+    # the left half is accepted early: the first failure is not at a
+    (0.0, 1.0, 1e-8, 3), (0.0, 1.0, 1e-8, 6), (-1.0, 2.0, 1e-6, 4),
+])
+def test_depth_exhaustion_reports_the_leftmost_failure(a, b, rel_tol, max_depth):
+    f = lambda x: np.sin(50.0 * x)
+    fails = _failing_at_cap(f, a, b, rel_tol, max_depth)
+    assert fails
+    with pytest.raises(gm.QuadratureError) as exc:
+        gm.adaptive_simpson(f, a, b, rel_tol=rel_tol, max_depth=max_depth)
+    assert exc.value.interval == fails[0]
+
+
+def test_adaptive_simpson_oscillatory_and_nan_integrands():
+    # 80 periods of sin(50x) converge inside the width cap (at most 26,058
+    # intervals open on one level)
+    v = gm.adaptive_simpson(lambda x: np.sin(50.0 * x), 0.0, 10.0, rel_tol=1e-12)
+    assert v == pytest.approx((1.0 - math.cos(500.0)) / 50.0, rel=1e-13)
+    # a NaN splits every interval: the walk stops at the width cap, not at
+    # 2^40 intervals
+    with pytest.raises(gm.QuadratureError) as exc:
+        gm.adaptive_simpson(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+    assert exc.value.interval == (0.0, 1.0 / gm._MAX_OPEN)
 
 
 def test_vertical_modulus_sinusoid_closed_form():

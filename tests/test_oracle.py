@@ -212,7 +212,7 @@ def _flat_strip(gap, dip_at=None, dip=None, h=1.0 / 16):
     return eo.GridDomain(
         h=h,
         bbox=(0.0, -2 * h, 1.0, gap + 2 * h),
-        f_of_x=lambda x: dip if x == dip_at else gap,
+        f_of_x=lambda x: np.where(x == dip_at, dip, gap),
         g_of_x=lambda x: 0.0,
         periodic_x=1.0,
     )

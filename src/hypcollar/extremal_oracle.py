@@ -10,11 +10,17 @@ Every estimate solves at two meshes (h and h/2) and combines the values by
 Richardson extrapolation assuming first-order convergence.  The two meshes
 share one lattice (the one at h is the h/2 lattice at even indices) and one
 multigrid hierarchy of transfers, which are bilinear interpolations
-renormalised over the nodes that are not outside; the h/2 solve starts from
-the h solution interpolated by the first of them, with electrode b at 1.
+renormalised over the nodes that are not outside, each filled as CSR straight
+from the node classes of its lattice; the h/2 solve starts from the h
+solution interpolated by the first of them, with electrode b at 1.  The
+coarsest Galerkin operator is factored by sparse LU after a 1e-12 relative
+diagonal shift, added in place.  Each estimate reports, per mesh, the
+unknowns, the PCG iterations, the final relative residual and the seconds of
+the solve.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -85,6 +91,11 @@ class ModulusEstimate:
     extrapolated: bool
     unknowns: tuple  # interior nodes at each mesh
     iterations: tuple  # PCG iterations at each mesh
+    # at each mesh, |A u - b| / |b| of the returned potential, and the
+    # seconds of its solve (assembly, multigrid set-up, CG and energy; the
+    # shared lattice and transfers are in neither)
+    residuals: tuple = ()
+    seconds: tuple = ()
 
 
 # node classes
@@ -220,34 +231,23 @@ def _assemble(cls, wrap):
     return mat, rhs
 
 
-def _line(n, wrap):
-    """Linear interpolation onto n points of a line from its even-indexed
-    points; along a periodic line of even length the last point lies
-    between the last even point and the first."""
-    from scipy import sparse
-
-    m = (n + 1) // 2
-    odd = np.arange(1, n, 2)
-    right = odd // 2 + 1
-    keep = wrap | (right < m)
-    rows = np.concatenate((np.arange(0, n, 2), odd, odd[keep]))
-    cols = np.concatenate((np.arange(m), odd // 2, right[keep] % m))
-    vals = np.repeat([1.0, 0.5, 0.5], [m, len(odd), np.count_nonzero(keep)])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, m))
-
-
 def _prolongation(lat, wrap):
     """Bilinear interpolation onto a lattice from its even-indexed nodes.
 
     lat holds node classes; the coarse lattice is lat[::2, ::2] and its
-    interior nodes are the coarse unknowns.  The weights are those of the
-    tensor product of linear interpolations along x (wrapping along a
-    periodic x) and y, on the interior fine nodes, each row renormalised
-    over the coarse nodes that are not outside: an electrode counts with
-    its value and an outside node not at all, so constants are kept along
-    insulating boundaries.  Every coarse unknown is injected at its own fine
-    node, so the interpolation has full column rank and the Galerkin
-    operator P^T A P is positive definite with A.
+    interior nodes are the coarse unknowns.  Fine node (i, j) lies between
+    its coarse parents: i // 2, and at odd i also i // 2 + 1 (wrapping along
+    a periodic x), times the same along y.  Bilinear interpolation weights
+    its up to four parents alike (1, 1/2 or 1/4), and each interior fine row
+    is renormalised over the parents that are not outside: an electrode
+    counts with its value and an outside node not at all, so constants are
+    kept along insulating boundaries.  Each of the k parents not outside
+    thus weighs 1/k.  Every coarse unknown is injected at its own fine node,
+    so the interpolation has full column rank and the Galerkin operator
+    P^T A P is positive definite with A.
+
+    The CSR arrays are filled straight from the lattice, one slot per
+    parent in increasing column order, with int32 indices.
 
     Returns the sparse interpolation of the coarse unknowns, each fine row's
     weight on coarse electrode-b nodes (so that interp @ u + lift lifts a
@@ -256,15 +256,39 @@ def _prolongation(lat, wrap):
     from scipy import sparse
 
     coarse = lat[::2, ::2]
-    kc = coarse.ravel()
-    weights = sparse.kron(_line(lat.shape[0], wrap),
-                          _line(lat.shape[1], False), format="csr")
-    weights = weights[np.flatnonzero(lat == _IN)]
-    total = weights @ (kc != _OUT).astype(float)
-    scale = np.divide(1.0, total, out=np.zeros_like(total), where=total > 0)
-    interp = weights[:, np.flatnonzero(kc == _IN)]
-    interp.data *= np.repeat(scale, np.diff(interp.indptr))
-    lift = scale * (weights @ (kc == _B).astype(float))
+    inner = coarse == _IN
+    n_coarse = np.count_nonzero(inner)
+    # a coarse node's column if interior, else -1 outside, -2 on electrode
+    # a and -3 on b, with a last row and column of -1 for "no parent"
+    code = np.full((coarse.shape[0] + 1, coarse.shape[1] + 1), -1,
+                   dtype=np.int32)
+    code[:-1, :-1] = -1 - (coarse != _OUT) - (coarse == _B)
+    code[:-1, :-1][inner] = np.arange(n_coarse, dtype=np.int32)
+    # along each axis, the first and second parents of each fine index
+    axes = []
+    for n, m, periodic in zip(lat.shape, coarse.shape, (wrap, False)):
+        first = np.arange(n) // 2
+        after = (first + 1) % m if periodic else first + 1
+        axes.append((first, np.where(np.arange(n) % 2, after, m)))
+    # the codes of the four parents of each interior fine node, in the order
+    # of their coarse columns (off the periodic seam)
+    nodes = np.flatnonzero(lat == _IN)
+    parents = [code.take(px, axis=0).take(py, axis=1).ravel()[nodes]
+               for px in axes[0] for py in axes[1]]
+    kept = sum(p != -1 for p in parents)
+    share = np.divide(1.0, kept, out=np.zeros(len(nodes)), where=kept > 0)
+    lift = share * sum(p == -3 for p in parents)
+
+    cols = np.stack(parents, axis=1)
+    row_len = sum(p >= 0 for p in parents)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    interp = sparse.csr_matrix(
+        (np.repeat(share, row_len), cols[cols >= 0], indptr),
+        shape=(len(nodes), n_coarse))
+    # sorts the seam rows; merges the two parents along a periodic x of one
+    # coarse node
+    interp.sum_duplicates()
     return interp, lift, coarse
 
 
@@ -289,17 +313,46 @@ def _transfers(lat, wrap):
     return chain
 
 
+def _coarsest(a):
+    """Sparse LU solve of the coarsest operator a + 1e-12 max(diag a) I.
+
+    The shift keeps the factorisation defined when some interior nodes are
+    linked to neither electrode: the lattice matrix is then singular, but
+    the system stays consistent and their potential carries no energy.  It
+    is added in place to the stored diagonal of a CSC copy of a; a row that
+    stores none (a Galerkin product drops the zero of an isolated node) gets
+    one first.  The ordering is symmetric minimum degree on A + A^T.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    a = a.tocsc()
+    n = a.shape[0]
+    col = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
+    diag = a.indices == col
+    if np.count_nonzero(diag) < n:
+        # store an explicit zero on each missing diagonal, then shift
+        missing = np.setdiff1d(np.arange(n), col[diag], assume_unique=True)
+        return _coarsest(sparse.csc_matrix(
+            (np.concatenate((a.data, np.zeros(len(missing)))),
+             (np.concatenate((a.indices, missing)),
+              np.concatenate((col, missing)))),
+            shape=a.shape))
+    a.data[diag] += 1e-12 * a.data[diag].max()
+    return splu(a, permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True}).solve
+
+
 def _multigrid(mat, transfers):
     """Geometric multigrid V-cycle for the lattice matrix, as a linear
     operator to precondition CG with.
 
     The levels are those of `transfers` (from _transfers), with Galerkin
-    operators R A P; the coarsest level is solved by sparse LU.  Each level
+    operators R A P; the coarsest level is solved by _coarsest.  Each level
     smooths with _SWEEPS damped-Jacobi sweeps before and after its coarse
     correction, so the cycle is symmetric positive definite.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import LinearOperator, splu
+    from scipy.sparse.linalg import LinearOperator
 
     levels = []
     a = mat
@@ -308,11 +361,7 @@ def _multigrid(mat, transfers):
         damp = np.divide(_OMEGA, d, out=np.zeros_like(d), where=d > 0)
         levels.append((a, damp, interp, restrict))
         a = (restrict @ (a @ interp)).tocsr()
-    # The shift keeps the factorisation defined when some interior nodes are
-    # linked to neither electrode: the lattice matrix is then singular, but
-    # the system stays consistent and their potential carries no energy.
-    shift = 1e-12 * a.diagonal().max()
-    coarsest = splu((a + shift * sparse.identity(a.shape[0])).tocsc()).solve
+    coarsest = _coarsest(a)
 
     def vcycle(r):
         down = []
@@ -343,8 +392,9 @@ def cg(A, b, **kwargs):
 
 
 def _solve(cls, wrap, transfers, h, x0=None):
-    """Discrete energy of the lattice cls at mesh h, its interior potential
-    and the number of PCG iterations taken, starting from x0."""
+    """Discrete energy of the lattice cls at mesh h, its interior potential,
+    the number of PCG iterations taken, starting from x0, and the relative
+    residual |A u - b| / |b| of the potential."""
     if not np.any(cls == _IN):
         raise OracleError("no interior nodes at h = %.3g" % h)
     mat, rhs = _assemble(cls, wrap)
@@ -363,17 +413,20 @@ def _solve(cls, wrap, transfers, h, x0=None):
     # electrode a and 1 on b, is u.(A u - 2 rhs) + sum(rhs) for any u.  In
     # this arrangement nothing cancels: rhs.(1 - u) is the flux into b, and
     # u.(A u - rhs) is the residual's small share.
-    energy = float(u @ (mat @ u - rhs) + rhs @ (1.0 - u))
+    residual = mat @ u - rhs
+    energy = float(u @ residual + rhs @ (1.0 - u))
     if energy <= 0.0:
         raise OracleError("zero energy: electrodes are not connected")
-    return energy, u, iterations
+    return (energy, u, iterations,
+            float(np.linalg.norm(residual) / np.linalg.norm(rhs)))
 
 
 def _solve_at(dom, h):
-    """_solve on the domain's own lattice and hierarchy at mesh h."""
+    """_solve on the domain's own lattice and hierarchy at mesh h: the
+    energy, the potential and the PCG iterations."""
     cls = _lattice(dom, h)
     wrap = dom.periodic_x is not None
-    return _solve(cls, wrap, _transfers(cls, wrap), h)
+    return _solve(cls, wrap, _transfers(cls, wrap), h)[:3]
 
 
 def discrete_modulus(domain):
@@ -395,13 +448,17 @@ def discrete_modulus(domain):
     fine, gaps = _classes(domain, 0.5 * h)
     _check(domain, h, None if gaps is None else gaps[::2])
     transfers = _transfers(fine, wrap)
-    v1, u1, it1 = _solve(fine[::2, ::2], wrap, transfers[1:], h)
+    t0 = time.perf_counter()
+    v1, u1, it1, res1 = _solve(fine[::2, ::2], wrap, transfers[1:], h)
+    t1 = time.perf_counter()
     _check(domain, 0.5 * h, gaps)
     x0 = None
     if transfers:
         interp, _, lift = transfers[0]
         x0 = interp @ u1 + lift
-    v2, u2, it2 = _solve(fine, wrap, transfers, 0.5 * h, x0)
+    t2 = time.perf_counter()
+    v2, u2, it2, res2 = _solve(fine, wrap, transfers, 0.5 * h, x0)
+    t3 = time.perf_counter()
     return ModulusEstimate(
         value=2.0 * v2 - v1,
         meshes=(h, 0.5 * h),
@@ -410,6 +467,8 @@ def discrete_modulus(domain):
         extrapolated=True,
         unknowns=(len(u1), len(u2)),
         iterations=(it1, it2),
+        residuals=(res1, res2),
+        seconds=(t1 - t0, t3 - t2),
     )
 
 

@@ -94,8 +94,10 @@ class ModulusBounds:
 
     @property
     def geometric_mean(self):
-        """Point summary of the interval (geometric mean of the endpoints)."""
-        return math.sqrt(self.lower * self.upper)
+        """Point summary of the interval (geometric mean of the endpoints);
+        the square roots are taken apart, since the product underflows for
+        l_alpha above about 705."""
+        return math.sqrt(self.lower) * math.sqrt(self.upper)
 
 
 def constant_pair(gap, period=1.0, label="constant-gap"):

@@ -56,6 +56,20 @@ def test_bounds_ordering_and_positivity():
         assert 0.0 < b.lower <= b.upper
 
 
+@pytest.mark.parametrize("l_alpha", [745.0, 1000.0])
+def test_geometric_mean_stays_inside_tiny_bounds(l_alpha, capsys):
+    # lower * upper is below the smallest subnormal here; the mean is not
+    b = cm.nonstandard_half_collar_lambda(cm.HalfCollarSpec(l_alpha, math.inf))
+    assert b.lower * b.upper == 0.0
+    assert 0 < b.lower <= b.geometric_mean <= b.upper
+    assert cli.main(["collar", "--l-alpha", repr(l_alpha),
+                     "--l-gamma", "inf"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambda_geometric_mean"] == b.geometric_mean
+    assert (0 < out["lambda_lower"] <= out["lambda_geometric_mean"]
+            <= out["lambda_upper"])
+
+
 def test_glued_zero_twist_doubles_gap():
     # with zero twist the glued channel is two mirror half-collars stacked:
     # the gap doubles pointwise, so the vertical modulus halves

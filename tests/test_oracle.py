@@ -350,3 +350,138 @@ def test_periodic_predicates_need_a_dividing_mesh():
     )
     with pytest.raises(eo.ResolutionError, match="divide the period"):
         eo.discrete_modulus(dom)
+
+
+def _kron_prolongation(lat, wrap):
+    """The interpolation's definition: the tensor product of 1-D linear
+    interpolations from the even-indexed points along x (wrapping along a
+    periodic x) and y, restricted to the interior fine rows and the interior
+    coarse columns, each row renormalised over the coarse nodes that are not
+    outside; and the lift, each row's renormalised weight on electrode b."""
+    from scipy import sparse
+
+    def line(n, periodic):
+        m = (n + 1) // 2
+        odd = np.arange(1, n, 2)
+        right = odd // 2 + 1
+        keep = periodic | (right < m)
+        rows = np.concatenate((np.arange(0, n, 2), odd, odd[keep]))
+        cols = np.concatenate((np.arange(m), odd // 2, right[keep] % m))
+        vals = np.repeat([1.0, 0.5, 0.5],
+                         [m, len(odd), np.count_nonzero(keep)])
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, m))
+
+    kc = lat[::2, ::2].ravel()
+    weights = sparse.kron(line(lat.shape[0], wrap), line(lat.shape[1], False),
+                          format="csr")
+    weights = weights[np.flatnonzero(lat == eo._IN)]
+    total = weights @ (kc != eo._OUT).astype(float)
+    scale = np.divide(1.0, total, out=np.zeros_like(total), where=total > 0)
+    interp = weights[:, np.flatnonzero(kc == eo._IN)]
+    interp.data *= np.repeat(scale, np.diff(interp.indptr))
+    lift = scale * (weights @ (kc == eo._B).astype(float))
+    return interp, lift
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_prolongation_equals_the_kronecker_product(wrap):
+    rng = np.random.default_rng(5)
+    # odd and even sides from 1 to 14 nodes, so 1-wide lattices and, on a
+    # periodic x of 2 nodes, a coarse line of one node
+    shapes = [(int(nx), int(ny)) for nx in range(1, 15) for ny in (1, 2, 7, 8)]
+    shapes += [tuple(int(k) for k in rng.integers(1, 15, size=2))
+               for _ in range(100)]
+    for shape in shapes:
+        p = rng.dirichlet(np.ones(4))
+        cls = rng.choice(4, size=shape, p=p).astype(np.int8)
+        interp, lift, coarse = eo._prolongation(cls, wrap)
+        want, want_lift = _kron_prolongation(cls, wrap)
+        assert interp.shape == want.shape
+        assert interp.has_canonical_format
+        assert np.array_equal(interp.toarray(), want.toarray())
+        assert np.array_equal(lift, want_lift)
+        assert np.array_equal(coarse, cls[::2, ::2])
+    # a coarse level with no unknowns: every interior node on odd rows
+    cls = np.full((9, 7), eo._B, dtype=np.int8)
+    cls[1::2] = eo._IN
+    interp, lift, _ = eo._prolongation(cls, wrap)
+    assert interp.shape == (28, 0)
+    assert np.array_equal(lift, _kron_prolongation(cls, wrap)[1])
+
+
+def _coarsest_operator(dom, h):
+    """The lattice matrix at mesh h after the Galerkin products of its
+    hierarchy, as the multigrid preconditioner forms them."""
+    wrap = dom.periodic_x is not None
+    cls = eo._lattice(dom, h)
+    a, _ = eo._assemble(cls, wrap)
+    transfers = eo._transfers(cls, wrap)
+    for interp, restrict, _ in transfers:
+        a = (restrict @ (a @ interp)).tocsr()
+    return a, len(transfers)
+
+
+@pytest.mark.parametrize(
+    "dom, h, levels",
+    [
+        # one interior node at (3, 0.5), apart from the rest: its Galerkin
+        # row stores no diagonal
+        (eo.GridDomain(
+            h=1.0 / 16,
+            bbox=(0.0, 0.0, 4.0, 1.0),
+            inside=lambda x, y: (((x <= 2) & (y > 0) & (y < 1))
+                                 | (np.hypot(x - 3.0, y - 0.5) < 0.01)),
+            electrode_a=lambda x, y: (y <= 0) & (x <= 2),
+            electrode_b=lambda x, y: (y >= 1) & (x <= 2),
+        ), 1.0 / 32, 2),
+        # links across the periodic seam, 45 cells per period at h
+        (eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45), 1.0 / 90, 2),
+        # 255 unknowns: the lattice is its own coarsest level
+        (eo.rectangle_domain(1.0, 1.0, h=1.0 / 16), 1.0 / 16, 0),
+    ],
+    ids=["isolated-node", "periodic-seam", "one-level"],
+)
+def test_coarsest_solve_matches_the_shifted_system(dom, h, levels):
+    from scipy import sparse
+
+    a, depth = _coarsest_operator(dom, h)
+    assert depth == levels
+    n = a.shape[0]
+    diag = a.diagonal()
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    if dom.periodic_x:
+        # the seam links the first and last columns of x
+        assert np.max(np.abs(a.indices - rows)) > n // 2
+    elif levels:
+        assert np.count_nonzero(diag == 0) == 1
+        assert np.count_nonzero(a.indices == rows) == n - 1
+    shifted = (a + 1e-12 * diag.max() * sparse.identity(n)).tocsc()
+    b = np.random.default_rng(3).standard_normal(n)
+    want = spsolve(shifted, b)
+    got = eo._coarsest(a)(b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the operator itself is left as it was
+    assert np.array_equal(a.diagonal(), diag)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        eo.annulus_domain(1.0, math.e, h=1.0 / 32),
+        eo.comb_domain(0.2),
+        eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+    ],
+    ids=["annulus", "comb", "odd-periodic-strip"],
+)
+def test_estimate_reports_residuals_and_seconds(dom):
+    est = eo.discrete_modulus(dom)
+    assert len(est.residuals) == len(est.seconds) == 2
+    for residual in est.residuals:
+        assert 0 < residual <= 2 * eo.CG_TOL
+    for seconds in est.seconds:
+        assert seconds > 0
+    # the diagnostics default to empty for estimates built without them
+    bare = eo.ModulusEstimate(value=1.0, meshes=(1.0,), raw_values=(1.0,),
+                              error_bar=0.0, extrapolated=False,
+                              unknowns=(1,), iterations=(0,))
+    assert bare.residuals == bare.seconds == ()

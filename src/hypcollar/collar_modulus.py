@@ -21,6 +21,8 @@ from .hypgeom import (
 from .graph_modulus import (
     ModulusBounds,
     PeriodicFunctionPair,
+    rectangle_deviation,
+    rectangle_sandwich,
     sandwich_bounds,
     vertical_modulus,
 )
@@ -106,7 +108,9 @@ def nonstandard_half_collar_graphs(spec):
     f is the horizontal line pi/(2 l); g dips below it following the lift of
     the equidistant arc, g(x) = arccos(cosh(l x) / cosh(r(eta))) / l on one
     period [-1/2, 1/2].  About the midline pi/(2l) the offsets are F = 0 and
-    G = arcsin(min(cosh(l x) / cosh(r(eta)), 1)) / l.
+    G = arcsin(min(cosh(l x) / cosh(r(eta)), 1)) / l.  With l_gamma = inf,
+    cosh(r(eta)) = cosh(l/2), so G reaches pi/(2l) at x = +-1/2 with a
+    square-root end.
     """
     l = spec.l_alpha
     cr = math.cosh(spec.r_eta)
@@ -120,6 +124,7 @@ def nonstandard_half_collar_graphs(spec):
         label="half-collar(l=%g, l_gamma=%g)" % (l, spec.l_gamma),
         F=lambda x: np.zeros_like(x, dtype=float),
         G=lambda x: _lift(np.arcsin, l, cr, x) / l,
+        sqrt_ends=(0.5,) if math.isinf(spec.l_gamma) else (),
     )
 
 
@@ -177,7 +182,9 @@ def glued_collar_graphs(spec):
     lower graph is the equidistant lift of the second side translated by t.
     About the midline pi/(2l) the offsets are the arcsin forms of the two
     sides, arcsin(min(u_i, 1)) / l.  The second side's offset peaks, with a
-    kink, at x = t +- 1/2, which is a breakpoint with 0 and t.
+    kink, at x = t +- 1/2, which is a breakpoint with 0 and t.  A side whose
+    l_gamma is inf has a square-root end where its offset peaks: x = +-1/2
+    for the first side, x = t + 1/2 for the second.
     """
     l = spec.l_alpha
     cr1 = math.cosh(spec.side1.r_eta)
@@ -192,6 +199,8 @@ def glued_collar_graphs(spec):
         label="glued-collar(l=%g, t=%g)" % (l, t),
         F=lambda x: _lift(np.arcsin, l, cr1, x) / l,
         G=lambda x: _lift(np.arcsin, l, cr2, x - t) / l,
+        sqrt_ends=((0.5,) if math.isinf(spec.l_gamma) else ())
+        + ((t + 0.5,) if math.isinf(spec.l_gamma2) else ()),
     )
 
 
@@ -227,6 +236,49 @@ def glued_collar_envelope(spec):
     )
 
 
+def glued_envelope_vertical_modulus(spec):
+    """Closed form of the vertical modulus of glued_collar_envelope(spec),
+    the integral over one period of 2l dx / (e^{E_1} + e^{E_2}), where
+    E_i = l |x - t_i| - r_i (t_1 = 0, t_2 = t, distances on the period).
+
+    Between the split points 0, t and t +- 1/2 each E_i is linear with slope
+    +-l.  Where the two slope alike, the denominator is one exponential, and
+    the piece [a, b] gives 2 (1 - e^{-l (b - a)}) over the denominator at
+    its lower end.  Where they slope opposite ways, the denominator is
+    2 e^S cosh(y), with S = (E_1 + E_2)/2 constant and y = (E_1 - E_2)/2,
+    and the piece gives e^{-S} |gd(y_b) - gd(y_a)|, where gd is the
+    Gudermannian 2 arctan(tanh(y/2)).  The difference is taken as
+    2 arctan(sinh(|y_b - y_a|/2) / cosh((y_a + y_b)/2)), which does not
+    cancel when both y are large.  Overflow raises OverflowError.
+    """
+    l, t = spec.l_alpha, spec.twist
+    r1, r2 = spec.side1.r_eta, spec.side2.r_eta
+    wrap = lambda x: x - math.floor(x + 0.5)
+    exponents = lambda x: (l * abs(wrap(x)) - r1, l * abs(wrap(x - t)) - r2)
+    pts = sorted({-0.5, 0.0, 0.5} | {p for p in (t, t - 0.5, t + 0.5) if -0.5 < p < 0.5})
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        m = 0.5 * (a + b)
+        (ea1, ea2), (eb1, eb2) = exponents(a), exponents(b)
+        if (wrap(m) > 0.0) == (wrap(m - t) > 0.0):
+            low1, low2 = (ea1, ea2) if wrap(m) > 0.0 else (eb1, eb2)
+            total += -2.0 * math.expm1(-l * (b - a)) / (math.exp(low1) + math.exp(low2))
+        else:
+            ya, yb = 0.5 * (ea1 - ea2), 0.5 * (eb1 - eb2)
+            s = 0.25 * (ea1 + ea2 + eb1 + eb2)
+            total += 2.0 * math.exp(-s) * math.atan(
+                math.sinh(0.5 * abs(yb - ya)) / math.cosh(0.5 * (ya + yb)))
+    return total
+
+
+def glued_envelope_area(spec):
+    """Closed form of the area between the envelope graphs over one period,
+    sum_i e^{-r_i} (e^{l/2} - 1) / l^2.  Overflow raises OverflowError."""
+    l = spec.l_alpha
+    return ((math.exp(-spec.side1.r_eta) + math.exp(-spec.side2.r_eta))
+            * math.expm1(0.5 * l) / (l * l))
+
+
 def glued_collar_proxy(spec):
     """Analytic proxy for 1/lambda of the glued collar: max_i e^{r_i - |t| l/2}.
 
@@ -254,15 +306,20 @@ def glued_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of a glued collar.
 
     Requires l_alpha >= 2.  The lower bound comes from the rectangle sandwich
-    applied to the envelope pair (whose region is contained in the collar);
-    the upper bound is the reciprocal of the vertical modulus of the full
-    graph pair.  Also returns 1 / glued_collar_proxy(spec).
+    of the envelope pair (whose region is contained in the collar), with its
+    vertical modulus and area in closed form and only the deviation constant
+    computed; the upper bound is the reciprocal of the vertical modulus of
+    the full graph pair.  Also returns 1 / glued_collar_proxy(spec).
     """
     if spec.l_alpha < 2.0:
         raise HypothesisError("glued-collar bounds require l_alpha >= 2")
-    env = glued_collar_envelope(spec)
     delta = 1.0 / spec.l_alpha
-    env_mod = sandwich_bounds(env, delta)
+    # the closed forms first: where e^{l/2} overflows they raise
+    # OverflowError before the deviation grid runs
+    env_v = glued_envelope_vertical_modulus(spec)
+    area = glued_envelope_area(spec)
+    c = rectangle_deviation(glued_collar_envelope(spec), delta)
+    env_mod = rectangle_sandwich(env_v, c, area, delta)
     full_v = vertical_modulus(glued_collar_graphs(spec))
     bounds = ModulusBounds(
         lower=1.0 / env_mod.upper,

@@ -46,6 +46,16 @@ class PeriodicFunctionPair:
     array of values of the same shape (a 0-d input gives a 0-d value), and
     the bounds evaluate it on whole grids.  A constant may return a scalar,
     which the bounds broadcast.
+
+    The integrals are taken piece by piece between the breakpoints, which are
+    shifted into the window by periodicity.  ``sqrt_ends`` lists the points
+    where the gap behaves like a constant plus a multiple of the square root
+    of the distance to the point (an arcsin whose argument reaches 1 there,
+    say); they are shifted and split at like the breakpoints.  On a piece
+    [a, b] with one such end the integrals are taken in s over [0, 1] with
+    x = end -+ (b - a) s^2, and with both ends a and b such with
+    x = a + (b - a)(3 s^2 - 2 s^3); either way the integrand in s is smooth,
+    where in x the quadrature would bisect some 30 levels into the end.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -57,6 +67,7 @@ class PeriodicFunctionPair:
     label: str = ""
     F: Optional[Callable[[np.ndarray], np.ndarray]] = None
     G: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sqrt_ends: tuple = ()
 
     def __post_init__(self):
         if not (self.period > 0 and math.isfinite(self.period)):
@@ -79,7 +90,10 @@ class ModulusBounds:
 
     They come from adaptive quadrature, whose error is estimated locally,
     and from a deviation constant sampled on a grid, which can only
-    overestimate it; so they are not yet certified by construction.
+    overestimate it; so they are not yet certified by construction.  The
+    glued collar's lower bound takes the vertical modulus and the area of
+    its envelope in closed form instead, and samples only the deviation
+    constant.
     """
 
     lower: float
@@ -138,6 +152,7 @@ def scaled_pair(pair, s):
         label=pair.label,
         F=lambda x: s * F(x / s),
         G=lambda x: s * G(x / s),
+        sqrt_ends=tuple(s * e for e in pair.sqrt_ends),
     )
 
 
@@ -151,8 +166,9 @@ def _sample(func, xs):
     return values if values.shape == xs.shape else np.broadcast_to(values, xs.shape)
 
 
-def adaptive_simpson(func, a, b, rel_tol=1e-8, max_depth=40):
-    """Adaptive Simpson quadrature with a relative tolerance.
+def adaptive_simpson(func, a, b, rel_tol=1e-8, max_depth=40, scale=None):
+    """Adaptive Simpson quadrature with a tolerance relative to `scale`, by
+    default |Simpson's estimate on [a, b]|.
 
     The bisection tree is walked one level at a time: the midpoints of the
     two halves of every interval still open at a level go to func in one
@@ -173,7 +189,7 @@ def adaptive_simpson(func, a, b, rel_tol=1e-8, max_depth=40):
     m = 0.5 * (a + b)
     fa, fm, fb = _sample(func, np.array([a, m, b]))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = abs(float(whole)) + 1e-300
+    scale = (abs(float(whole)) if scale is None else scale) + 1e-300
     tol, floor = rel_tol * scale, 5e-16 * scale
     # the intervals open at a level, left to right: ends, midpoint, the
     # values there and Simpson's estimate
@@ -212,7 +228,7 @@ def adaptive_simpson(func, a, b, rel_tol=1e-8, max_depth=40):
 
 def _split_points(pair):
     pts = [pair.x1, pair.x2]
-    for b in pair.breakpoints:
+    for b in pair.breakpoints + pair.sqrt_ends:
         # shift breakpoints into the window by periodicity
         t = pair.x1 + (b - pair.x1) % pair.period
         if pair.x1 < t < pair.x2:
@@ -220,25 +236,53 @@ def _split_points(pair):
     return sorted(set(pts))
 
 
+def _is_sqrt_end(pair, x):
+    return any(abs(math.remainder(x - e, pair.period)) <= 1e-12 * pair.period
+               for e in pair.sqrt_ends)
+
+
+def _integral(pair, func):
+    """Integral of func over one period, piece by piece between the split
+    points; a piece with a square-root end is integrated in s (see
+    PeriodicFunctionPair)."""
+    total = 0.0
+    pts = _split_points(pair)
+    for a, b in zip(pts[:-1], pts[1:]):
+        at_a, at_b = _is_sqrt_end(pair, a), _is_sqrt_end(pair, b)
+        if not (at_a or at_b):
+            total += adaptive_simpson(func, a, b)
+            continue
+        # the tolerance keeps the scale of Simpson's estimate in x: in s the
+        # Jacobian is 0 at a square-root end, and where the integrand is
+        # concentrated at the other end (large l) the estimate in s reads
+        # about 0
+        fa, fm, fb = _sample(func, np.array([a, 0.5 * (a + b), b]))
+        scale = abs(float((b - a) / 6.0 * (fa + 4.0 * fm + fb)))
+        h = b - a
+        if at_a and at_b:
+            def in_s(s):
+                return func(a + h * s * s * (3.0 - 2.0 * s)) * (6.0 * h * s * (1.0 - s))
+        elif at_a:
+            def in_s(s):
+                return func(a + h * s * s) * (2.0 * h * s)
+        else:
+            def in_s(s):
+                return func(b - h * s * s) * (2.0 * h * s)
+        total += adaptive_simpson(in_s, 0.0, 1.0, scale=scale)
+    return total
+
+
 def vertical_modulus(pair):
     """Modulus of the vertical segment family: integral of dx / (F + G)."""
     F, G = pair.offsets()
-    total = 0.0
-    pts = _split_points(pair)
     # a zero gap raises FloatingPointError
-    for a, b in zip(pts[:-1], pts[1:]):
-        total += adaptive_simpson(lambda x: 1.0 / (F(x) + G(x)), a, b)
-    return total
+    return _integral(pair, lambda x: 1.0 / (F(x) + G(x)))
 
 
 def area_between(pair):
     """Area of the region between the graphs over one period."""
     F, G = pair.offsets()
-    total = 0.0
-    pts = _split_points(pair)
-    for a, b in zip(pts[:-1], pts[1:]):
-        total += adaptive_simpson(lambda x: F(x) + G(x), a, b)
-    return total
+    return _integral(pair, lambda x: F(x) + G(x))
 
 
 def _sliding(op, values, width):
@@ -289,22 +333,26 @@ def rectangle_deviation(pair, delta):
     return c
 
 
-def sandwich_bounds(pair, delta):
-    """Two-sided bounds for the modulus of the full connecting family.
+def rectangle_sandwich(vertical, c, area, delta):
+    """Two-sided bounds on the modulus of the full connecting family, from
+    the vertical modulus, the deviation constant c = c_delta and the area A:
 
         mod_vertical <= mod <= (3 / c_delta^2) mod_vertical + A / delta^2
-
-    where A is the area between the graphs over one period.
     """
-    lower = vertical_modulus(pair)
-    c = rectangle_deviation(pair, delta)
-    area = area_between(pair)
-    upper = 3.0 / (c * c) * lower + area / (delta * delta)
     return ModulusBounds(
-        lower=lower,
-        upper=upper,
+        lower=vertical,
+        upper=3.0 / (c * c) * vertical + area / (delta * delta),
         provenance=(
             "vertical-family",
             "rectangle-sandwich(c=%.6g, delta=%.6g, area=%.6g)" % (c, delta, area),
         ),
     )
+
+
+def sandwich_bounds(pair, delta):
+    """The rectangle sandwich of the pair, with A the area between the
+    graphs over one period."""
+    lower = vertical_modulus(pair)
+    c = rectangle_deviation(pair, delta)
+    area = area_between(pair)
+    return rectangle_sandwich(lower, c, area, delta)

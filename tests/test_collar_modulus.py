@@ -1,3 +1,7 @@
+import bisect
+import collections
+import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -243,3 +247,103 @@ def test_glued_offsets_peak_at_declared_breakpoints(l, t):
         ends = np.array(gm._split_points(pair))
         for offset in (pair.F, pair.G):
             assert offset(xs).max() <= offset(ends).max() * (1.0 + 1e-12), pair.label
+
+
+def _envelope_by_mpmath(spec):
+    """V and area of glued_collar_envelope(spec), by 50-digit quadrature of
+    the same envelope between its split points."""
+    t = spec.twist
+    pts = sorted({-0.5, 0.0, 0.5} | {p for p in (t, t - 0.5, t + 0.5) if -0.5 < p < 0.5})
+    with mpmath.workdps(50):
+        l, r1, r2 = (mpmath.mpf(v) for v in (spec.l_alpha, spec.side1.r_eta, spec.side2.r_eta))
+        wrap = lambda x: x - mpmath.floor(x + 0.5)
+        gap = lambda x: (mpmath.exp(l * abs(wrap(x)) - r1)
+                         + mpmath.exp(l * abs(wrap(x - t)) - r2)) / (2 * l)
+        return mpmath.quad(lambda x: 1 / gap(x), pts), mpmath.quad(gap, pts)
+
+
+@pytest.mark.parametrize("l", [2.0, 8.0, 60.0])
+@pytest.mark.parametrize("t", [0.0, 0.125, -0.125, 0.25, 0.5])
+@pytest.mark.parametrize("finite", [False, True])
+def test_glued_envelope_closed_forms_match_mpmath(l, t, finite):
+    floor = hg.collar_width(0.5 * l)
+    gammas = (floor + 3.0, floor + 0.5) if finite else (math.inf, math.inf)
+    spec = cm.GluedCollarSpec(l, gammas[0], gammas[1], t)
+    v, area = _envelope_by_mpmath(spec)
+    assert abs(cm.glued_envelope_vertical_modulus(spec) / v - 1) <= 1e-12
+    assert abs(cm.glued_envelope_area(spec) / area - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("l", [2.0, 8.0, 60.0, 300.0])
+@pytest.mark.parametrize("l_gamma", [math.inf, 1.0])
+def test_untwisted_glued_envelope_is_half_the_half_collar_envelope(l, l_gamma):
+    # at t = 0 with equal sides the envelope gap is twice the half-collar's
+    spec = cm.GluedCollarSpec(l, l_gamma, l_gamma, 0.0)
+    assert cm.glued_envelope_vertical_modulus(spec) == pytest.approx(
+        0.5 * cm.half_collar_envelope_vertical_modulus(spec.side1), rel=1e-14)
+
+
+def test_glued_lower_bound_needs_no_envelope_quadrature(monkeypatch):
+    # the envelope's V and area are closed forms; only the graphs' V is a
+    # quadrature, and only the envelope's c_delta is sampled
+    walked, sampled = [], []
+    simpson, deviation = gm.adaptive_simpson, gm.rectangle_deviation
+    monkeypatch.setattr(gm, "adaptive_simpson",
+                        lambda f, a, b, **kw: walked.append((a, b)) or simpson(f, a, b, **kw))
+    monkeypatch.setattr(gm, "sandwich_bounds", None)
+    monkeypatch.setattr(cm, "sandwich_bounds", None)
+    monkeypatch.setattr(cm, "rectangle_deviation",
+                        lambda pair, delta: sampled.append(pair.label) or deviation(pair, delta))
+    spec = cm.GluedCollarSpec(8.0, math.inf, 2.0, 0.25)
+    cm.glued_collar_lambda(spec)
+    graphs = cm.glued_collar_graphs(spec)
+    assert len(walked) == len(gm._split_points(graphs)) - 1
+    assert sampled == [cm.glued_collar_envelope(spec).label]
+
+
+@functools.lru_cache(maxsize=None)
+def _k2():
+    """K_2 = int_0^1 (1/arcsin v - 1/v) dv/v."""
+    with mpmath.workdps(30):
+        return float(mpmath.quad(lambda v: (1 / mpmath.asin(v) - 1 / v) / v, [0, 1]))
+
+
+@pytest.mark.parametrize("l", [12.0, 20.0, 60.0, 200.0, 745.0, 1000.0, 1400.0])
+def test_half_collar_vertical_modulus_meets_its_two_term_limit(l):
+    # with l_gamma = inf, V = 4 cosh(l/2) arctan(tanh(l/4)) + 2 K_2 + o(1);
+    # the two-term form is 4e-9 off at l = 12
+    v = gm.vertical_modulus(cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(l, math.inf)))
+    want = 4.0 * math.cosh(0.5 * l) * math.atan(math.tanh(0.25 * l)) + 2.0 * _k2()
+    assert v == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("l", [60.0, 200.0, 1000.0])
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5])
+def test_glued_vertical_modulus_meets_its_sech_limit(l, t):
+    # both l_gamma = inf: V ~ (pi/2) cosh(l/2) [sech(lt/2) + sech(l(1 - |t|)/2)]
+    v = gm.vertical_modulus(cm.glued_collar_graphs(cm.GluedCollarSpec(l, math.inf, math.inf, t)))
+    want = 0.5 * math.pi * math.cosh(0.5 * l) * (
+        1.0 / math.cosh(0.5 * l * t) + 1.0 / math.cosh(0.5 * l * (1.0 - abs(t))))
+    assert v == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("t", [None, 0.0, 0.125, -0.375, 0.5])
+def test_square_root_ends_take_few_array_calls(t):
+    # l = 8, l_gamma = inf: in x each walk bisects into the square-root end
+    # and takes 28-32 array calls per piece
+    if t is None:
+        pair = cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(8.0, math.inf))
+    else:
+        pair = cm.glued_collar_graphs(cm.GluedCollarSpec(8.0, math.inf, math.inf, t))
+    pts = gm._split_points(pair)
+    for integral in (gm.vertical_modulus, gm.area_between):
+        calls = collections.Counter()
+
+        def G(x):
+            # each call's points lie in one piece
+            calls[bisect.bisect(pts, 0.5 * (np.min(x) + np.max(x))) - 1] += 1
+            return pair.G(x)
+
+        integral(dataclasses.replace(pair, G=G))
+        assert len(calls) == len(pts) - 1
+        assert max(calls.values()) <= 12, (integral.__name__, calls)

@@ -160,6 +160,22 @@ def test_scaled_pair_invariance():
         )
 
 
+def test_scaled_pair_keeps_its_square_root_ends():
+    # the l_gamma = inf half-collar, scaled: the same substitution at the
+    # scaled ends, so the same value and the same number of array calls
+    half = cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(8.0, math.inf))
+    calls = []
+    counted = dataclasses.replace(half, G=lambda x: calls.append(x) or half.G(x))
+    base = gm.vertical_modulus(counted)
+    n = len(calls)
+    for s in (0.1, 3.0):
+        scaled = gm.scaled_pair(counted, s)
+        assert scaled.sqrt_ends == (0.5 * s,)
+        del calls[:]
+        assert gm.vertical_modulus(scaled) == pytest.approx(base, rel=1e-10)
+        assert len(calls) == n
+
+
 def test_replaced_graphs_reach_the_bounds():
     # offsets left out are read from the pair's current f and g, so a copy
     # with new graphs is bounded by those graphs, not the original ones

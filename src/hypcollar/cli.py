@@ -101,6 +101,11 @@ def _list(value, path):
     return value
 
 
+def _numbers(cfg, key):
+    """The numbers of the list cfg[key]; errors name the index."""
+    return [_number(v, "%s[%d]" % (key, i)) for i, v in enumerate(cfg[key])]
+
+
 def _pair(value, path):
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(
@@ -355,15 +360,12 @@ def cmd_sweep(args):
         for key in ("a", "b"):
             if key not in cfg or not isinstance(cfg[key], list):
                 raise ConfigError("two-parameter sweep needs lists 'a' and 'b'")
-        rows = sweep_two_parameter(
-            [_number(v, "a") for v in cfg["a"]],
-            [_number(v, "b") for v in cfg["b"]],
-        )
+        rows = sweep_two_parameter(_numbers(cfg, "a"), _numbers(cfg, "b"))
         fields = ["a", "b", "kind", "reason", "criterion"]
     elif family == "scaled":
         if "s" not in cfg or not isinstance(cfg["s"], list):
             raise ConfigError("scaled sweep needs a list 's'")
-        rows = sweep_scaled([_number(v, "s") for v in cfg["s"]])
+        rows = sweep_scaled(_numbers(cfg, "s"))
         fields = ["s", "kind", "reason", "criterion"]
     else:
         raise ConfigError("unknown sweep family %r" % (family,))

@@ -6,6 +6,7 @@ arguments); everywhere else lengths must be finite and positive.
 """
 
 import math
+import sys
 
 INF = math.inf
 
@@ -33,6 +34,10 @@ def collar_width(x):
     if x > 700.0:
         # 1/sinh x underflows the direct route; arcsinh(t) = t + O(t^3).
         return 2.0 * math.exp(-x)
+    if x < 1.0 / sys.float_info.max:
+        # 1/sinh x = 1/x overflows, and so would 2/x; arcsinh(t) = ln(2 t)
+        # + O(1/t^2).
+        return math.log(2.0) - math.log(x)
     return math.asinh(1.0 / math.sinh(x))
 
 

@@ -198,14 +198,6 @@ class AlternatingLogAffine:
                                       (n_max - parity) // 2)
         return v
 
-    @property
-    def is_bounded(self):
-        return self.even.is_bounded and self.odd.is_bounded
-
-    @property
-    def has_bounded_branch(self):
-        return self.even.is_bounded or self.odd.is_bounded
-
 
 @dataclass(frozen=True)
 class ExplicitPrefixThenTail:
@@ -227,10 +219,6 @@ class ExplicitPrefixThenTail:
             np.array(self.values[start - 1:n_max], dtype=float),
             self.tail.terms(max(start, len(self.values) + 1), n_max),
         ])
-
-    @property
-    def is_bounded(self):
-        return self.tail.is_bounded
 
 
 @dataclass(frozen=True)
@@ -271,31 +259,42 @@ def _leading_coefficient(spec):
     )
 
 
-def validate_lengths(spec):
-    """Check that a length spec gives positive finite lengths.
+def branches(spec):
+    """The two branches of an alternating spec, or else the spec itself, as
+    a tuple, looking through every finite prefix before it: no prefix
+    changes how a series over the terms behaves."""
+    while isinstance(spec, ExplicitPrefixThenTail):
+        spec = spec.tail
+    if isinstance(spec, AlternatingLogAffine):
+        return (spec.even, spec.odd)
+    return (spec,)
 
-    The first 64 terms are evaluated.  Beyond them the shape decides: a
-    Linear spec needs slope >= 0 and a LogAffine spec a nonnegative leading
-    coefficient, in prefix tails and alternating branches too, so that the
-    terms do not turn negative for large n.
+
+def validate_lengths(spec, field="lengths"):
+    """Check that a length spec gives positive finite lengths; errors name
+    the spec's `field`.
+
+    The first 64 terms are evaluated.  Beyond them the shape decides: each
+    of `branches` must be a Constant, Linear, LogAffine or ScaledPowerDecay,
+    a Linear one needs slope >= 0 and a LogAffine one a nonnegative leading
+    coefficient, so that the terms do not turn negative for large n.
     """
     for n in range(1, 65):
-        v = spec.term(n)
+        try:
+            v = spec.term(n)
+        except SpecError as exc:
+            raise SpecError("%s: %s" % (field, exc)) from None
         if not (v > 0 and math.isfinite(v)):
-            raise SpecError("length term %d is not a positive float: %r" % (n, v))
-    shapes = [spec]
-    while shapes:
-        shape = shapes.pop()
-        if isinstance(shape, ExplicitPrefixThenTail):
-            shapes.append(shape.tail)
-        elif isinstance(shape, AlternatingLogAffine):
-            shapes += [shape.even, shape.odd]
-        elif isinstance(shape, Linear) and shape.slope < 0:
-            raise SpecError("linear lengths with slope %r < 0 turn negative"
-                            % shape.slope)
-        elif isinstance(shape, LogAffine) and _leading_coefficient(shape) < 0:
-            raise SpecError("log-affine lengths with a negative leading "
-                            "coefficient turn negative: %r" % (shape,))
+            raise SpecError("%s term %d is not a positive float: %r" % (field, n, v))
+    for shape in branches(spec):
+        if not isinstance(shape, (Constant, Linear, LogAffine, ScaledPowerDecay)):
+            raise SpecError("%s: unsupported length shape %r" % (field, shape))
+        if isinstance(shape, Linear) and shape.slope < 0:
+            raise SpecError("%s: linear lengths with slope %r < 0 turn negative"
+                            % (field, shape.slope))
+        if isinstance(shape, LogAffine) and _leading_coefficient(shape) < 0:
+            raise SpecError("%s: log-affine lengths with a negative leading "
+                            "coefficient turn negative: %r" % (field, shape))
     return True
 
 
@@ -389,10 +388,10 @@ class BiInfiniteFlute(ExhaustionSpec):
     twists_neg: object = None
 
     def __post_init__(self):
-        validate_lengths(self.lengths_pos)
+        validate_lengths(self.lengths_pos, "lengths")
         if self.lengths_neg is not None:
-            validate_lengths(self.lengths_neg)
-        _validate_twists(self.twists_pos, "twists_pos")
+            validate_lengths(self.lengths_neg, "lengths_neg")
+        _validate_twists(self.twists_pos, "twists")
         if self.twists_neg is not None:
             _validate_twists(self.twists_neg, "twists_neg")
 
@@ -443,7 +442,7 @@ class CantorTree(ExhaustionSpec):
     level_lengths: object
 
     def __post_init__(self):
-        validate_lengths(self.level_lengths)
+        validate_lengths(self.level_lengths, "level_lengths")
 
 
 @dataclass(frozen=True)
@@ -495,7 +494,7 @@ class AbelianCover(ExhaustionSpec):
                 raise SpecError("intersecting-pair needs eps and ell specs")
         elif self.L is None:
             raise SpecError("cover needs an L spec")
-        for spec in (self.L, self.eps, self.ell):
+        for spec, field in ((self.L, "L"), (self.eps, "eps"), (self.ell, "ell")):
             if spec is not None:
-                validate_lengths(spec)
+                validate_lengths(spec, field)
         _validate_twists(self.tau, "tau")

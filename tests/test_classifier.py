@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from hypcollar import classifier as cl
 from hypcollar import cli
@@ -54,6 +54,58 @@ def test_linear_lengths_converge():
     assert beh.exact and beh.verdict == "converges"
 
 
+_positive = st.floats(min_value=0.1, max_value=5.0)
+_leaf = st.one_of(
+    st.builds(sf.Constant, _positive),
+    st.builds(sf.Linear, st.floats(min_value=0.0, max_value=3.0), _positive),
+    st.builds(
+        sf.LogAffine,
+        log_terms=st.lists(st.tuples(st.floats(min_value=0.0, max_value=8.0),
+                                     st.floats(min_value=0.0, max_value=5.0)),
+                           max_size=3).map(tuple),
+        loglog_coef=st.floats(min_value=-1.0, max_value=4.0),
+        loglog_shift=st.floats(min_value=2.0, max_value=5.0),
+        const=_positive,
+    ),
+    st.builds(sf.ScaledPowerDecay, _positive, st.floats(min_value=1.1, max_value=4.0)),
+)
+
+
+@st.composite
+def _length_specs(draw):
+    """A leaf or an alternating pair of leaves, under up to three prefixes."""
+    spec = draw(st.one_of(_leaf, st.builds(sf.AlternatingLogAffine, _leaf, _leaf)))
+    for values in draw(st.lists(st.lists(_positive, min_size=1, max_size=3),
+                                max_size=3)):
+        spec = sf.ExplicitPrefixThenTail(tuple(values), spec)
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_length_specs(), kappa=st.sampled_from([0.0, 0.25, 0.5]),
+       poly=st.sampled_from([0.0, 1.0, 2.0]), length_factor=st.booleans())
+def test_every_validated_length_spec_is_exact(spec, kappa, poly, length_factor):
+    try:
+        sf.validate_lengths(spec)
+    except sf.SpecError:
+        reject()
+    stripped = spec
+    while isinstance(stripped, sf.ExplicitPrefixThenTail):
+        stripped = stripped.tail
+    beh = cl.classify_series(cl.SeriesTerms(spec, kappa, poly, length_factor))
+    assert beh.exact
+    assert beh == cl.classify_series(
+        cl.SeriesTerms(stripped, kappa, poly, length_factor))
+    assert cl.classify_flute(sf.FluteSpec(lengths=spec)).series.exact
+
+
+def test_unknown_length_shape_has_no_exponent_form():
+    prefix = sf.ExplicitPrefixThenTail((1.0,), sf.log_affine(a=1.0, n0=1.0))
+    alt = sf.AlternatingLogAffine(even=sf.log_affine(a=1.0, n0=1.0), odd=prefix)
+    with pytest.raises(sf.SpecError, match="no exponent form"):
+        cl.classify_series(cl.SeriesTerms(alt, kappa=0.5))
+
+
 def test_heuristic_never_exact():
     # irregular twists force the partial-sum fallback
     beh = cl._heuristic(lambda n: 1.0 / (n * (1.0 + 0.1 * math.sin(n))))
@@ -100,11 +152,6 @@ def test_telescoping_closed_form_holds_on_the_matched_shape(a, b, s, c, l1):
     assert np.max(np.abs(odd - (c - const))) < 1e-9
 
 
-def test_sigma_constant_lengths_diverges():
-    beh = cl.classify_sigma_series(sf.Constant(2.0))
-    assert beh.verdict == "diverges" and beh.exact
-
-
 def _alternating_half_twist(a_even, a_odd):
     """Config of a half-twisted flute with l_1 = 1 and branches a ln(k+1)."""
     branch = lambda a: {"kind": "log_affine", "a": a, "n0": 1.0}
@@ -120,7 +167,7 @@ def _alternating_half_twist(a_even, a_odd):
     (7.0, 5.0, 3, "numeric failure: math range error"),
     (5.0, 5.0, 0, '"kind": "Unknown"'),
 ])
-def test_sigma_heuristic_exit_codes(tmp_path, capsys, a_even, a_odd, code, text):
+def test_sigma_overflow_exit_codes(tmp_path, capsys, a_even, a_odd, code, text):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_alternating_half_twist(a_even, a_odd)))
     assert cli.main(["classify", "--config", str(path)]) == code
@@ -141,8 +188,7 @@ def test_sigma_path_raises_no_warning():
             sf.Linear(slope=1.0, intercept=1.0),
             alternating(5.0, 5.0),
         ):
-            beh = cl.classify_sigma_series(lengths)
-            assert beh.method == "partial-sum"
+            assert cl.classify_sigma_series(lengths) is None
         with pytest.raises(OverflowError, match="math range error"):
             cl.classify_sigma_series(alternating(7.0, 5.0))
 
@@ -150,6 +196,21 @@ def test_sigma_path_raises_no_warning():
 # ---------------------------------------------------------------------------
 # flutes
 # ---------------------------------------------------------------------------
+
+
+def test_nested_prefixes_are_looked_through(tmp_path, capsys):
+    # l_n = 3 ln(n + 1) after the prefix converges with kappa = 1/2 (p = 3/2)
+    log3 = {"kind": "log_affine", "a": 3.0, "n0": 1.0}
+    prefix = lambda values, tail: {"kind": "prefix", "values": values, "tail": tail}
+    outs = []
+    for lengths in (prefix([1.0], prefix([2.0], log3)), prefix([1.0, 2.0], log3)):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"type": "flute", "lengths": lengths}))
+        assert cli.main(["classify", "--config", str(path)]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0]["kind"] == outs[1]["kind"] == "NotParabolic"
+    assert outs[0]["series"] == outs[1]["series"]
+    assert outs[0]["series"]["method"] == "bertrand-exact"
 
 
 def test_bounded_lengths_always_parabolic():
@@ -325,6 +386,20 @@ def test_cantor_tree():
     v = cl.classify_exhaustion(sf.CantorTree(level_lengths=sf.ExplicitPrefixThenTail(
         values=(1.0,), tail=sf.ScaledPowerDecay(coef=1.0, base=3.0))))
     assert v.kind == "Parabolic" and v.series.verdict == "diverges"
+
+
+@pytest.mark.parametrize("bases, kind, detail", [
+    # l_{2k} = c k / base^k over 4^k boundary curves: terms ~ (base / 4)^k / k
+    ((3.9, 2.0), "Unknown", "terms decay geometrically"),
+    ((4.0, 2.0), "Parabolic", "p=1 q=0"),
+    ((2.0, 5.0), "Parabolic", "terms grow geometrically"),
+])
+def test_cantor_tree_with_alternating_power_decay(bases, kind, detail):
+    even, odd = (sf.ScaledPowerDecay(coef=1.0, base=b) for b in bases)
+    lengths = sf.ExplicitPrefixThenTail(
+        values=(1.0,), tail=sf.AlternatingLogAffine(even=even, odd=odd))
+    v = cl.classify_exhaustion(sf.CantorTree(level_lengths=lengths))
+    assert (v.kind, v.series.detail) == (kind, detail)
 
 
 def _twisted_verdicts(lengths, twists):

@@ -96,8 +96,9 @@ _TWIST_07 = {"kind": "constant", "value": 0.7}
     ({"type": "loch_ness", "lengths": _LOG2, "twists": _TWIST_07}, "twists"),
     ({"type": "ladder", "lengths": _LOG2, "twists": _TWIST_07}, "twists"),
     ({"type": "bounded_boundary", "lengths": _LOG2, "twists": _TWIST_07}, "twists"),
-    ({"type": "bi_infinite_flute", "lengths": _LOG2, "twists": _TWIST_07},
-     "twists_pos"),
+    # the positive side of a bi-infinite flute reads the config key twists
+    pytest.param({"type": "bi_infinite_flute", "lengths": _LOG2, "twists": _TWIST_07},
+                 "twists", id="config4-twists_pos"),
     ({"type": "bi_infinite_flute", "lengths": _LOG2, "twists_neg": _TWIST_07},
      "twists_neg"),
     ({"type": "cover", "rank": 1, "L": _LOG2, "tau": _TWIST_07}, "tau"),
@@ -107,6 +108,32 @@ def test_every_twist_out_of_range_is_config_error(tmp_path, capsys, config,
     assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert "%s term 1: twist must lie in (-1/2, 1/2]" % field in err
+
+
+_NEGATIVE_AT_2 = {"kind": "linear", "slope": -3.0, "intercept": 4.0}
+_LOG_BELOW_0 = {"kind": "log_affine", "a": 1.0, "n0": -3.0}
+_ALTERNATING = {"kind": "alternating", "even": _LOG2, "odd": _LOG2}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"type": "flute", "lengths": _NEGATIVE_AT_2},
+     "lengths term 2 is not a positive float: -2.0"),
+    ({"type": "bi_infinite_flute", "lengths": _LOG2, "lengths_neg": _LOG_BELOW_0},
+     "lengths_neg: log argument nonpositive at n = 1"),
+    ({"type": "cantor_tree", "level_lengths": _ALTERNATING},
+     "level_lengths: alternating specs start at n = 2; supply a prefix for n = 1"),
+    ({"type": "cover", "rank": 1, "L": _NEGATIVE_AT_2},
+     "L term 2 is not a positive float: -2.0"),
+    ({"type": "cover", "rank": 2, "config": "intersecting-pair",
+      "eps": _LOG_BELOW_0, "ell": _LOG2},
+     "eps: log argument nonpositive at n = 1"),
+    ({"type": "cover", "rank": 2, "config": "intersecting-pair",
+      "eps": _LOG2, "ell": _ALTERNATING},
+     "ell: alternating specs start at n = 2; supply a prefix for n = 1"),
+])
+def test_every_length_error_names_its_field(tmp_path, capsys, config, message):
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def test_missing_config_file(capsys):
@@ -359,6 +386,17 @@ def test_sweep_two_parameter_grid(tmp_path):
 def test_sweep_unknown_family(tmp_path, capsys):
     cfg = write_config(tmp_path, {"family": "nonsense"})
     assert run(["sweep", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"family": "two-parameter", "a": [1.0, "x"], "b": [1.0]}, "a[1]"),
+    ({"family": "two-parameter", "a": [1.0], "b": [True]}, "b[0]"),
+    ({"family": "scaled", "s": [1.0, 2.0, None]}, "s[2]"),
+])
+def test_sweep_number_errors_name_the_index(tmp_path, capsys, data, message):
+    assert run(["sweep", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: expected a number at %s" % message)
 
 
 def test_verify_unknown_suite(capsys):

@@ -17,6 +17,12 @@ from hypcollar import graph_modulus as gm
 from hypcollar import hypgeom as hg
 
 
+def test_half_collar_r_eta_stays_finite_where_eta_is_subnormal():
+    # eta = 2 e^{-710.5} is subnormal, and r(eta) = l_alpha / 2 still
+    spec = cm.HalfCollarSpec(1421.0, math.inf)
+    assert spec.eta < 1e-308 and spec.r_eta == pytest.approx(710.5, rel=1e-12)
+
+
 def test_half_collar_spec_constraint():
     # the opposite boundary must clear the standard collar of alpha
     cm.HalfCollarSpec(1.5, 1.2)  # r(0.75) ~ 1.03 < 1.2, fine

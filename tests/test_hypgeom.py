@@ -34,6 +34,14 @@ def test_collar_width_overflow_safe():
     assert same_float(hg.collar_width(r), 705.0, 1e-9)
 
 
+@pytest.mark.parametrize("x", [1e-310, 5e-324])
+def test_collar_width_subnormal(x):
+    # 1/sinh x overflows below 1/DBL_MAX; the result is ln 2 - ln x
+    mpmath.mp.dps = 40
+    want = float(mpmath.asinh(1 / mpmath.sinh(mpmath.mpf(x))))
+    assert same_float(hg.collar_width(x), want, 1e-15)
+
+
 def test_eta_length_values():
     mpmath.mp.dps = 40
     # finite opposite boundary

@@ -74,6 +74,30 @@ def test_validate_lengths_reads_the_shape(spec):
         sf.FluteSpec(lengths=spec)
 
 
+@pytest.mark.parametrize("branch", [
+    sf.ExplicitPrefixThenTail(values=(1.0,), tail=sf.log_affine(a=1.0, n0=1.0)),
+    sf.AlternatingLogAffine(even=sf.log_affine(a=1.0, n0=1.0),
+                            odd=sf.log_affine(a=1.0, n0=1.0)),
+])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_validate_lengths_rejects_nested_branches(branch, parity):
+    branches = {"even": sf.log_affine(a=1.0, n0=1.0),
+                "odd": sf.log_affine(a=2.0, n0=1.0), parity: branch}
+    spec = sf.ExplicitPrefixThenTail(values=(1.0,),
+                                     tail=sf.AlternatingLogAffine(**branches))
+    with pytest.raises(sf.SpecError, match="^ell: "):
+        sf.validate_lengths(spec, "ell")
+
+
+def test_branches_look_through_every_prefix():
+    log1, log2 = sf.log_affine(a=1.0, n0=1.0), sf.log_affine(a=2.0, n0=1.0)
+    alt = sf.AlternatingLogAffine(even=log1, odd=log2)
+    nested = sf.ExplicitPrefixThenTail((1.0,), sf.ExplicitPrefixThenTail((2.0, 3.0), alt))
+    assert sf.branches(nested) == (log1, log2)
+    assert sf.branches(sf.ExplicitPrefixThenTail((1.0,), log1)) == (log1,)
+    assert sf.branches(log2) == (log2,)
+
+
 def test_validate_lengths_accepts_nonnegative_leading_coefficients():
     for spec in (
         sf.Linear(slope=0.0, intercept=1.0),
@@ -247,8 +271,9 @@ def test_flute_spec_validates_twists():
     (lambda tw: sf.LochNess(lengths=sf.Constant(1.0), twists=tw), "twists"),
     (lambda tw: sf.Ladder(lengths=sf.Constant(1.0), twists=tw), "twists"),
     (lambda tw: sf.BoundedBoundary(lengths=sf.Constant(1.0), twists=tw), "twists"),
-    (lambda tw: sf.BiInfiniteFlute(lengths_pos=sf.Constant(1.0), twists_pos=tw),
-     "twists_pos"),
+    pytest.param(
+        lambda tw: sf.BiInfiniteFlute(lengths_pos=sf.Constant(1.0), twists_pos=tw),
+        "twists", id="<lambda>-twists_pos"),
     (lambda tw: sf.BiInfiniteFlute(lengths_pos=sf.Constant(1.0), twists_neg=tw),
      "twists_neg"),
     (lambda tw: sf.AbelianCover(rank=1, L=sf.Constant(1.0), tau=tw), "tau"),

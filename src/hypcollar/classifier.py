@@ -383,14 +383,19 @@ def _bi_infinite_series(spec, use_twists):
 
     kpos, kneg = kappa(spec.twists_pos), kappa(spec.twists_neg_effective)
     if kpos is not None and kneg is not None:
-        forms = (_exponent_forms(SeriesTerms(spec.lengths_pos, kappa=kpos))
-                 + _exponent_forms(SeriesTerms(spec.neg, kappa=kneg)))
-        # 1/(A_n + B_n) is comparable to the fastest-decaying branch
-        dominant = max(forms, key=lambda f: (f.p, f.q, f.r))
+        pos = _exponent_forms(SeriesTerms(spec.lengths_pos, kappa=kpos))
+        neg = _exponent_forms(SeriesTerms(spec.neg, kappa=kneg))
+        # the branches are (even n, odd n), or one for both: the ends meet
+        # at each parity, where 1/(A_n + B_n) is comparable to the
+        # faster-decaying end, and the series diverges iff one parity does
+        key = lambda f: (f.p, f.q, f.r)
+        dominant = [max(pos[j % len(pos)], neg[j % len(neg)], key=key)
+                    for j in range(max(len(pos), len(neg)))]
+        decisive = next((d for d in dominant if d.diverges()), min(dominant, key=key))
         return SeriesBehavior(
-            "diverges" if dominant.diverges() else "converges",
+            "diverges" if decisive.diverges() else "converges",
             "bertrand-exact",
-            "dominant p=%g q=%g" % (dominant.p, dominant.q),
+            "dominant p=%g q=%g" % (decisive.p, decisive.q),
         )
 
     def one(lengths, twists, n):

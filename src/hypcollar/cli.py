@@ -172,10 +172,13 @@ def parse_sequence(obj, path):
         )
     if kind == "power_decay":
         _check_keys(obj, {"kind", "coef", "base"}, path)
-        return ScaledPowerDecay(
-            _number(_required(obj, "coef", path), path + ".coef"),
-            _number(_required(obj, "base", path), path + ".base"),
-        )
+        coef = _number(_required(obj, "coef", path), path + ".coef")
+        base = _number(_required(obj, "base", path), path + ".base")
+        # the one constructor here that checks its values
+        try:
+            return ScaledPowerDecay(coef, base)
+        except SpecError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from None
     raise ConfigError("unknown sequence kind %r at %s" % (kind, path))
 
 

@@ -48,10 +48,15 @@ class PeriodicFunctionPair:
     which the bounds broadcast.
 
     The integrals are taken piece by piece between the breakpoints, which are
-    shifted into the window by periodicity.  ``sqrt_ends`` lists the points
-    where the gap behaves like a constant plus a multiple of the square root
-    of the distance to the point (an arcsin whose argument reaches 1 there,
-    say); they are shifted and split at like the breakpoints.  On a piece
+    shifted into the window by periodicity.  Each (integrand, piece) is one
+    tree of a single adaptive-Simpson forest per pair, and each level of the
+    forest evaluates F and G once; ``sandwich_bounds`` walks the vertical
+    modulus and the area together.  A failing forest raises QuadratureError
+    on the first level where some tree fails, for the first failing tree in
+    (integrand, piece) order.  ``sqrt_ends`` lists the points where the gap
+    behaves like a constant plus a multiple of the square root of the
+    distance to the point (an arcsin whose argument reaches 1 there, say);
+    they are shifted and split at like the breakpoints.  On a piece
     [a, b] with one such end the integrals are taken in s over [0, 1] with
     x = end -+ (b - a) s^2, and with both ends a and b such with
     x = a + (b - a)(3 s^2 - 2 s^3); either way the integrand in s is smooth,
@@ -174,56 +179,80 @@ def adaptive_simpson(func, a, b, rel_tol=1e-8, max_depth=40, scale=None):
     two halves of every interval still open at a level go to func in one
     array call.  An interval at depth d is accepted when the
     Richardson-corrected error estimate of its halves is within
-    rel_tol·|whole|/2^d, or within a 5e-16 relative floor that keeps deep
+    rel_tol·scale/2^d, or within a 5e-16 relative floor that keeps deep
     refinements from chasing fp noise.  The accepted values are summed back
     up the tree, left half plus right half, as the recursive form adds them.
+
+    With sequences a and b, and `scale` None or a sequence whose None
+    entries take the default, the walk is a forest: tree k integrates over
+    [a[k], b[k]], and every level of all the trees is one call of func.
+    func then takes one argument, the list of the trees' point arrays
+    (empty for a tree with nothing open), and returns the list of their
+    float value arrays; the result is the list of the trees' integrals.
+    Each tree gets the points, tolerances and sums it gets walked alone.
 
     Raises QuadratureError carrying the leftmost interval that fails at the
     depth cap, if the cap is reached before the estimate meets the
     tolerance; or carrying the leftmost interval split at a level whose
-    next would hold more than _MAX_OPEN intervals (a NaN integrand, say,
-    splits every interval at every level).
+    next would hold more than _MAX_OPEN intervals of its tree (a NaN
+    integrand, say, splits every interval at every level).  In a forest the
+    first level on which some tree fails raises, for the first failing tree
+    in the order given.
     """
-    if not b > a:
+    if np.ndim(a) == 0:
+        return _walk(lambda xs: [_sample(func, xs[0])], [a], [b], rel_tol,
+                     max_depth, [scale])[0]
+    return _walk(func, a, b, rel_tol, max_depth,
+                 [None] * len(a) if scale is None else scale)
+
+
+def _walk(func, a, b, rel_tol, max_depth, scale):
+    """The forest walk of adaptive_simpson."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    if not np.all(b > a):
         raise ValueError("integration needs b > a")
-    m = 0.5 * (a + b)
-    fa, fm, fb = _sample(func, np.array([a, m, b]))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = (abs(float(whole)) if scale is None else scale) + 1e-300
+    trees = len(a)
+    x = np.array([a, 0.5 * (a + b), b])
+    f = np.concatenate(func(list(x.T.copy()))).reshape(trees, 3).T
+    whole = (b - a) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
+    scale = np.array([abs(w) if s is None else s for w, s in zip(whole, scale)]) + 1e-300
     tol, floor = rel_tol * scale, 5e-16 * scale
-    # the intervals open at a level, left to right: ends, midpoint, the
-    # values there and Simpson's estimate
-    a, m, b, fa, fm, fb, whole = (np.array([v]) for v in (a, m, b, fa, fm, fb, whole))
+    # the intervals open at a level, one column each, tree by tree and left
+    # to right: x holds the ends and midpoint (a, m, b), f the values there,
+    # and whole Simpson's estimate
+    tree, counts = np.arange(trees), [1] * trees
     levels = []  # per level: the interval values, and which were split
     for depth in range(max_depth + 1):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        fq = _sample(func, np.concatenate((lm, rm)))
-        flm, frm = fq[:len(a)], fq[len(a):]
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = (left + right - whole) / 15.0
-        split = ~(np.abs(err) <= max(tol, floor))
-        levels.append((left + right + err, split))
+        q = 0.5 * (x[:2] + x[1:])  # the midpoints of the halves
+        # each interval's two points side by side: a tree's points are a run
+        pts, ends = q.T.ravel(), np.cumsum([0] + counts) * 2
+        fq = np.concatenate(func([pts[i:j] for i, j in zip(ends[:-1], ends[1:])]))
+        fq = fq.reshape(-1, 2).T
+        halves = (x[1:] - x[:2]) / 6.0 * (f[:2] + 4.0 * fq + f[1:])  # left, right
+        pair_sum = halves[0] + halves[1]
+        err = (pair_sum - whole) / 15.0
+        split = ~(np.abs(err) <= np.maximum(tol, floor)[tree])
+        levels.append((pair_sum + err, split))
         if not split.any():
             break
-        n = 2 * np.count_nonzero(split)
-        if depth == max_depth or n > _MAX_OPEN:
-            i = int(np.argmax(split))
-            raise QuadratureError(float(a[i]), float(b[i]), float(left[i] + right[i]))
-
-        def halves(lo, hi):
-            # each split interval's left half's lo beside its right half's hi
-            out = np.empty(n)
-            out[0::2], out[1::2] = lo[split], hi[split]
-            return out
-
-        a, m, b = halves(a, m), halves(lm, rm), halves(m, b)
-        fa, fm, fb = halves(fa, fm), halves(flm, frm), halves(fm, fb)
-        whole = halves(left, right)
+        # the intervals each tree opens on the next level
+        opened = 2 * np.bincount(tree[split], minlength=trees)
+        failing = opened > (0 if depth == max_depth else _MAX_OPEN)
+        if failing.any():
+            i = int(np.argmax(split & (tree == np.argmax(failing))))
+            raise QuadratureError(float(x[0, i]), float(x[2, i]), float(pair_sum[i]))
+        # per interval, its left half's column beside its right half's
+        children = np.empty((7, len(tree), 2))
+        children[0:3] = x[0:2].T, q.T, x[1:3].T
+        children[3:6] = f[0:2].T, fq.T, f[1:3].T
+        children[6] = halves.T
+        children = children[:, split].reshape(7, -1)
+        x, f, whole = children[0:3], children[3:6], children[6]
+        tree, counts = np.repeat(tree[split], 2), opened.tolist()
         tol *= 0.5
     for (values, split), (below, _) in zip(levels[-2::-1], levels[:0:-1]):
         values[split] = below[0::2] + below[1::2]
-    return float(levels[0][0][0])
+    return levels[0][0].tolist()
 
 
 def _split_points(pair):
@@ -241,48 +270,93 @@ def _is_sqrt_end(pair, x):
                for e in pair.sqrt_ends)
 
 
-def _integral(pair, func):
-    """Integral of func over one period, piece by piece between the split
-    points; a piece with a square-root end is integrated in s (see
-    PeriodicFunctionPair)."""
-    total = 0.0
+def _substitution(pair, a, b):
+    """The map s -> (x, dx/ds) over [0, 1] of a piece [a, b] with a
+    square-root end (see PeriodicFunctionPair); None for a piece without."""
+    at_a, at_b = _is_sqrt_end(pair, a), _is_sqrt_end(pair, b)
+    h = b - a
+    if at_a and at_b:
+        return lambda s: (a + h * s * s * (3.0 - 2.0 * s), 6.0 * h * s * (1.0 - s))
+    if at_a:
+        return lambda s: (a + h * s * s, 2.0 * h * s)
+    if at_b:
+        return lambda s: (b - h * s * s, 2.0 * h * s)
+    return None
+
+
+def _integrand(pair, trees):
+    """The forest integrand of `trees`, (inverse, substitution) pairs: it
+    takes the list of the trees' point arrays to the list of their values of
+    1/(F + G) (inverse) or F + G, times dx/ds on a substituted piece.  F and
+    G are evaluated once, at the points of all the trees; overflow, division
+    by zero (a zero gap) and invalid operations raise FloatingPointError."""
+    F, G = pair.offsets()
+
+    def integrand(parts):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            maps = [(s, None) if sub is None else sub(s) for (_, sub), s in zip(trees, parts)]
+            x = np.concatenate([xk for xk, _ in maps])
+            gap = np.asarray(F(x) + G(x), dtype=float)
+            if gap.shape != x.shape:  # constant offsets may give a scalar
+                gap = np.broadcast_to(gap, x.shape)
+            values, start = [], 0
+            for (inverse, _), (xk, jac) in zip(trees, maps):
+                v = gap[start:start + len(xk)]
+                start += len(xk)
+                v = 1.0 / v if inverse else v
+                values.append(v if jac is None else v * jac)
+        return values
+
+    return integrand
+
+
+def _integrals(pair, inverse):
+    """The integrals over one period of 1/(F + G), for an entry True of
+    `inverse`, or of F + G, for False, from one forest walk.
+
+    The trees are the (integrand, piece) pairs, with the pieces between the
+    split points in window order.  A piece with a square-root end is walked
+    in s, with the tolerance of Simpson's estimate in x: in s the Jacobian
+    is 0 at the end, and where the integrand is concentrated at the other
+    end (large l) the estimate in s reads about 0.  Each integral sums its
+    pieces in window order.
+    """
     pts = _split_points(pair)
-    for a, b in zip(pts[:-1], pts[1:]):
-        at_a, at_b = _is_sqrt_end(pair, a), _is_sqrt_end(pair, b)
-        if not (at_a or at_b):
-            total += adaptive_simpson(func, a, b)
-            continue
-        # the tolerance keeps the scale of Simpson's estimate in x: in s the
-        # Jacobian is 0 at a square-root end, and where the integrand is
-        # concentrated at the other end (large l) the estimate in s reads
-        # about 0
-        fa, fm, fb = _sample(func, np.array([a, 0.5 * (a + b), b]))
-        scale = abs(float((b - a) / 6.0 * (fa + 4.0 * fm + fb)))
-        h = b - a
-        if at_a and at_b:
-            def in_s(s):
-                return func(a + h * s * s * (3.0 - 2.0 * s)) * (6.0 * h * s * (1.0 - s))
-        elif at_a:
-            def in_s(s):
-                return func(a + h * s * s) * (2.0 * h * s)
+    pieces = [(a, b, _substitution(pair, a, b)) for a, b in zip(pts[:-1], pts[1:])]
+    trees = [(inv, a, b, sub) for inv in inverse for a, b, sub in pieces]
+    # Simpson's estimates in x of the substituted trees, from one call
+    mapped = [(inv, a, b) for inv, a, b, sub in trees if sub is not None]
+    in_x = _integrand(pair, [(inv, None) for inv, _, _ in mapped])
+    estimates = iter(in_x([np.array([a, 0.5 * (a + b), b]) for _, a, b in mapped])
+                     if mapped else ())
+    scale = []
+    for _, a, b, sub in trees:
+        if sub is None:
+            scale.append(None)
         else:
-            def in_s(s):
-                return func(b - h * s * s) * (2.0 * h * s)
-        total += adaptive_simpson(in_s, 0.0, 1.0, scale=scale)
-    return total
+            fa, fm, fb = next(estimates)
+            scale.append(abs(float((b - a) / 6.0 * (fa + 4.0 * fm + fb))))
+    values = adaptive_simpson(
+        _integrand(pair, [(inv, sub) for inv, _, _, sub in trees]),
+        [a if sub is None else 0.0 for _, a, _, sub in trees],
+        [b if sub is None else 1.0 for _, _, b, sub in trees],
+        scale=scale,
+    )
+    totals = [0.0] * len(inverse)
+    for k, v in enumerate(values):
+        totals[k // len(pieces)] += v
+    return totals
 
 
 def vertical_modulus(pair):
-    """Modulus of the vertical segment family: integral of dx / (F + G)."""
-    F, G = pair.offsets()
-    # a zero gap raises FloatingPointError
-    return _integral(pair, lambda x: 1.0 / (F(x) + G(x)))
+    """Modulus of the vertical segment family: integral of dx / (F + G).
+    A zero gap raises FloatingPointError."""
+    return _integrals(pair, (True,))[0]
 
 
 def area_between(pair):
     """Area of the region between the graphs over one period."""
-    F, G = pair.offsets()
-    return _integral(pair, lambda x: F(x) + G(x))
+    return _integrals(pair, (False,))[0]
 
 
 def _sliding(op, values, width):
@@ -352,7 +426,5 @@ def rectangle_sandwich(vertical, c, area, delta):
 def sandwich_bounds(pair, delta):
     """The rectangle sandwich of the pair, with A the area between the
     graphs over one period."""
-    lower = vertical_modulus(pair)
-    c = rectangle_deviation(pair, delta)
-    area = area_between(pair)
-    return rectangle_sandwich(lower, c, area, delta)
+    lower, area = _integrals(pair, (True, False))
+    return rectangle_sandwich(lower, rectangle_deviation(pair, delta), area, delta)

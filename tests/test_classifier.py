@@ -347,6 +347,28 @@ def test_bi_infinite_flute_dominant_branch():
     assert cl.classify_exhaustion(spec).kind == "Parabolic"
 
 
+def _alternating(even, odd):
+    """Prefix [1], then even(k) at n = 2k and odd(k) at n = 2k + 1, with
+    a ln(k + 1) branches."""
+    return sf.ExplicitPrefixThenTail((1.0,), sf.AlternatingLogAffine(
+        even=sf.log_affine(a=even, n0=1.0), odd=sf.log_affine(a=odd, n0=1.0)))
+
+
+@pytest.mark.parametrize("neg, kind, detail", [
+    # at odd n both ends grow like ln n, and those terms alone diverge,
+    # though the positive end's even branch, 6 ln, is the fastest of all
+    (sf.log_affine(a=1.0, n0=1.0), "Parabolic", "dominant p=0.5 q=0"),
+    (_alternating(6.0, 1.0), "Parabolic", "dominant p=0.5 q=0"),
+    # out of phase, one end grows like 6 ln n at every n
+    (_alternating(1.0, 6.0), "Unknown", "dominant p=3 q=0"),
+])
+def test_bi_infinite_flute_pairs_the_ends_by_parity(neg, kind, detail):
+    spec = sf.BiInfiniteFlute(lengths_pos=_alternating(6.0, 1.0), lengths_neg=neg)
+    v = cl.classify_exhaustion(spec)
+    assert (v.kind, v.series.verdict == "diverges", v.series.method, v.series.detail) == (
+        kind, kind == "Parabolic", "bertrand-exact", detail)
+
+
 def test_bi_infinite_unknown_lists_the_asserted_hypotheses():
     asserted = ("not-pair-of-pants", "uniform-orthogeodesic-distance")
     for twists in (sf.Constant(0.5), sf.Linear(slope=0.01)):

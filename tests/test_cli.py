@@ -136,6 +136,30 @@ def test_every_length_error_names_its_field(tmp_path, capsys, config, message):
     assert capsys.readouterr().err == "config error: %s\n" % message
 
 
+_POWER_DECAY_BASE_05 = {"kind": "power_decay", "coef": 1, "base": 0.5}
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ({"kind": "constant", "value": "1"}, "expected a number at lengths.value, got '1'"),
+    ({"kind": "linear", "intercept": 1.0}, "missing required key 'slope' at lengths"),
+    ({"kind": "log_affine", "log_terms": [[1.0]]},
+     "expected a [coefficient, shift] pair at lengths.log_terms[0], got [1.0]"),
+    ({"kind": "alternating", "even": _LOG2, "odd": {"kind": "constant", "value": 1.0}},
+     "alternating branches must be log_affine at lengths"),
+    ({"kind": "prefix", "values": [1.0, None], "tail": _LOG2},
+     "expected a number at lengths.values[1], got None"),
+    (_POWER_DECAY_BASE_05, "lengths: need coef > 0 and base > 1"),
+    ({"kind": "prefix", "values": [1.0], "tail": _POWER_DECAY_BASE_05},
+     "lengths.tail: need coef > 0 and base > 1"),
+    ({"kind": "power_decay", "coef": 0, "base": 2.0}, "lengths: need coef > 0 and base > 1"),
+])
+def test_every_sequence_kind_names_the_path_of_a_bad_value(tmp_path, capsys, lengths,
+                                                           message):
+    cfg = write_config(tmp_path, {"type": "flute", "lengths": lengths})
+    assert run(["classify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+
+
 def test_missing_config_file(capsys):
     assert run(["classify", "--config", "/nonexistent/nope.json"]) == 2
 

@@ -1,5 +1,4 @@
 import bisect
-import collections
 import dataclasses
 import functools
 import json
@@ -291,7 +290,8 @@ def test_untwisted_glued_envelope_is_half_the_half_collar_envelope(l, l_gamma):
 
 def test_glued_lower_bound_needs_no_envelope_quadrature(monkeypatch):
     # the envelope's V and area are closed forms; only the graphs' V is a
-    # quadrature, and only the envelope's c_delta is sampled
+    # quadrature, one walk over its pieces, and only the envelope's c_delta
+    # is sampled
     walked, sampled = [], []
     simpson, deviation = gm.adaptive_simpson, gm.rectangle_deviation
     monkeypatch.setattr(gm, "adaptive_simpson",
@@ -303,7 +303,9 @@ def test_glued_lower_bound_needs_no_envelope_quadrature(monkeypatch):
     spec = cm.GluedCollarSpec(8.0, math.inf, 2.0, 0.25)
     cm.glued_collar_lambda(spec)
     graphs = cm.glued_collar_graphs(spec)
-    assert len(walked) == len(gm._split_points(graphs)) - 1
+    # one walk, whose trees are the graphs' pieces
+    (walk,) = walked
+    assert len(walk[0]) == len(walk[1]) == len(gm._split_points(graphs)) - 1
     assert sampled == [cm.glued_collar_envelope(spec).label]
 
 
@@ -335,21 +337,18 @@ def test_glued_vertical_modulus_meets_its_sech_limit(l, t):
 
 @pytest.mark.parametrize("t", [None, 0.0, 0.125, -0.375, 0.5])
 def test_square_root_ends_take_few_array_calls(t):
-    # l = 8, l_gamma = inf: in x each walk bisects into the square-root end
-    # and takes 28-32 array calls per piece
+    # l = 8, l_gamma = inf: in x each piece's walk bisects into the
+    # square-root end and takes 28-32 array calls; in s one walk of all the
+    # pieces takes at most 12, the estimates in x included
     if t is None:
         pair = cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(8.0, math.inf))
     else:
         pair = cm.glued_collar_graphs(cm.GluedCollarSpec(8.0, math.inf, math.inf, t))
     pts = gm._split_points(pair)
     for integral in (gm.vertical_modulus, gm.area_between):
-        calls = collections.Counter()
-
-        def G(x):
-            # each call's points lie in one piece
-            calls[bisect.bisect(pts, 0.5 * (np.min(x) + np.max(x))) - 1] += 1
-            return pair.G(x)
-
-        integral(dataclasses.replace(pair, G=G))
-        assert len(calls) == len(pts) - 1
-        assert max(calls.values()) <= 12, (integral.__name__, calls)
+        calls = []
+        integral(dataclasses.replace(pair, G=lambda x: calls.append(x) or pair.G(x)))
+        assert len(calls) <= 12, (integral.__name__, len(calls))
+        # the walk's first level holds every piece
+        pieces = {bisect.bisect(pts, x) - 1 for x in calls[2]}
+        assert pieces == set(range(len(pts) - 1)), (integral.__name__, pieces)

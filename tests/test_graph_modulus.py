@@ -35,7 +35,7 @@ def test_adaptive_simpson_is_exact_on_cubics(coeffs, a, b):
     assert v == pytest.approx(prim(b) - prim(a), rel=1e-14, abs=1e-14)
 
 
-def _recursive_simpson(f, a, b, rel_tol=1e-8, max_depth=40):
+def _recursive_simpson(f, a, b, rel_tol=1e-8, max_depth=40, scale=None):
     """Reference: the depth-first recursive form of the adaptive rule, one
     scalar call of f per new point."""
     def simpson(a, fa, b, fb):
@@ -55,7 +55,7 @@ def _recursive_simpson(f, a, b, rel_tol=1e-8, max_depth=40):
 
     fa, fb = f(a), f(b)
     m, fm, whole = simpson(a, fa, b, fb)
-    scale = abs(whole) + 1e-300
+    scale = (abs(whole) if scale is None else scale) + 1e-300
     return walk(a, fa, b, fb, m, fm, whole, rel_tol * scale, 5e-16 * scale, 0)
 
 
@@ -121,6 +121,101 @@ def test_adaptive_simpson_oscillatory_and_nan_integrands():
     with pytest.raises(gm.QuadratureError) as exc:
         gm.adaptive_simpson(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
     assert exc.value.interval == (0.0, 1.0 / gm._MAX_OPEN)
+
+
+def _sin50(x):
+    return np.sin(50.0 * x)
+
+
+def _cubic(x):
+    return 1.0 + x * (0.5 - x * x)
+
+
+def _forest(funcs):
+    """The forest integrand of one array function per tree."""
+    return lambda parts: [np.asarray(f(x), dtype=float) for f, x in zip(funcs, parts)]
+
+
+def test_forest_walks_each_tree_as_alone():
+    funcs = [np.exp, _sin50, lambda x: np.sqrt(np.abs(x)), _cubic]
+    a, b = [0.0, 0.0, -1.0, -2.0], [1.0, 10.0, 0.7, 3.0]
+    values = gm.adaptive_simpson(_forest(funcs), a, b, scale=[None, 2.0, None, 1e-3])
+    assert values == [gm.adaptive_simpson(f, lo, hi, scale=s)
+                      for f, lo, hi, s in zip(funcs, a, b, [None, 2.0, None, 1e-3])]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 1, 0)])
+def test_forest_raises_for_the_first_failing_tree(order):
+    # the cubic is exact on the first level; both sin50 trees fail at the
+    # depth cap on the same level, and the first of them in the forest names
+    # its leftmost failing interval
+    trees = [(_cubic, -2.0, 3.0), (_sin50, 0.0, 10.0), (_sin50, -1.0, 2.0)]
+    trees = [trees[k] for k in order]
+    with pytest.raises(gm.QuadratureError) as exc:
+        gm.adaptive_simpson(_forest([f for f, _, _ in trees]), [a for _, a, _ in trees],
+                            [b for _, _, b in trees], rel_tol=1e-13, max_depth=5)
+    _, a, b = next(t for t in trees if t[0] is _sin50)
+    assert exc.value.interval == _failing_at_cap(_sin50, a, b, 1e-13, 5)[0]
+
+
+def test_forest_caps_the_width_per_tree():
+    # sin50 converges below the cap while the NaN tree, second, reaches it
+    nan = lambda x: np.full_like(x, np.nan)
+    with pytest.raises(gm.QuadratureError) as exc:
+        gm.adaptive_simpson(_forest([_sin50, nan]), [0.0, 0.0], [10.0, 1.0])
+    assert exc.value.interval == (0.0, 1.0 / gm._MAX_OPEN)
+
+
+def _reference_integral(pair, inverse):
+    """The integral over one period of 1/(F + G) or F + G as the sum over
+    the pieces of the recursive reference, in window order; a piece with a
+    square-root end is integrated in s with the tolerance of Simpson's
+    estimate in x (see PeriodicFunctionPair)."""
+    F, G = pair.offsets()
+    func = (lambda x: 1.0 / float(F(x) + G(x))) if inverse else (lambda x: float(F(x) + G(x)))
+    pts = gm._split_points(pair)
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        at_a, at_b = gm._is_sqrt_end(pair, a), gm._is_sqrt_end(pair, b)
+        h = b - a
+        if at_a and at_b:
+            in_s = lambda s: func(a + h * s * s * (3.0 - 2.0 * s)) * (6.0 * h * s * (1.0 - s))
+        elif at_a:
+            in_s = lambda s: func(a + h * s * s) * (2.0 * h * s)
+        elif at_b:
+            in_s = lambda s: func(b - h * s * s) * (2.0 * h * s)
+        else:
+            total += _recursive_simpson(func, a, b)
+            continue
+        total += _recursive_simpson(in_s, 0.0, 1.0, scale=abs(_simpson(func, a, b)))
+    return total
+
+
+_INF = math.inf
+_FOREST_PAIRS = {
+    **{"half(l=%g, l_gamma=%g)" % (l, lg): (
+        lambda l=l, lg=lg: cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(l, lg)), 1.0 / l)
+       for l in (1.0, 8.0, 80.0, 745.0) for lg in (_INF, 2.0)},
+    **{"glued(t=%g, l_gamma=%g, %g)" % (t, g1, g2): (
+        lambda t=t, g1=g1, g2=g2: cm.glued_collar_graphs(cm.GluedCollarSpec(8.0, g1, g2, t)), 0.125)
+       for t in (0.0, 0.125, -0.125, 0.25, 0.5)
+       for g1, g2 in ((_INF, _INF), (_INF, 2.0), (2.0, 2.0))},
+    "sinusoid": (lambda: gm.sinusoid_pair(offset=1.5, amplitude=0.5), 0.1),
+    "constant": (lambda: gm.constant_pair(0.25, period=2.0), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOREST_PAIRS))
+def test_pair_forest_matches_the_recursive_form_per_piece(name):
+    # one walk of every piece, and of both sandwich integrals: equal bit
+    # for bit to the pieces walked alone, recursively, and summed in order
+    make, delta = _FOREST_PAIRS[name]
+    pair = make()
+    vertical, area = _reference_integral(pair, True), _reference_integral(pair, False)
+    assert gm.vertical_modulus(pair) == vertical
+    assert gm.area_between(pair) == area
+    assert gm.sandwich_bounds(pair, delta) == gm.rectangle_sandwich(
+        vertical, gm.rectangle_deviation(pair, delta), area, delta)
 
 
 def test_vertical_modulus_sinusoid_closed_form():

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
+from ._lazy import numpy as np
 
 from .hypgeom import HypothesisError, normalize_twist
 from .surfaces import (
@@ -501,35 +501,24 @@ def scaled_flute(s):
     return two_parameter_flute(s, 2.0 * s)
 
 
+def _sweep_row(path, family, **params):
+    """The sweep row of family(**params); a SpecError names the config path
+    of the parameter and its value."""
+    try:
+        v = classify_flute(family(**params))
+    except SpecError as exc:
+        values = ", ".join("%s = %r" % item for item in zip(path, params.values()))
+        raise SpecError("%s: %s" % (values, exc)) from None
+    return dict(params, kind=v.kind, reason=v.reason or "", criterion=v.criterion)
+
+
 def sweep_two_parameter(a_values, b_values):
     """Classify two_parameter_flute on a grid; rows of (a, b, verdict)."""
-    rows = []
-    for a in a_values:
-        for b in b_values:
-            v = classify_flute(two_parameter_flute(a, b))
-            rows.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "kind": v.kind,
-                    "reason": v.reason or "",
-                    "criterion": v.criterion,
-                }
-            )
-    return rows
+    return [_sweep_row(("a[%d]" % i, "b[%d]" % j), two_parameter_flute, a=a, b=b)
+            for i, a in enumerate(a_values) for j, b in enumerate(b_values)]
 
 
 def sweep_scaled(s_values):
     """Classify scaled_flute along a list of scales."""
-    rows = []
-    for s in s_values:
-        v = classify_flute(scaled_flute(s))
-        rows.append(
-            {
-                "s": s,
-                "kind": v.kind,
-                "reason": v.reason or "",
-                "criterion": v.criterion,
-            }
-        )
-    return rows
+    return [_sweep_row(("s[%d]" % i,), scaled_flute, s=s)
+            for i, s in enumerate(s_values)]

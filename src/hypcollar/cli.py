@@ -392,7 +392,11 @@ def _oracle_domain(cfg):
         "",
     )
     shape = cfg.get("shape")
-    h = _number(cfg["h"], "h") if "h" in cfg else None
+    h = None
+    if "h" in cfg:
+        h = _number(cfg["h"], "h")
+        if not 0 < h < math.inf:
+            raise ConfigError("h must be a positive mesh size, got %r" % h)
 
     def num(key, allow_inf=False):
         return _number(_required(cfg, key, ""), key, allow_inf=allow_inf)

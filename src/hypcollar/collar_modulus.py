@@ -10,7 +10,7 @@ reciprocal of the periodic-annulus modulus, which the rectangle-sandwich of
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import numpy as np
 
 from .hypgeom import (
     HypothesisError,

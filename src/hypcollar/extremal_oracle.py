@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
-import numpy as np
+from ._lazy import numpy as np
 
 CG_TOL = 1e-10
 CG_MAXITER = 200_000
@@ -33,6 +33,9 @@ CG_MAXITER = 200_000
 _OMEGA = 2.0 / 3.0
 _SWEEPS = 2
 _COARSEST = 400
+# most lattice nodes: the lattice matrix stores up to five entries per node,
+# counted by int32 indices
+_MAX_NODES = (2**31 - 1) // 5
 
 
 class OracleError(ArithmeticError):
@@ -40,7 +43,8 @@ class OracleError(ArithmeticError):
 
 
 class ResolutionError(ValueError):
-    """The mesh is too coarse to separate the domain's features."""
+    """The mesh is too coarse to separate the domain's features, or so fine
+    that its lattice passes the solver's int32 index range."""
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,8 @@ class GridDomain:
     inside: Optional[Callable] = None
     electrode_a: Optional[Callable] = None
     electrode_b: Optional[Callable] = None
-    f_of_x: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    g_of_x: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f_of_x: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
+    g_of_x: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
     periodic_x: Optional[float] = None
     min_feature: Optional[float] = None
     name: str = ""
@@ -116,9 +120,17 @@ def _classes(dom, h):
     Node coordinates are x0 + h·i and y0 + h·j.  Those of mesh h/2 at even
     indices are those of mesh h bit for bit (0.5·h is exact), so the lattice
     at h is the one at h/2 taken at even indices, once _check has accepted
-    both meshes.
+    both meshes.  A lattice of more than _MAX_NODES nodes is refused before
+    any array is allocated.
     """
     x0, y0, x1, y1 = dom.bbox
+    nodes = ((dom.periodic_x or x1 - x0) / h + 1) * ((y1 - y0) / h + 1)
+    if nodes > _MAX_NODES:
+        raise ResolutionError(
+            "h = %.3g needs a lattice of about %.3g nodes at mesh %.3g, past "
+            "the %d that the solver's int32 indices allow; coarsen the mesh"
+            % (dom.h, nodes, h, _MAX_NODES)
+        )
     if dom.periodic_x:
         nx = int(round(dom.periodic_x / h))
     else:
@@ -384,8 +396,8 @@ def _multigrid(mat, transfers):
 
 def cg(A, b, **kwargs):
     """scipy.sparse.linalg.cg, imported on the first solve, so that importing
-    this module loads no scipy.  It stays a module attribute for
-    `perfbench/tracing.py` to wrap."""
+    this module loads no scipy (and, with numpy lazy, no numpy either).  It
+    stays a module attribute for `perfbench/tracing.py` to wrap."""
     from scipy.sparse.linalg import cg as scipy_cg
 
     return scipy_cg(A, b, **kwargs)

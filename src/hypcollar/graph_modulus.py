@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
+from ._lazy import numpy as np
 
 # grid points per period of the deviation constant's estimate
 _SAMPLES = 4096
@@ -63,15 +63,15 @@ class PeriodicFunctionPair:
     where in x the quadrature would bisect some 30 levels into the end.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    f: "Callable[[np.ndarray], np.ndarray]"
+    g: "Callable[[np.ndarray], np.ndarray]"
     period: float
     x1: float
     x2: float
     breakpoints: tuple = ()
     label: str = ""
-    F: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    G: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    F: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
+    G: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
     sqrt_ends: tuple = ()
 
     def __post_init__(self):

@@ -65,13 +65,13 @@ def eta_length(l_alpha, l_gamma):
     return eta
 
 
-def standard_half_collar_lambda(l):
-    """Extremal distance across the standard half-collar of a geodesic.
+def standard_half_collar_lambda(l_alpha):
+    """Extremal distance across the standard half-collar of a geodesic alpha.
 
-    lambda(l) = arctan(1 / sinh(l/2)) / l.  Behaves like 1/(l e^{l/2}) for
-    large l and like (pi/2)/l for small l.
+    lambda(l) = arctan(1 / sinh(l/2)) / l at l = l_alpha.  Behaves like
+    1/(l e^{l/2}) for large l and like (pi/2)/l for small l.
     """
-    l = _require_positive("l", l)
+    l = _require_positive("l_alpha", l_alpha)
     u = 0.5 * l
     if u > 700.0:
         return 2.0 * math.exp(-u) / l

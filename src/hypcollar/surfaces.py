@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
+from ._lazy import numpy as np
 
 from .hypgeom import validate_twist
 

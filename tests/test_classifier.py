@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -173,6 +176,14 @@ def test_sigma_overflow_exit_codes(tmp_path, capsys, a_even, a_odd, code, text):
     assert cli.main(["classify", "--config", str(path)]) == code
     captured = capsys.readouterr()
     assert text in (captured.err if code else captured.out)
+    # the same in a fresh interpreter, where the sigma build is the first
+    # use of numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypcollar.cli", "classify", "--config", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code,) + captured
 
 
 def test_sigma_path_raises_no_warning():

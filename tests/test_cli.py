@@ -277,27 +277,39 @@ def test_cancelling_log_lengths_decay_like_a_power(tmp_path, capsys):
 
 
 def test_classify_and_collar_load_no_scipy(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {"type": "flute",
-         "lengths": {"kind": "log_affine", "a": 4.0, "n0": 1.0},
-         "twists": {"kind": "constant", "value": 0.5}},
-    )
+    # numpy counts as loaded once one of its submodules is: the package
+    # itself sits in sys.modules as a lazy module until its first use
+    nested = write_config(tmp_path, {"type": "flute", "lengths": {
+        "kind": "prefix", "values": [1.0], "tail": {
+            "kind": "prefix", "values": [2.0],
+            "tail": {"kind": "log_affine", "a": 3.0, "n0": 1.0}}}}, "nested.json")
+    sweep = write_config(tmp_path, {"family": "two-parameter", "a": [1.0, 3.0],
+                                    "b": [1.0, 3.0]}, "sweep.json")
     script = (
         "import sys\n"
+        "numpy = lambda: any(m.startswith('numpy.') for m in sys.modules)\n"
         "from hypcollar import cli\n"
+        "loaded = [numpy()]\n"
         "assert cli.main(['classify', '--config', sys.argv[1]]) == 0\n"
+        "loaded.append(numpy())\n"
+        "assert cli.main(['sweep', '--config', sys.argv[2]]) == 0\n"
+        "loaded.append(numpy())\n"
+        "assert cli.main(['collar', '--l-alpha', '4', '--standard']) == 0\n"
+        "loaded.append(numpy())\n"
         "assert cli.main(['collar', '--l-alpha', '4', '--l-gamma', '1']) == 0\n"
+        "loaded.append(numpy())\n"
         "assert cli.main(['collar', '--l-alpha', '8', '--l-gamma', 'inf',\n"
         "                 '--l-gamma2', 'inf', '--twist', '0.5']) == 0\n"
+        "print(loaded)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypcollar.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script, cfg], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, nested, sweep], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[False, False, False, False, True]", "[]"]
+    assert '"method": "bertrand-exact"' in proc.stdout
 
 
 def test_collar_standard(capsys):
@@ -338,6 +350,13 @@ def test_collar_eta_underflow_is_numeric_failure(capsys):
     assert "numeric failure" in err and "underflow" in err
 
 
+@pytest.mark.parametrize("kind", [["--standard"], ["--l-gamma", "inf"]])
+def test_collar_infinite_l_alpha_names_l_alpha(capsys, kind):
+    assert run(["collar", "--l-alpha", "1e400"] + kind) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: l_alpha must be finite")
+
+
 def test_collar_glued_needs_both_flags(capsys):
     assert run([
         "collar", "--l-alpha", "8", "--l-gamma", "inf", "--l-gamma2", "inf",
@@ -359,6 +378,31 @@ def test_oracle_mesh_refusal_exit_5(tmp_path, capsys):
     cfg = write_config(tmp_path, {"shape": "comb", "epsilon": 0.1, "h": 0.05})
     assert run(["oracle", "--config", cfg]) == 5
     assert "refusal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [
+    {"shape": "rectangle", "width": 1.0, "height": 1.0},
+    {"shape": "annulus", "r1": 1.0, "r2": 2.0},
+    {"shape": "annular_sector", "r1": 1.0, "r2": 2.0, "theta": 1.0},
+    {"shape": "comb", "epsilon": 0.2},
+    {"shape": "half_collar", "l_alpha": 2.0, "l_gamma": "inf"},
+    {"shape": "glued_collar", "l_alpha": 2.0, "l_gamma": "inf",
+     "l_gamma2": "inf", "twist": 0.5},
+], ids=lambda cfg: cfg["shape"])
+@pytest.mark.parametrize("h, code, message", [
+    (0, 2, "config error: h must be a positive mesh size, got 0.0"),
+    (-0.5, 2, "config error: h must be a positive mesh size, got -0.5"),
+    (float("nan"), 2, "config error: h must be a positive mesh size, got nan"),
+    (float("inf"), 2, "config error: h must be a positive mesh size, got inf"),
+    # a lattice past the int32 indices of the solver, refused before any of
+    # its arrays is allocated
+    (1e-9, 5, "mesh refusal: h = 1e-09 needs a lattice of about"),
+])
+def test_oracle_mesh_size_is_checked_for_every_shape(tmp_path, capsys, shape, h,
+                                                     code, message):
+    cfg = write_config(tmp_path, dict(shape, h=h))
+    assert run(["oracle", "--config", cfg]) == code
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_oracle_refine_key_is_unknown(tmp_path, capsys):
@@ -413,14 +457,21 @@ def test_sweep_unknown_family(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, message", [
-    ({"family": "two-parameter", "a": [1.0, "x"], "b": [1.0]}, "a[1]"),
-    ({"family": "two-parameter", "a": [1.0], "b": [True]}, "b[0]"),
-    ({"family": "scaled", "s": [1.0, 2.0, None]}, "s[2]"),
+    ({"family": "two-parameter", "a": [1.0, "x"], "b": [1.0]},
+     "expected a number at a[1]"),
+    ({"family": "two-parameter", "a": [1.0], "b": [True]},
+     "expected a number at b[0]"),
+    ({"family": "scaled", "s": [1.0, 2.0, None]}, "expected a number at s[2]"),
+    ({"family": "scaled", "s": [-1]}, "s[0] = -1.0: need s > 0"),
+    ({"family": "scaled", "s": [1.0, 0]}, "s[1] = 0.0: need s > 0"),
+    # 2 s overflows, and the lengths turn to nan
+    ({"family": "scaled", "s": [1e308]}, "s[0] = 1e+308: lengths term 2 is"),
+    ({"family": "two-parameter", "a": [1.0, -1.0], "b": [1.0]},
+     "a[1] = -1.0, b[0] = 1.0: need a > 0 and b > 0"),
 ])
 def test_sweep_number_errors_name_the_index(tmp_path, capsys, data, message):
     assert run(["sweep", "--config", write_config(tmp_path, data)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: expected a number at %s" % message)
+    assert capsys.readouterr().err.startswith("config error: " + message)
 
 
 def test_verify_unknown_suite(capsys):

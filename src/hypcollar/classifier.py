@@ -1,17 +1,21 @@
 """Parabolicity classifier for flute-type surfaces, exhaustions and covers.
 
 Every verdict cites the criterion (divergent series) it used.  Series of the
-form sum C * n^-p * (ln n)^-q * (ln ln n)^-r are classified exactly
-(divergent iff p < 1, or p = 1 and q < 1, or p = q = 1 and r <= 1); every
-validated length spec gives one per branch, looking through prefixes at any
-depth.  Only non-constant twists and a non-constant cover eps still reach
-partial sums with a log-log slope fit, which can be inconclusive and never
-certifies a non-parabolic verdict.  Sigma sums that do not telescope are
-built only for their overflow.
+form sum C * n^-p * (ln n)^-q * (ln ln n)^-r are classified exactly, in
+rational arithmetic on the floats as parsed: divergent iff (p, q, r) <=
+(1, 1, 1) lexicographically.  So a decimal input on a boundary is decided
+by its binary value (the floats 0.3 and 3.7 sum to more than 4).  Every
+validated length spec gives one form per branch, looking through prefixes
+at any depth.  Only non-constant twists and a non-constant cover eps still
+reach partial sums with a log-log slope fit, which can be inconclusive and
+never certifies a non-parabolic verdict.  Sigma sums that do not telescope
+(an odd branch may split a + b into log terms at one shift) are built only
+for their overflow.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from ._lazy import numpy as np
@@ -38,7 +42,8 @@ from .surfaces import (
     sigma_sequence,
 )
 
-_TOL = 1e-12
+# a series C n^-p (ln n)^-q (ln ln n)^-r diverges iff (p, q, r) <= _BERTRAND
+_BERTRAND = (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -69,65 +74,52 @@ class SeriesTerms:
     length_factor: bool = False
 
 
-@dataclass(frozen=True)
-class _Exponents:
-    """Terms comparable (bounded ratio) to n^-p (ln n)^-q (ln ln n)^-r."""
-
-    p: float
-    q: float = 0.0
-    r: float = 0.0
-
-    def diverges(self):
-        if self.p == -math.inf:
-            return True
-        if self.p == math.inf:
-            return False
-        if self.p < 1.0 - _TOL:
-            return True
-        if self.p > 1.0 + _TOL:
-            return False
-        if self.q < 1.0 - _TOL:
-            return True
-        if self.q > 1.0 + _TOL:
-            return False
-        return self.r <= 1.0 + _TOL
-
-
 def _exponents_single(spec, kappa, poly, length_factor):
-    """Exponent triple for a leaf shape that `validate_lengths` admits."""
-    if isinstance(spec, Constant):
-        return _Exponents(p=poly)
+    """Exponent triple (p, q, r) for a leaf shape that `validate_lengths`
+    admits: its terms have a bounded ratio to n^-p (ln n)^-q (ln ln n)^-r.
+    kappa is a Fraction; p is +-inf for terms beyond every power of n."""
     if isinstance(spec, LogAffine):
-        p = poly + kappa * spec.log_coef_sum
-        q = kappa * spec.loglog_coef
-        r = 0.0
+        p = kappa * spec.log_coef_sum + (Fraction(poly) if poly else 0)
+        q = kappa * Fraction(spec.loglog_coef) if spec.loglog_coef else 0
+        r = 0
         if length_factor:
             if spec.log_coef_sum != 0:
-                q += 1.0
+                q += 1
             elif spec.loglog_coef != 0:
-                r += 1.0
+                r = 1
             elif spec.const == 0:  # l_n ~ C / n^k, so 1/l_n ~ n^k
                 p -= spec.vanishing_order
-        return _Exponents(p=p, q=q, r=r)
+        return (p, q, r)
     if isinstance(spec, Linear):
         if kappa > 0 and spec.slope > 0:
-            return _Exponents(p=math.inf)
-        p = poly + (1.0 if length_factor and spec.slope > 0 else 0.0)
-        return _Exponents(p=p)
-    if isinstance(spec, ScaledPowerDecay):
+            return (math.inf, 0, 0)
+        grows = length_factor and spec.slope > 0  # 1/l_n ~ 1/n
+        return (Fraction(poly) + 1 if grows else poly, 0, 0)
+    if isinstance(spec, ScaledPowerDecay) and length_factor:
         # e^{-kappa l_n} -> 1; the 1/l_n factor grows geometrically
-        if length_factor:
-            return _Exponents(p=-math.inf)
-        return _Exponents(p=poly)
+        return (-math.inf, 0, 0)
+    if isinstance(spec, (Constant, ScaledPowerDecay)):
+        return (poly, 0, 0)
     raise SpecError("no exponent form for the length shape %r" % (spec,))
 
 
 def _exponent_forms(terms):
     """List of exponent triples, one for each of the `branches` of the
     lengths: the series diverges iff one of them does."""
-    return [_exponents_single(branch, terms.kappa, terms.poly_exponent,
+    kappa = Fraction(terms.kappa)
+    return [_exponents_single(branch, kappa, terms.poly_exponent,
                               terms.length_factor)
             for branch in branches(terms.lengths)]
+
+
+def _exponent_text(x):
+    """Text that names x exactly: a float as %g where that reads back as it,
+    else as its shortest repr; any other rational as the fraction n/d."""
+    f = float(x)
+    if isinstance(x, Fraction) and f.as_integer_ratio() != (x.numerator, x.denominator):
+        return str(x)
+    text = "%g" % f
+    return text if float(text) == f else repr(f)
 
 
 def _heuristic(term_fn):
@@ -153,10 +145,10 @@ def classify_series(terms):
     """Classify sum of C e^{-kappa l_n} n^{-m} / l_n^{e} for a validated
     length spec, exactly: every branch of one has an exponent form."""
     forms = _exponent_forms(terms)
-    div = any(f.diverges() for f in forms)
-    detail = ", ".join("p=%g q=%g r=%g" % (f.p, f.q, f.r) for f in forms)
     return SeriesBehavior(
-        "diverges" if div else "converges", "bertrand-exact", detail
+        "diverges" if min(forms) <= _BERTRAND else "converges",
+        "bertrand-exact",
+        ", ".join("p=%s q=%s r=%s" % tuple(map(_exponent_text, f)) for f in forms),
     )
 
 
@@ -166,52 +158,52 @@ def classify_series(terms):
 
 
 def _telescoping_branches(lengths):
-    """Detect l_{2k} = a ln(k+s+1) + b ln(k+s), l_{2k+1} = (a+b) ln(k+s+1).
+    """Detect l_{2k} = a ln(k+s+1) + b ln(k+s), l_{2k+1} = (a+b) ln(k+s+1),
+    exactly: the odd branch may split a + b into several log terms, all at
+    the shift s + 1.
 
     For this shape the alternating sums sigma telescope:
     sigma_{2k} = a ln(k+s+1) + const and sigma_{2k+1} = b ln(k+s+1) + const,
-    so the sigma series is Bertrand-classifiable.  Returns (a, b) or None.
+    so the sigma series is Bertrand-classifiable.  A finite prefix changes
+    sigma_n by a constant times (-1)^n, so it is looked through.  Returns
+    (a, b) or None.
     """
-    spec = lengths
-    if isinstance(spec, ExplicitPrefixThenTail):
-        if len(spec.values) != 1:
-            return None
-        spec = spec.tail
-    if not isinstance(spec, AlternatingLogAffine):
+    parts = branches(lengths)
+    if len(parts) != 2 or not all(isinstance(b, LogAffine) for b in parts):
         return None
-    ev, od = spec.even, spec.odd
+    ev, od = parts
     if ev.loglog_coef or od.loglog_coef or ev.const != od.const:
         return None
-    if len(ev.log_terms) != 2 or len(od.log_terms) != 1:
+    if len(ev.log_terms) != 2 or not od.log_terms:
         return None
     (a1, s1), (a2, s2) = sorted(ev.log_terms, key=lambda t: -t[1])
-    (ao, so) = od.log_terms[0]
     if not (
-        math.isclose(s1, s2 + 1.0, rel_tol=0, abs_tol=1e-12)
-        and math.isclose(so, s1, rel_tol=0, abs_tol=1e-12)
-        and math.isclose(ao, a1 + a2, rel_tol=1e-12, abs_tol=1e-12)
+        Fraction(s1) - Fraction(s2) == 1
+        and all(so == s1 for _, so in od.log_terms)
+        and od.log_coef_sum == ev.log_coef_sum
     ):
         return None
     return (a1, a2)
 
 
-def classify_sigma_series(lengths, kappa=0.5):
-    """Behaviour of sum e^{-kappa sigma_n} for the alternating sums sigma
+def classify_sigma_series(lengths):
+    """Behaviour of sum e^{-sigma_n / 2} for the alternating sums sigma
     where sigma telescopes, else None.
 
     Otherwise sigma_1, ..., sigma_200000 are built only to raise the
-    OverflowError of e^{-kappa sigma_n} where it overflows (exp is monotone,
+    OverflowError of e^{-sigma_n / 2} where it overflows (exp is monotone,
     so the largest exponent decides), an exit code the benchmark records.
     """
     pair = _telescoping_branches(lengths)
     if pair is None:
-        math.exp(float(np.max(-kappa * sigma_sequence(lengths, 200_000))))
+        math.exp(float(np.max(-0.5 * sigma_sequence(lengths, 200_000))))
         return None
-    forms = [_Exponents(p=kappa * pair[0]), _Exponents(p=kappa * pair[1])]
+    # e^{-sigma/2} ~ k^{-a/2} and k^{-b/2} on the two branches
+    p = [Fraction(a) / 2 for a in pair]
     return SeriesBehavior(
-        "diverges" if any(f.diverges() for f in forms) else "converges",
+        "diverges" if min(p) <= 1 else "converges",
         "bertrand-exact",
-        "sigma branches p=%g, p=%g" % (forms[0].p, forms[1].p),
+        "sigma branches p=%s, p=%s" % tuple(map(_exponent_text, p)),
     )
 
 
@@ -247,11 +239,12 @@ class Verdict:
 
 
 def _constant_twist(twists):
-    """The twist of a Constant or slope-0 Linear twist spec, else None."""
+    """The twist of a Constant or slope-0 Linear twist spec, else None.  The
+    surface specs have checked that it lies in (-1/2, 1/2]."""
     if isinstance(twists, Constant):
-        return normalize_twist(twists.value)
+        return twists.value
     if isinstance(twists, Linear) and twists.slope == 0:
-        return normalize_twist(twists.intercept)
+        return twists.intercept
     return None
 
 
@@ -261,8 +254,7 @@ def _twisted_series(lengths, twists, poly=0.0):
     t = _constant_twist(twists)
     if t is not None:
         return classify_series(SeriesTerms(
-            lengths, kappa=0.5 * (1.0 - abs(t)), poly_exponent=poly
-        ))
+            lengths, kappa=(1 - abs(Fraction(t))) / 2, poly_exponent=poly))
     return _heuristic(
         lambda n: math.exp(
             -0.5 * (1.0 - abs(normalize_twist(twists.term(n)))) * lengths.term(n)
@@ -296,7 +288,7 @@ def classify_flute(flute):
         beh = classify_series(SeriesTerms(lengths, kappa=0.25))
         if beh.verdict == "diverges":
             return Verdict("Parabolic", criterion="half-twist-series", series=beh)
-        sig = classify_sigma_series(lengths, kappa=0.5)
+        sig = classify_sigma_series(lengths)
         if sig is not None and sig.verdict == "converges":
             return Verdict(
                 "NotParabolic",
@@ -379,7 +371,7 @@ def _bi_infinite_series(spec, use_twists):
 
     def kappa(twists):
         t = _constant_twist(twists) if use_twists else 0.0
-        return None if t is None else 0.5 * (1.0 - abs(t))
+        return None if t is None else (1 - abs(Fraction(t))) / 2
 
     kpos, kneg = kappa(spec.twists_pos), kappa(spec.twists_neg_effective)
     if kpos is not None and kneg is not None:
@@ -388,14 +380,12 @@ def _bi_infinite_series(spec, use_twists):
         # the branches are (even n, odd n), or one for both: the ends meet
         # at each parity, where 1/(A_n + B_n) is comparable to the
         # faster-decaying end, and the series diverges iff one parity does
-        key = lambda f: (f.p, f.q, f.r)
-        dominant = [max(pos[j % len(pos)], neg[j % len(neg)], key=key)
-                    for j in range(max(len(pos), len(neg)))]
-        decisive = next((d for d in dominant if d.diverges()), min(dominant, key=key))
+        decisive = min(max(pos[j % len(pos)], neg[j % len(neg)])
+                       for j in range(max(len(pos), len(neg))))
         return SeriesBehavior(
-            "diverges" if decisive.diverges() else "converges",
+            "diverges" if decisive <= _BERTRAND else "converges",
             "bertrand-exact",
-            "dominant p=%g q=%g" % (decisive.p, decisive.q),
+            "dominant p=%s q=%s" % tuple(map(_exponent_text, decisive[:2])),
         )
 
     def one(lengths, twists, n):
@@ -475,7 +465,8 @@ def classify_cover(cov):
 def two_parameter_flute(a, b, l1=None):
     """Half-twisted flute with l_{2k} = a ln(k+1) + b ln k, l_{2k+1} = (a+b) ln(k+1).
 
-    l_1 may be any value in (0, a ln 2); the default is a ln(2) / 2.
+    l_1 may be any value in (0, a ln 2); the default is a ln(2) / 2.  The odd
+    branch keeps a and b as two log terms, so that a + b is exact.
     """
     if not (a > 0 and b > 0):
         raise SpecError("need a > 0 and b > 0")
@@ -483,12 +474,12 @@ def two_parameter_flute(a, b, l1=None):
         l1 = 0.5 * a * math.log(2.0)
     if not (0 < l1 < a * math.log(2.0)):
         raise SpecError("need 0 < l1 < a ln 2")
-    b2 = float(b)
+    a, b = float(a), float(b)
     lengths = ExplicitPrefixThenTail(
         values=(float(l1),),
         tail=AlternatingLogAffine(
-            even=LogAffine(log_terms=((float(a), 1.0), (b2, 0.0))),
-            odd=LogAffine(log_terms=((float(a) + b2, 1.0),)),
+            even=LogAffine(log_terms=((a, 1.0), (b, 0.0))),
+            odd=LogAffine(log_terms=((a, 1.0), (b, 1.0))),
         ),
     )
     return FluteSpec(lengths=lengths, twists=Constant(0.5))

@@ -168,11 +168,7 @@ def nonstandard_half_collar_lambda(spec):
     pair = nonstandard_half_collar_graphs(spec)
     delta = 1.0 / spec.l_alpha
     mod = sandwich_bounds(pair, delta)
-    return ModulusBounds(
-        lower=1.0 / mod.upper,
-        upper=1.0 / mod.lower,
-        provenance=("reciprocal",) + mod.provenance,
-    )
+    return ModulusBounds(lower=1.0 / mod.upper, upper=1.0 / mod.lower)
 
 
 def glued_collar_graphs(spec):
@@ -321,10 +317,5 @@ def glued_collar_lambda(spec):
     c = rectangle_deviation(glued_collar_envelope(spec), delta)
     env_mod = rectangle_sandwich(env_v, c, area, delta)
     full_v = vertical_modulus(glued_collar_graphs(spec))
-    bounds = ModulusBounds(
-        lower=1.0 / env_mod.upper,
-        upper=1.0 / full_v,
-        provenance=("reciprocal", "envelope-sandwich", "full-vertical")
-        + env_mod.provenance,
-    )
+    bounds = ModulusBounds(lower=1.0 / env_mod.upper, upper=1.0 / full_v)
     return GluedCollarResult(bounds=bounds, proxy=1.0 / glued_collar_proxy(spec))

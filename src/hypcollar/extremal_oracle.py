@@ -121,43 +121,45 @@ def _classes(dom, h):
     indices are those of mesh h bit for bit (0.5·h is exact), so the lattice
     at h is the one at h/2 taken at even indices, once _check has accepted
     both meshes.  A lattice of more than _MAX_NODES nodes is refused before
-    any array is allocated.
+    any array is allocated, and one whose arrays do not fit in memory.
     """
     x0, y0, x1, y1 = dom.bbox
     nodes = ((dom.periodic_x or x1 - x0) / h + 1) * ((y1 - y0) / h + 1)
+    refusal = ("h = %.3g needs a lattice of about %.3g nodes at mesh %.3g, %%s; "
+               "coarsen the mesh" % (dom.h, nodes, h))
     if nodes > _MAX_NODES:
-        raise ResolutionError(
-            "h = %.3g needs a lattice of about %.3g nodes at mesh %.3g, past "
-            "the %d that the solver's int32 indices allow; coarsen the mesh"
-            % (dom.h, nodes, h, _MAX_NODES)
-        )
+        raise ResolutionError(refusal % (
+            "past the %d that the solver's int32 indices allow" % _MAX_NODES))
     if dom.periodic_x:
         nx = int(round(dom.periodic_x / h))
     else:
         nx = int(math.floor((x1 - x0) / h)) + 1
     ny = int(math.floor((y1 - y0) / h)) + 1
-    xs = x0 + h * np.arange(nx)
-    ys = y0 + h * np.arange(ny)
-    if dom.f_of_x is not None and dom.g_of_x is not None:
-        fcol = _profile(dom.f_of_x, xs)
-        gcol = _profile(dom.g_of_x, xs)
-        Y = ys[None, :]
-        F = fcol[:, None]
-        G = gcol[:, None]
-        cls = np.full((nx, ny), _OUT, dtype=np.int8)
-        cls[(Y > G) & (Y < F)] = _IN
-        cls[Y >= F] = _A
-        cls[Y <= G] = _B
-        return cls, fcol - gcol
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    cls = np.full(X.shape, _OUT, dtype=np.int8)
-    a = dom.electrode_a(X, Y)
-    b = dom.electrode_b(X, Y) & ~a
-    inn = dom.inside(X, Y) & ~a & ~b
-    cls[inn] = _IN
-    cls[a] = _A
-    cls[b] = _B
-    return cls, None
+    try:
+        xs = x0 + h * np.arange(nx)
+        ys = y0 + h * np.arange(ny)
+        if dom.f_of_x is not None and dom.g_of_x is not None:
+            fcol = _profile(dom.f_of_x, xs)
+            gcol = _profile(dom.g_of_x, xs)
+            Y = ys[None, :]
+            F = fcol[:, None]
+            G = gcol[:, None]
+            cls = np.full((nx, ny), _OUT, dtype=np.int8)
+            cls[(Y > G) & (Y < F)] = _IN
+            cls[Y >= F] = _A
+            cls[Y <= G] = _B
+            return cls, fcol - gcol
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        cls = np.full(X.shape, _OUT, dtype=np.int8)
+        a = dom.electrode_a(X, Y)
+        b = dom.electrode_b(X, Y) & ~a
+        inn = dom.inside(X, Y) & ~a & ~b
+        cls[inn] = _IN
+        cls[a] = _A
+        cls[b] = _B
+        return cls, None
+    except MemoryError:
+        raise ResolutionError(refusal % "more than fits in memory") from None
 
 
 def _check(dom, h, gaps):

@@ -103,7 +103,6 @@ class ModulusBounds:
 
     lower: float
     upper: float
-    provenance: tuple = ()
 
     def __post_init__(self):
         if not (self.lower <= self.upper):
@@ -416,10 +415,6 @@ def rectangle_sandwich(vertical, c, area, delta):
     return ModulusBounds(
         lower=vertical,
         upper=3.0 / (c * c) * vertical + area / (delta * delta),
-        provenance=(
-            "vertical-family",
-            "rectangle-sandwich(c=%.6g, delta=%.6g, area=%.6g)" % (c, delta, area),
-        ),
     )
 
 

@@ -8,6 +8,8 @@ explicit prefixes, and the scaled power decay used by trees).
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 from ._lazy import numpy as np
@@ -96,9 +98,10 @@ class LogAffine:
             v += arg
         return v
 
-    @property
+    @cached_property
     def log_coef_sum(self):
-        return sum(a for a, _ in self.log_terms)
+        """sum_i a_i, exactly."""
+        return sum(Fraction(a) for a, _ in self.log_terms)
 
     @property
     def is_bounded(self):
@@ -106,10 +109,11 @@ class LogAffine:
 
     @property
     def vanishing_order(self):
-        """First k >= 1 with sum_i a_i s_i^k != 0: when sum_i a_i = 0, the log
-        terms tend to 0 like 1/n^k.  0 if every such moment vanishes."""
-        return next((k for k in range(1, len(self.log_terms) + 1)
-                     if sum(a * s ** k for a, s in self.log_terms)), 0)
+        """First k >= 1 with sum_i a_i s_i^k != 0, exactly: when sum_i a_i = 0,
+        the log terms tend to 0 like 1/n^k.  0 if every such moment vanishes."""
+        exact = [(Fraction(a), Fraction(s)) for a, s in self.log_terms]
+        return next((k for k in range(1, len(exact) + 1)
+                     if sum(a * s ** k for a, s in exact)), 0)
 
 
 def log_affine(a=0.0, b=0.0, c=0.0, n0=0.0, n1=1.0):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_heuristic_never_exact():
 def test_sigma_telescoping_exact():
     # interleaved lengths telescope: sigma follows each branch separately
     flute = cl.two_parameter_flute(3.0, 5.0)
-    beh = cl.classify_sigma_series(flute.lengths, kappa=0.5)
+    beh = cl.classify_sigma_series(flute.lengths)
     assert beh.method == "bertrand-exact"
     # min(a, b)/2 = 1.5 < ... converges iff min(a,b) > 2; here min = 3 > 2
     assert beh.verdict == "converges"
@@ -131,20 +132,27 @@ def test_sigma_telescoping_exact():
 @given(
     a=st.floats(min_value=0.01, max_value=10.0),
     b=st.floats(min_value=0.01, max_value=10.0),
-    s=st.floats(min_value=-0.9, max_value=10.0),
+    # shifts s whose s + 1 is exact, so that the shape is matched exactly
+    s=st.floats(min_value=-0.9, max_value=10.0).filter(
+        lambda s: Fraction(s + 1.0) == Fraction(s) + 1),
     c=st.floats(min_value=-5.0, max_value=5.0),
     l1=st.floats(min_value=0.01, max_value=10.0),
 )
 def test_telescoping_closed_form_holds_on_the_matched_shape(a, b, s, c, l1):
-    # l_{2k} = a ln(k+s+1) + b ln(k+s) + c, l_{2k+1} = (a+b) ln(k+s+1) + c
-    lengths = sf.ExplicitPrefixThenTail(
-        values=(l1,),
-        tail=sf.AlternatingLogAffine(
-            even=sf.LogAffine(log_terms=((a, s + 1.0), (b, s)), const=c),
-            odd=sf.LogAffine(log_terms=((a + b, s + 1.0),), const=c),
-        ),
+    # l_{2k} = a ln(k+s+1) + b ln(k+s) + c, l_{2k+1} = (a+b) ln(k+s+1) + c,
+    # the odd branch as two log terms at the shift s + 1
+    tail = lambda odd: sf.AlternatingLogAffine(
+        even=sf.LogAffine(log_terms=((a, s + 1.0), (b, s)), const=c),
+        odd=sf.LogAffine(log_terms=odd, const=c),
     )
+    lengths = sf.ExplicitPrefixThenTail(
+        values=(l1,), tail=tail(((a, s + 1.0), (b, s + 1.0))))
     assert cl._telescoping_branches(lengths) == (a, b)
+    # one odd term a + b is matched only where the float sum is exact
+    rounded = sf.ExplicitPrefixThenTail(
+        values=(l1,), tail=tail(((a + b, s + 1.0),)))
+    exact_sum = Fraction(a + b) == Fraction(a) + Fraction(b)
+    assert cl._telescoping_branches(rounded) == ((a, b) if exact_sum else None)
     sigma = sf.sigma_sequence(lengths, 401)  # sigma[n - 1] is sigma_n
     k = np.arange(1, 201)
     even = sigma[2 * k - 1] - a * np.log(k + s + 1.0)

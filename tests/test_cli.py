@@ -405,6 +405,26 @@ def test_oracle_mesh_size_is_checked_for_every_shape(tmp_path, capsys, shape, h,
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_oracle_lattice_past_memory_is_a_mesh_refusal(tmp_path):
+    # 4e8 nodes at h/2, inside the int32 limit; under a 1 GiB address-space
+    # limit the lattice's first array cannot be allocated
+    import resource
+
+    limit = 2**30
+    cfg = write_config(tmp_path, {"shape": "rectangle", "width": 1,
+                                  "height": 1, "h": 1e-4})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypcollar.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypcollar.cli", "oracle", "--config", cfg],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == (
+        "mesh refusal: h = 0.0001 needs a lattice of about 4e+08 nodes at mesh "
+        "5e-05, more than fits in memory; coarsen the mesh\n")
+
+
 def test_oracle_refine_key_is_unknown(tmp_path, capsys):
     cfg = write_config(tmp_path, {"shape": "rectangle", "width": 2.0,
                                   "height": 1.0, "refine": False})

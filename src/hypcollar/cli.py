@@ -12,29 +12,12 @@ import json
 import math
 import sys
 
+from . import _lazy
 from .classifier import (
     classify_exhaustion,
     sweep_scaled,
     sweep_two_parameter,
 )
-from .collar_modulus import (
-    GluedCollarSpec,
-    HalfCollarSpec,
-    glued_collar_lambda,
-    nonstandard_half_collar_lambda,
-)
-from .extremal_oracle import (
-    OracleError,
-    ResolutionError,
-    annular_sector_domain,
-    annulus_domain,
-    comb_domain,
-    comb_vertical_modulus,
-    discrete_modulus,
-    rectangle_domain,
-    strip_domain,
-)
-from .graph_modulus import QuadratureError, constant_pair, sandwich_bounds
 from .hypgeom import HypothesisError, standard_half_collar_lambda
 from .surfaces import (
     AbelianCover,
@@ -53,7 +36,12 @@ from .surfaces import (
     ScaledPowerDecay,
     SpecError,
 )
-from . import collar_modulus
+
+# the bounds and the oracle run on the first command that uses them:
+# classify, sweep and collar --standard never do
+collar_modulus = _lazy.lazy_import(__package__ + ".collar_modulus")
+graph_modulus = _lazy.lazy_import(__package__ + ".graph_modulus")
+extremal_oracle = _lazy.lazy_import(__package__ + ".extremal_oracle")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -321,13 +309,13 @@ def cmd_collar(args):
     if args.l_gamma2 is not None or args.twist is not None:
         if args.l_gamma2 is None or args.twist is None:
             raise ConfigError("glued collars need both --l-gamma2 and --twist")
-        spec = GluedCollarSpec(
+        spec = collar_modulus.GluedCollarSpec(
             l_alpha=l_alpha,
             l_gamma=args.l_gamma,
             l_gamma2=args.l_gamma2,
             twist=args.twist,
         )
-        res = glued_collar_lambda(spec)
+        res = collar_modulus.glued_collar_lambda(spec)
         data = {
             "kind": "glued-collar",
             "l_alpha": l_alpha,
@@ -340,8 +328,8 @@ def cmd_collar(args):
         }
         _emit(data, args.output)
         return EXIT_OK
-    spec = HalfCollarSpec(l_alpha=l_alpha, l_gamma=args.l_gamma)
-    bounds = nonstandard_half_collar_lambda(spec)
+    spec = collar_modulus.HalfCollarSpec(l_alpha=l_alpha, l_gamma=args.l_gamma)
+    bounds = collar_modulus.nonstandard_half_collar_lambda(spec)
     data = {
         "kind": "nonstandard-half-collar",
         "l_alpha": l_alpha,
@@ -401,45 +389,33 @@ def _oracle_domain(cfg):
     def num(key, allow_inf=False):
         return _number(_required(cfg, key, ""), key, allow_inf=allow_inf)
 
+    eo, cm = extremal_oracle, collar_modulus
     if shape == "rectangle":
-        return rectangle_domain(
-            num("width"),
-            num("height"),
-            h or 1.0 / 128,
-        )
+        return eo.rectangle_domain(num("width"), num("height"), h or 1.0 / 128)
     if shape == "annulus":
-        return annulus_domain(num("r1"), num("r2"), h or 1.0 / 128)
+        return eo.annulus_domain(num("r1"), num("r2"), h or 1.0 / 128)
     if shape == "annular_sector":
-        return annular_sector_domain(
-            num("r1"),
-            num("r2"),
-            num("theta"),
-            h or 1.0 / 128,
-        )
+        return eo.annular_sector_domain(num("r1"), num("r2"), num("theta"),
+                                        h or 1.0 / 128)
     if shape == "comb":
-        return comb_domain(num("epsilon"), h=h)
+        return eo.comb_domain(num("epsilon"), h=h)
     if shape == "half_collar":
-        spec = HalfCollarSpec(
-            num("l_alpha"),
-            num("l_gamma", allow_inf=True),
-        )
-        return strip_domain(
-            collar_modulus.nonstandard_half_collar_graphs(spec), h=h
-        )
+        spec = cm.HalfCollarSpec(num("l_alpha"), num("l_gamma", allow_inf=True))
+        return eo.strip_domain(cm.nonstandard_half_collar_graphs(spec), h=h)
     if shape == "glued_collar":
-        spec = GluedCollarSpec(
+        spec = cm.GluedCollarSpec(
             num("l_alpha"),
             num("l_gamma", allow_inf=True),
             num("l_gamma2", allow_inf=True),
             num("twist"),
         )
-        return strip_domain(collar_modulus.glued_collar_graphs(spec), h=h)
+        return eo.strip_domain(cm.glued_collar_graphs(spec), h=h)
     raise ConfigError("unknown oracle shape %r" % (shape,))
 
 
 def cmd_oracle(args):
     dom = _oracle_domain(_load_config(args.config))
-    est = discrete_modulus(dom)
+    est = extremal_oracle.discrete_modulus(dom)
     _emit(
         {
             "domain": dom.name,
@@ -470,10 +446,11 @@ def calibration_checks(h):
     """Oracle moduli at mesh h of the 3 x 1 rectangle (3), the annulus
     1 < r < e (2 pi) and its quarter sector, whose radial sides are joined
     with modulus ln(e) / (pi / 2)."""
-    rect = discrete_modulus(rectangle_domain(3.0, 1.0, h)).value
-    ann = discrete_modulus(annulus_domain(1.0, math.e, h)).value
-    sector = discrete_modulus(
-        annular_sector_domain(1.0, math.e, math.pi / 2, h)).value
+    eo = extremal_oracle
+    rect = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h)).value
+    ann = eo.discrete_modulus(eo.annulus_domain(1.0, math.e, h)).value
+    sector = eo.discrete_modulus(
+        eo.annular_sector_domain(1.0, math.e, math.pi / 2, h)).value
     return [
         _closed_form("rectangle-3x1", rect, 3.0, 5e-3),
         _closed_form("annulus-e", ann, 2 * math.pi, 1e-2),
@@ -488,7 +465,9 @@ def standard_collar_checks():
     rows = []
     for l in (1.0, 2.0, 4.0):
         lam = standard_half_collar_lambda(l)
-        est = discrete_modulus(strip_domain(constant_pair(lam), h=lam / 64))
+        strip = extremal_oracle.strip_domain(graph_modulus.constant_pair(lam),
+                                             h=lam / 64)
+        est = extremal_oracle.discrete_modulus(strip)
         rows.append(_closed_form("standard-collar-l=%g" % l, 1.0 / est.value,
                                  lam, 2e-2))
     return rows
@@ -501,8 +480,8 @@ def comb_checks(epsilons):
     and below the previous row's."""
     rows, prev = [], math.inf
     for eps in epsilons:
-        est = discrete_modulus(comb_domain(eps))
-        ratio = comb_vertical_modulus(eps) / est.value
+        est = extremal_oracle.discrete_modulus(extremal_oracle.comb_domain(eps))
+        ratio = extremal_oracle.comb_vertical_modulus(eps) / est.value
         rows.append(("comb-eps=%g" % eps, ratio, "< 1 and decreasing",
                      ratio < min(1.0, prev)))
         prev = ratio
@@ -515,14 +494,14 @@ def sandwich_checks(specs, inside):
     inside(estimate, bounds)."""
     rows = []
     for spec in specs:
-        if isinstance(spec, GluedCollarSpec):
+        if isinstance(spec, collar_modulus.GluedCollarSpec):
             pair = collar_modulus.glued_collar_graphs(spec)
             name = "glued-collar-l=%g-t=%g" % (spec.l_alpha, spec.twist)
         else:
             pair = collar_modulus.nonstandard_half_collar_graphs(spec)
             name = "half-collar-l=%g-gamma=%s" % (spec.l_alpha, spec.l_gamma)
-        sb = sandwich_bounds(pair, 1.0 / spec.l_alpha)
-        est = discrete_modulus(strip_domain(pair))
+        sb = graph_modulus.sandwich_bounds(pair, 1.0 / spec.l_alpha)
+        est = extremal_oracle.discrete_modulus(extremal_oracle.strip_domain(pair))
         rows.append((name, est.value, "[%g, %g]" % (sb.lower, sb.upper),
                      inside(est, sb)))
     return rows
@@ -534,7 +513,8 @@ def cmd_verify(args):
         "standard-collar": standard_collar_checks,
         "comb": lambda: comb_checks((0.2, 0.1)),
         "sandwich": lambda: sandwich_checks(
-            [HalfCollarSpec(4.0, l_gamma) for l_gamma in (math.inf, 1.0)],
+            [collar_modulus.HalfCollarSpec(4.0, l_gamma)
+             for l_gamma in (math.inf, 1.0)],
             lambda est, sb: sb.lower <= est.value <= sb.upper,
         ),
     }
@@ -615,12 +595,14 @@ def main(argv=None):
         if isinstance(exc, HypothesisError):
             print("hypothesis violation: %s" % exc, file=sys.stderr)
             return EXIT_HYPOTHESIS
-        if isinstance(exc, ResolutionError):
+        # an oracle that has not run refused no mesh; asking it would run it
+        if _lazy.loaded(extremal_oracle) and isinstance(
+                exc, extremal_oracle.ResolutionError):
             print("mesh refusal: %s" % exc, file=sys.stderr)
             return EXIT_RESOLUTION
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (OracleError, QuadratureError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # OracleError and QuadratureError among them
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

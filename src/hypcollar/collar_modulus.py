@@ -150,12 +150,6 @@ def half_collar_envelope(spec):
     )
 
 
-def half_collar_envelope_vertical_modulus(spec):
-    """Closed form of the vertical modulus of the envelope pair."""
-    l = spec.l_alpha
-    return 4.0 * (1.0 - math.exp(-0.5 * l)) * math.exp(spec.r_eta)
-
-
 def nonstandard_half_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 

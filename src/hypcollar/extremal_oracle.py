@@ -435,14 +435,6 @@ def _solve(cls, wrap, transfers, h, x0=None):
             float(np.linalg.norm(residual) / np.linalg.norm(rhs)))
 
 
-def _solve_at(dom, h):
-    """_solve on the domain's own lattice and hierarchy at mesh h: the
-    energy, the potential and the PCG iterations."""
-    cls = _lattice(dom, h)
-    wrap = dom.periodic_x is not None
-    return _solve(cls, wrap, _transfers(cls, wrap), h)[:3]
-
-
 def discrete_modulus(domain):
     """Discrete modulus of the family of curves joining the two electrodes.
 

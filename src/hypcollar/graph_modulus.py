@@ -129,37 +129,6 @@ def constant_pair(gap, period=1.0, label="constant-gap"):
     )
 
 
-def sinusoid_pair(offset, amplitude, period=1.0, label="sinusoid-gap"):
-    """The pair f = offset + amplitude*sin(2 pi x / period), g = 0."""
-    if not offset - abs(amplitude) > 0:
-        raise ValueError("graphs must stay separated: offset > |amplitude|")
-    w = 2.0 * math.pi / period
-    return PeriodicFunctionPair(
-        f=lambda x: offset + amplitude * np.sin(w * x),
-        g=lambda x: np.zeros_like(x, dtype=float),
-        period=period, x1=0.0, x2=period, label=label,
-    )
-
-
-def scaled_pair(pair, s):
-    """Scale both axes by s > 0 (modulus quantities are scale invariant)."""
-    if not s > 0:
-        raise ValueError("scale must be positive")
-    F, G = pair.offsets()
-    return PeriodicFunctionPair(
-        f=lambda x: s * pair.f(x / s),
-        g=lambda x: s * pair.g(x / s),
-        period=s * pair.period,
-        x1=s * pair.x1,
-        x2=s * pair.x2,
-        breakpoints=tuple(s * b for b in pair.breakpoints),
-        label=pair.label,
-        F=lambda x: s * F(x / s),
-        G=lambda x: s * G(x / s),
-        sqrt_ends=tuple(s * e for e in pair.sqrt_ends),
-    )
-
-
 def _sample(func, xs):
     """func on the array xs, as a float array of its shape (a constant
     callable may return a scalar).  Overflow, division by zero and invalid

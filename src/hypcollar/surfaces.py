@@ -256,11 +256,17 @@ def sequence_terms(spec, n_max, start=1):
 
 
 def _leading_coefficient(spec):
-    """First nonzero of (sum of log coefficients, log log coefficient, const),
-    the sign of a LogAffine's terms for large n; 0 if all three vanish."""
-    return next(
-        (x for x in (spec.log_coef_sum, spec.loglog_coef, spec.const) if x), 0.0
-    )
+    """A number with the sign of a LogAffine's terms for large n: the first
+    nonzero of (sum of log coefficients, log log coefficient, const), else
+    (-1)^(k+1) sum_i a_i s_i^k at k = vanishing_order, since the log terms
+    then tend to 0 like that over k n^k; 0 if every one vanishes."""
+    lead = next(
+        (x for x in (spec.log_coef_sum, spec.loglog_coef, spec.const) if x), 0.0)
+    if lead or not spec.vanishing_order:
+        return lead
+    k = spec.vanishing_order
+    return (-1) ** (k + 1) * sum(
+        Fraction(a) * Fraction(s) ** k for a, s in spec.log_terms)
 
 
 def branches(spec):

@@ -264,6 +264,29 @@ def test_lengths_negative_far_out_are_config_errors(tmp_path, capsys, lengths):
         assert "turn negative" in capsys.readouterr().err
 
 
+
+def _cancelling(shift):
+    """ln((n+2)^2 / ((n+1)(n+shift))): about 1/n^2 - (shift-3)/n far out,
+    so it turns negative for every shift above 3."""
+    return {"kind": "log_affine", "log_terms": [[-1, shift], [2, 2], [-1, 1]]}
+
+
+def test_cancelling_log_lengths_that_turn_negative_are_config_errors(
+        tmp_path, capsys):
+    # the shift is 3 + 4.4e-16: positive far past any window of terms, then
+    # negative from about n = 2e15
+    for cfg, field in (({"type": "cover", "rank": 4,
+                         "L": _cancelling(3.0000000000000004)}, "L"),
+                       ({"type": "flute",
+                         "lengths": _cancelling(3.0000000000000004)}, "lengths")):
+        assert run(["classify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: %s: log-affine lengths with a negative leading "
+            "coefficient turn negative" % field)
+    for cfg in ({"type": "cover", "rank": 4, "L": _cancelling(2.9999999999999996)},
+                {"type": "flute", "lengths": _cancelling(2.9999999999999996)}):
+        assert run(["classify", "--config", write_config(tmp_path, cfg)]) == 0
+
 def test_cancelling_log_lengths_decay_like_a_power(tmp_path, capsys):
     # l_n = ln((n+2)/(n+1)) ~ 1/n, so the rank-3 terms n^-2 / l_n ~ 1/n
     cfg = write_config(tmp_path, {
@@ -274,6 +297,15 @@ def test_cancelling_log_lengths_decay_like_a_power(tmp_path, capsys):
     assert out["kind"] == "Parabolic"
     assert out["series"]["verdict"] == "diverges"
     assert out["series"]["detail"] == "p=1 q=0 r=0"
+
+
+def _fresh_python(script, *argv):
+    """Run `script` in a fresh interpreter that imports this checkout's
+    package; the finished process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypcollar.__file__)))
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_classify_and_collar_load_no_scipy(tmp_path):
@@ -303,14 +335,88 @@ def test_classify_and_collar_load_no_scipy(tmp_path):
         "print(loaded)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hypcollar.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script, nested, sweep], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _fresh_python(script, nested, sweep)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[False, False, False, False, True]", "[]"]
     assert '"method": "bertrand-exact"' in proc.stdout
 
+
+# Which of the lazy layers have run: any attribute access runs a lazy module,
+# vars() included, so each is inspected by its type alone.
+_RAN = (
+    "import sys, types\n"
+    "from hypcollar import cli\n"
+    "LAYERS = ('collar_modulus', 'graph_modulus', 'extremal_oracle')\n"
+    "def ran():\n"
+    "    return [type(sys.modules['hypcollar.' + name]) is types.ModuleType\n"
+    "            for name in LAYERS]\n"
+)
+
+
+def test_each_command_runs_only_the_layers_it_uses(tmp_path):
+    nested = write_config(tmp_path, {"type": "flute", "lengths": {
+        "kind": "prefix", "values": [1.0],
+        "tail": {"kind": "log_affine", "a": 3.0, "n0": 1.0}}}, "nested.json")
+    sweep = write_config(tmp_path, {"family": "two-parameter", "a": [1.0, 3.0],
+                                    "b": [1.0, 3.0]}, "sweep.json")
+    rect = write_config(tmp_path, {"shape": "rectangle", "width": 2.0,
+                                   "height": 1.0, "h": 0.0625}, "rect.json")
+    script = _RAN + (
+        "import hypcollar\n"
+        "for name in LAYERS:  # bound on the package, as an import binds them\n"
+        "    assert getattr(hypcollar, name) is sys.modules['hypcollar.' + name]\n"
+        "runs = [ran()]\n"
+        "for argv in (['classify', '--config', sys.argv[1]],\n"
+        "             ['sweep', '--config', sys.argv[2]],\n"
+        "             ['collar', '--l-alpha', '4', '--standard'],\n"
+        "             ['collar', '--l-alpha', '4', '--l-gamma', '1'],\n"
+        "             ['oracle', '--config', sys.argv[3]]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    runs.append(ran())\n"
+        "print(runs)\n"
+    )
+    proc = _fresh_python(script, nested, sweep, rect)
+    assert proc.returncode == 0, proc.stderr
+    none, bounds, every = [False] * 3, [True, True, False], [True] * 3
+    assert proc.stdout.splitlines()[-1] == str(
+        [none, none, none, none, bounds, every])
+
+
+def test_error_paths_keep_their_exit_codes_without_the_oracle(tmp_path):
+    log = lambda a: {"kind": "log_affine", "a": a, "n0": 1.0}
+    configs = [
+        write_config(tmp_path, {"type": "flute"}, "missing.json"),
+        write_config(tmp_path, {
+            "type": "ladder", "lengths": {"kind": "constant", "value": 1.0},
+            "twists": {"kind": "constant", "value": 0.5}, "use_twists": True,
+        }, "unasserted.json"),
+        write_config(tmp_path, {
+            "type": "flute", "twists": {"kind": "constant", "value": 0.5},
+            "lengths": {"kind": "prefix", "values": [1.0], "tail": {
+                "kind": "alternating", "even": log(7.0), "odd": log(5.0)}},
+        }, "alt75.json"),
+        write_config(tmp_path, {"shape": "comb", "epsilon": 0.1, "h": 0.05},
+                     "coarse_comb.json"),
+    ]
+    script = _RAN + (
+        "codes = []\n"
+        "for argv in (['classify', '--config', sys.argv[1]],\n"
+        "             ['classify', '--config', sys.argv[2]],\n"
+        "             ['classify', '--config', sys.argv[3]],\n"
+        "             ['collar', '--l-alpha', '-1', '--standard'],\n"
+        "             ['collar', '--l-alpha', '-1', '--l-gamma', '1'],\n"
+        "             ['collar', '--l-alpha', '1.5', '--l-gamma', '0.3'],\n"
+        "             ['collar', '--l-alpha', '2000', '--l-gamma', 'inf']):\n"
+        "    codes.append(cli.main(argv))\n"
+        "print(codes, ran()[2])\n"
+        "print(cli.main(['oracle', '--config', sys.argv[4]]), ran()[2])\n"
+    )
+    proc = _fresh_python(script, *configs)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[2, 4, 3, 2, 2, 4, 3] False", "5 True"]
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
+        "config error", "hypothesis violation", "numeric failure", "config error",
+        "config error", "hypothesis violation", "numeric failure", "mesh refusal"]
 
 def test_collar_standard(capsys):
     assert run(["collar", "--l-alpha", "2", "--standard"]) == 0
@@ -437,7 +543,7 @@ def test_comb_rows_need_a_ratio_below_one(monkeypatch):
     # oracle value below 1/eps fails a row even when it has no predecessor
     from hypcollar import extremal_oracle as eo
 
-    monkeypatch.setattr(cli, "discrete_modulus", lambda dom: eo.ModulusEstimate(
+    monkeypatch.setattr(eo, "discrete_modulus", lambda dom: eo.ModulusEstimate(
         value=4.0, meshes=(dom.h,), raw_values=(4.0,), error_bar=0.0,
         extrapolated=False, unknowns=(0,), iterations=(0,)))
     (row,) = cli.comb_checks((0.2,))

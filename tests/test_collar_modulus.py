@@ -15,6 +15,8 @@ from hypcollar import collar_modulus as cm
 from hypcollar import graph_modulus as gm
 from hypcollar import hypgeom as hg
 
+from helpers import half_collar_envelope_vertical_modulus
+
 
 def test_half_collar_r_eta_stays_finite_where_eta_is_subnormal():
     # eta = 2 e^{-710.5} is subnormal, and r(eta) = l_alpha / 2 still
@@ -42,7 +44,7 @@ def test_envelope_vertical_modulus_closed_form():
     for l, g in ((4.0, math.inf), (8.0, 1.0), (12.0, math.inf)):
         spec = cm.HalfCollarSpec(l, g)
         numeric = gm.vertical_modulus(cm.half_collar_envelope(spec))
-        closed = cm.half_collar_envelope_vertical_modulus(spec)
+        closed = half_collar_envelope_vertical_modulus(spec)
         assert numeric == pytest.approx(closed, rel=1e-6)
 
 
@@ -285,7 +287,7 @@ def test_untwisted_glued_envelope_is_half_the_half_collar_envelope(l, l_gamma):
     # at t = 0 with equal sides the envelope gap is twice the half-collar's
     spec = cm.GluedCollarSpec(l, l_gamma, l_gamma, 0.0)
     assert cm.glued_envelope_vertical_modulus(spec) == pytest.approx(
-        0.5 * cm.half_collar_envelope_vertical_modulus(spec.side1), rel=1e-14)
+        0.5 * half_collar_envelope_vertical_modulus(spec.side1), rel=1e-14)
 
 
 def test_glued_lower_bound_needs_no_envelope_quadrature(monkeypatch):

@@ -97,16 +97,20 @@ def test_bi_infinite_dominance_boundary(a, swap):
     assert v.kind == ("Parabolic" if p <= 1 else "Unknown")
 
 
-@pytest.mark.parametrize("s1", _around(3.0)[:2])
+@pytest.mark.parametrize("s1", _around(3.0))
 def test_cover_length_factor_boundary_at_a_vanishing_moment(s1):
-    # l_n = -ln(n + s1) + 2 ln(n + 2) - ln(n + 1) vanishes like (s1 - 3)/n,
+    # l_n = -ln(n + s1) + 2 ln(n + 2) - ln(n + 1) vanishes like (3 - s1)/n,
     # or like 1/n^2 at s1 = 3; a rank-4 cover sums e^{-l_n/2} n^{-3} / l_n,
     # comparable to n^{k - 3} for l_n ~ 1/n^k.  Above s1 = 3 the lengths turn
-    # negative for large n, so only the side below is a valid spec.
+    # negative for large n (from about n = 2e15), which makes a config error.
     lengths = sf.LogAffine(log_terms=((-1.0, s1), (2.0, 2.0), (-1.0, 1.0)))
     moment = -Fraction(s1) + 2 * 2 - 1
     k = 1 if moment else 2
     assert lengths.vanishing_order == k
+    if moment < 0:
+        with pytest.raises(sf.SpecError, match="^L: .* turn negative"):
+            sf.AbelianCover(rank=4, L=lengths)
+        return
     v = cl.classify_cover(sf.AbelianCover(rank=4, L=lengths))
     assert v.kind == ("Parabolic" if (3 - k, 0, 0) <= (1, 1, 1) else "Unknown")
 

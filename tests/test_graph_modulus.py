@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypcollar import collar_modulus as cm
 from hypcollar import graph_modulus as gm
 
+from helpers import scaled_pair, sinusoid_pair
+
 
 def test_adaptive_simpson_known_integrals():
     v = gm.adaptive_simpson(np.exp, 0.0, 1.0, rel_tol=1e-12)
@@ -200,7 +202,7 @@ _FOREST_PAIRS = {
         lambda t=t, g1=g1, g2=g2: cm.glued_collar_graphs(cm.GluedCollarSpec(8.0, g1, g2, t)), 0.125)
        for t in (0.0, 0.125, -0.125, 0.25, 0.5)
        for g1, g2 in ((_INF, _INF), (_INF, 2.0), (2.0, 2.0))},
-    "sinusoid": (lambda: gm.sinusoid_pair(offset=1.5, amplitude=0.5), 0.1),
+    "sinusoid": (lambda: sinusoid_pair(offset=1.5, amplitude=0.5), 0.1),
     "constant": (lambda: gm.constant_pair(0.25, period=2.0), 0.1),
 }
 
@@ -220,7 +222,7 @@ def test_pair_forest_matches_the_recursive_form_per_piece(name):
 
 def test_vertical_modulus_sinusoid_closed_form():
     # integral of dx / (2 + sin 2 pi x) over a period is 1/sqrt(3)
-    pair = gm.sinusoid_pair(offset=2.0, amplitude=1.0)
+    pair = sinusoid_pair(offset=2.0, amplitude=1.0)
     assert abs(gm.vertical_modulus(pair) - 1.0 / math.sqrt(3.0)) < 1e-8
 
 
@@ -244,9 +246,9 @@ def test_sandwich_bounds_constant_pair():
 
 
 def test_scaled_pair_invariance():
-    base = gm.sinusoid_pair(offset=1.5, amplitude=0.5)
+    base = sinusoid_pair(offset=1.5, amplitude=0.5)
     for s in (0.1, 3.0):
-        scaled = gm.scaled_pair(base, s)
+        scaled = scaled_pair(base, s)
         assert abs(
             gm.vertical_modulus(scaled) - gm.vertical_modulus(base)
         ) < 1e-8
@@ -264,7 +266,7 @@ def test_scaled_pair_keeps_its_square_root_ends():
     base = gm.vertical_modulus(counted)
     n = len(calls)
     for s in (0.1, 3.0):
-        scaled = gm.scaled_pair(counted, s)
+        scaled = scaled_pair(counted, s)
         assert scaled.sqrt_ends == (0.5 * s,)
         del calls[:]
         assert gm.vertical_modulus(scaled) == pytest.approx(base, rel=1e-10)
@@ -282,7 +284,7 @@ def test_replaced_graphs_reach_the_bounds():
 
 def test_rectangle_deviation_small_window_limit():
     # as delta -> 0 the deviation constant tends to 1 for smooth graphs
-    pair = gm.sinusoid_pair(offset=1.0, amplitude=0.3)
+    pair = sinusoid_pair(offset=1.0, amplitude=0.3)
     devs = [gm.rectangle_deviation(pair, d) for d in (0.2, 0.05, 0.01)]
     assert all(0.0 < d <= 1.0 for d in devs)
     assert devs[-1] > 0.95
@@ -295,7 +297,7 @@ def test_rectangle_deviation_small_window_limit():
     ratio=st.floats(min_value=0.0, max_value=0.8),
 )
 def test_sandwich_property(offset, ratio):
-    pair = gm.sinusoid_pair(offset=offset, amplitude=ratio * offset)
+    pair = sinusoid_pair(offset=offset, amplitude=ratio * offset)
     bounds = gm.sandwich_bounds(pair, delta=0.1)
     assert 0.0 < bounds.lower <= bounds.upper
     # vertical modulus is at least 1/max-gap and at most 1/min-gap

@@ -7,6 +7,8 @@ from scipy.sparse.linalg import spsolve
 from hypcollar import extremal_oracle as eo
 from hypcollar import graph_modulus as gm
 
+from helpers import sinusoid_pair, solve_at
+
 
 def test_rectangle_extrapolation_exact():
     # raw discrete value is (W + h)/H; one Richardson step cancels it exactly
@@ -38,8 +40,8 @@ def test_electrode_swap_symmetry():
         electrode_b=base.electrode_a,
         name="swapped",
     )
-    a = eo._solve_at(base, base.h)[0]
-    b = eo._solve_at(swapped, swapped.h)[0]
+    a = solve_at(base, base.h)[0]
+    b = solve_at(swapped, swapped.h)[0]
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -73,7 +75,7 @@ def test_periodic_strip_constant_gap_exact():
 
 def test_periodic_strip_matches_quadrature():
     # smooth sinusoidal channel: oracle vs vertical modulus sandwich
-    pair = gm.sinusoid_pair(offset=0.5, amplitude=0.2)
+    pair = sinusoid_pair(offset=0.5, amplitude=0.2)
     est = eo.discrete_modulus(eo.strip_domain(pair))
     vmod = gm.vertical_modulus(pair)
     assert est.value >= vmod - est.error_bar - 1e-9
@@ -101,7 +103,7 @@ def test_disconnected_electrodes_raise():
         name="disconnected",
     )
     with pytest.raises(eo.OracleError):
-        eo._solve_at(dom, dom.h)
+        solve_at(dom, dom.h)
 
 
 def test_comb_exceeds_vertical_modulus():
@@ -141,7 +143,7 @@ def _edge_energy(cls, u, wrap):
         # slits are electrode-b nodes inside the lattice
         eo.comb_domain(0.2),
         # 45 cells per period at h: the coarse lattices wrap unevenly
-        eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+        eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45),
         # one interior row: the first coarse lattice has no unknowns
         eo.rectangle_domain(100.0, 1.0 / 8, h=1.0 / 16),
     ],
@@ -155,15 +157,15 @@ def test_preconditioned_solve_matches_direct(dom):
         cls = eo._lattice(dom, h)
         mat, rhs = eo._assemble(cls, wrap)
         direct = _edge_energy(cls, spsolve(mat.tocsc(), rhs), wrap)
-        energy, _, _ = eo._solve_at(dom, h)
+        energy, _, _ = solve_at(dom, h)
         assert energy == pytest.approx(direct, rel=1e-10)
 
 
 def test_multigrid_iterations_do_not_grow_with_refinement():
     # the count of an unpreconditioned CG grows like 1/h
     dom = eo.annulus_domain(1.0, math.e, h=1.0 / 32)
-    _, _, coarse = eo._solve_at(dom, dom.h)
-    _, _, fine = eo._solve_at(dom, 0.5 * dom.h)
+    _, _, coarse = solve_at(dom, dom.h)
+    _, _, fine = solve_at(dom, 0.5 * dom.h)
     assert fine <= 1.5 * coarse
 
 
@@ -195,7 +197,7 @@ def test_interior_nodes_linked_to_no_electrode_carry_no_energy(centre, radius):
         eo.annular_sector_domain(1.0, 2.0, math.pi / 2, h=1.0 / 16),
         eo.comb_domain(0.2),
         # 45 cells per period
-        eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+        eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45),
     ],
     ids=["rectangle", "annulus", "sector", "comb", "odd-periodic-strip"],
 )
@@ -238,7 +240,7 @@ def test_refusals_keep_their_order(tmp_path, monkeypatch, capsys):
         dipped = _flat_strip(gap, dip_at=0.5 * h, dip=h)
         with pytest.raises(eo.ResolutionError, match=r"\(h = %.3g\)" % refused):
             eo.discrete_modulus(dipped)
-    assert eo._solve_at(dipped, dipped.h)[0] > 0
+    assert solve_at(dipped, dipped.h)[0] > 0
 
 
 @pytest.mark.parametrize(
@@ -246,14 +248,14 @@ def test_refusals_keep_their_order(tmp_path, monkeypatch, capsys):
     [
         eo.annulus_domain(1.0, math.e, h=1.0 / 32),
         eo.comb_domain(0.2),
-        eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+        eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45),
     ],
     ids=["annulus", "comb", "odd-periodic-strip"],
 )
 def test_refined_estimate_matches_independent_solves(dom):
     est = eo.discrete_modulus(dom)
-    coarse = eo._solve_at(dom, dom.h)
-    fine = eo._solve_at(dom, 0.5 * dom.h)
+    coarse = solve_at(dom, dom.h)
+    fine = solve_at(dom, 0.5 * dom.h)
     assert est.raw_values == pytest.approx((coarse[0], fine[0]), rel=1e-12)
     assert est.unknowns == (len(coarse[1]), len(fine[1]))
     assert est.iterations[0] == coarse[2]
@@ -435,7 +437,7 @@ def _coarsest_operator(dom, h):
             electrode_b=lambda x, y: (y >= 1) & (x <= 2),
         ), 1.0 / 32, 2),
         # links across the periodic seam, 45 cells per period at h
-        (eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45), 1.0 / 90, 2),
+        (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45), 1.0 / 90, 2),
         # 255 unknowns: the lattice is its own coarsest level
         (eo.rectangle_domain(1.0, 1.0, h=1.0 / 16), 1.0 / 16, 0),
     ],
@@ -469,7 +471,7 @@ def test_coarsest_solve_matches_the_shifted_system(dom, h, levels):
     [
         eo.annulus_domain(1.0, math.e, h=1.0 / 32),
         eo.comb_domain(0.2),
-        eo.strip_domain(gm.sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+        eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45),
     ],
     ids=["annulus", "comb", "odd-periodic-strip"],
 )

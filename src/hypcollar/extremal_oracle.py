@@ -193,15 +193,17 @@ def _assemble(cls, wrap):
 
     The unknowns are the interior nodes in row-major lattice order.  An
     electrode neighbour is Dirichlet data (0 on a, 1 on b); an outside
-    neighbour is insulating (no link).  The CSR arrays are filled straight
-    from the lattice, ringed by outside nodes (or, along a periodic x, by
-    its own first and last rows), with int32 indices.
+    neighbour is insulating (no link).  The CSR arrays are one (n, 5) table
+    of each interior node's neighbours on the lattice, ringed by outside
+    nodes (or, along a periodic x, by its own first and last rows),
+    compressed row-major to its links, with int32 indices.
     """
     from scipy import sparse
 
     stride = cls.shape[1] + 2
     ring = np.pad(cls, 1, constant_values=_OUT)
-    nodes = np.flatnonzero(ring == _IN)
+    # ring positions fit in int32: the lattice has at most _MAX_NODES nodes
+    nodes = np.flatnonzero(ring == _IN).astype(np.int32)
     n_unknown = len(nodes)
     index = np.full(ring.shape, -1, dtype=np.int32)
     index.flat[nodes] = np.arange(n_unknown, dtype=np.int32)
@@ -210,35 +212,32 @@ def _assemble(cls, wrap):
             arr[0], arr[-1] = arr[-2], arr[1]
     ring, index = ring.ravel(), index.ravel()
 
-    # a row's links in increasing column order (off the periodic seam):
-    # x-1, y-1, the node itself, y+1, x+1
-    steps = (-stride, -1, 0, 1, stride)
-    near = [ring[nodes + step] for step in steps]
-    diag = np.full(n_unknown, -1.0)
-    rhs = np.zeros(n_unknown)
-    for k in near:
-        diag += k != _OUT
-        rhs += k == _B
+    # the table: each row's five lattice neighbours in increasing column
+    # order (off the periodic seam): x-1, y-1, the node itself, y+1, x+1
+    near = np.stack([nodes + step for step in (-stride, -1, 0, 1, stride)],
+                    axis=1)
+    kinds = ring[near]
+    # counts along each row, by a product with ones (exact small integers)
+    rhs = (kinds == _B) @ np.ones(5)
     if not np.any(rhs):
         raise OracleError("electrode b is not adjacent to the interior; "
                           "domain appears disconnected")
-    links = [k == _IN for k in near]
+    diag = (kinds != _OUT) @ np.ones(5) - 1.0  # less the node itself
+    del kinds
+    cols = index[near]
     del near
 
-    row_len = np.zeros(n_unknown, dtype=np.int32)
-    for link in links:
-        row_len += link
+    # compressed row-major: a link is an interior neighbour, at -1 off the
+    # diagonal; ends[k] counts the links up to table entry k
+    links = cols >= 0
+    ends = np.cumsum(links.ravel(), dtype=np.int32)
     indptr = np.zeros(n_unknown + 1, dtype=np.int32)
-    np.cumsum(row_len, out=indptr[1:])
-    del row_len
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    at = indptr[:-1].copy()
-    for step, link in zip(steps, links):
-        slots = at[link]
-        indices[slots] = index[nodes[link] + step]
-        data[slots] = diag[link] if step == 0 else -1.0
-        at[link] += 1
+    indptr[1:] = ends[4::5]
+    data = np.full(indptr[-1], -1.0)
+    data[ends[2::5] - 1] = diag
+    del ends
+    indices = cols[links]
+    del cols, links
     mat = sparse.csr_matrix((data, indices, indptr),
                             shape=(n_unknown, n_unknown))
     mat.sum_duplicates()  # sorts the seam rows; merges links when nx <= 2
@@ -357,52 +356,118 @@ def _coarsest(a):
                 options={"SymmetricMode": True}).solve
 
 
+def _product(mat):
+    """The product y = mat @ x of a CSR matrix, written into a preallocated
+    y: scipy's compiled CSR product (imported on the first solve) run on a
+    zeroed y, the routine and the arithmetic of `mat @ x`, without its
+    dispatch and its freshly allocated result."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    m, n = mat.shape
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+
+    def product(x, y):
+        y.fill(0.0)
+        csr_matvec(m, n, indptr, indices, data, x, y)
+        return y
+
+    return product
+
+
 def _multigrid(mat, transfers):
-    """Geometric multigrid V-cycle for the lattice matrix, as a linear
-    operator to precondition CG with.
+    """Geometric multigrid V-cycle for the lattice matrix: a function
+    r -> M r to precondition CG with.
 
     The levels are those of `transfers` (from _transfers), with Galerkin
     operators R A P; the coarsest level is solved by _coarsest.  Each level
     smooths with _SWEEPS damped-Jacobi sweeps before and after its coarse
-    correction, so the cycle is symmetric positive definite.
+    correction, so the cycle is symmetric positive definite.  Each level owns
+    preallocated work vectors, and every product writes into one of them
+    (_product), in the arithmetic of `x += damp * (r - a @ x)`.  The vector
+    returned is one of them (with no level, the coarsest solve's), valid
+    until the next call of the V-cycle; the argument r is only read.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     levels = []
     a = mat
     for interp, restrict, _ in transfers:
         d = a.diagonal()  # 0 at an interior node with no linked neighbour
         damp = np.divide(_OMEGA, d, out=np.zeros_like(d), where=d > 0)
-        levels.append((a, damp, interp, restrict))
+        n = a.shape[0]
+        levels.append((_product(a), damp, _product(interp), _product(restrict),
+                       np.empty(n), np.empty(n), np.empty(restrict.shape[0])))
         a = (restrict @ (a @ interp)).tocsr()
     coarsest = _coarsest(a)
+    upward = levels[::-1]
+
+    def sweep(a, damp, r, x, t):
+        # x += damp * (r - a x), through the work vector t
+        np.subtract(r, a(x, t), out=t)
+        t *= damp
+        x += t
 
     def vcycle(r):
-        down = []
-        for a, damp, _, restrict in levels:
-            x = damp * r
+        rs = []
+        for a, damp, _, restrict, x, t, coarse in levels:
+            np.multiply(damp, r, out=x)
             for _ in range(_SWEEPS - 1):
-                x += damp * (r - a @ x)
-            down.append((x, r))
-            r = restrict @ (r - a @ x)
+                sweep(a, damp, r, x, t)
+            rs.append(r)
+            r = restrict(np.subtract(r, a(x, t), out=t), coarse)
         x = coarsest(r)
-        for (a, damp, interp, _), (xf, rf) in zip(levels[::-1], down[::-1]):
-            xf += interp @ x
+        for (a, damp, interp, _, xf, t, _), rf in zip(upward, reversed(rs)):
+            xf += interp(x, t)
             for _ in range(_SWEEPS):
-                xf += damp * (rf - a @ xf)
+                sweep(a, damp, rf, xf, t)
             x = xf
         return x
 
-    return LinearOperator(mat.shape, matvec=vcycle, dtype=float)
+    return vcycle
 
 
-def cg(A, b, **kwargs):
-    """scipy.sparse.linalg.cg, imported on the first solve, so that importing
-    this module loads no scipy (and, with numpy lazy, no numpy either).  It
-    stays a module attribute for `perfbench/tracing.py` to wrap."""
-    from scipy.sparse.linalg import cg as scipy_cg
+def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, M,
+       callback=None):
+    """Conjugate gradients for the CSR matrix A, preconditioned by M (a
+    function r -> M r, such as a V-cycle of _multigrid), in the arithmetic
+    of scipy 1.17's scipy.sparse.linalg.cg step for step, so the iterates,
+    the iteration count and the return are its own bit for bit.
 
-    return scipy_cg(A, b, **kwargs)
+    The tolerance is max(atol, rtol |b|), tested on |r| before each call of
+    M.  Each step sets p = z (first) or p = beta p + z, then x += alpha p and
+    r -= alpha q with q = A p, and calls callback(x).  Returns (x, 0) on
+    convergence and (x, maxiter) when the iterations run out.  The products
+    A p write into one preallocated vector (_product), and M's return is
+    read before M is called again, so a V-cycle may return a vector that is
+    valid until its next call.  It stays a module attribute for
+    `perfbench/tracing.py` to wrap.
+    """
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b, 0
+    n = len(b)
+    if maxiter is None:
+        maxiter = 10 * n
+    product = _product(A)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    p, q, t = np.empty(n), np.empty(n), np.empty(n)
+    r = b - product(x, q) if x.any() else b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p[:] = z
+        alpha = rho / np.dot(p, product(p, q))
+        x += np.multiply(alpha, p, out=t)
+        r -= np.multiply(alpha, q, out=t)
+        rho_prev = rho
+        if callback:
+            callback(x)
+    return x, maxiter
 
 
 def _solve(cls, wrap, transfers, h, x0=None):

@@ -82,10 +82,9 @@ def normalize_twist(t):
     """Reduce a twist parameter modulo 1 into the interval (-1/2, 1/2]."""
     if not isinstance(t, (int, float)) or math.isnan(t) or math.isinf(t):
         raise ValueError("twist must be a finite number, got %r" % (t,))
-    u = float(t) % 1.0
-    if u > 0.5:
-        u -= 1.0
-    return u
+    # the remainder is exact: t minus the nearest integer (ties to even)
+    u = math.remainder(float(t), 1.0)
+    return 0.5 if u == -0.5 else u
 
 
 def validate_twist(t):

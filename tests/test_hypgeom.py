@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -79,7 +80,8 @@ def test_standard_half_collar_lambda():
 def test_normalize_twist_range_and_congruence(t):
     u = hg.normalize_twist(t)
     assert -0.5 < u <= 0.5
-    assert abs((t - u) - round(t - u)) < 1e-9
+    # exact: t and u differ by an integer, with no rounding
+    assert (Fraction(t) - Fraction(u)).denominator == 1
 
 
 def test_normalize_twist_endpoint():
@@ -87,6 +89,13 @@ def test_normalize_twist_endpoint():
     assert hg.normalize_twist(-0.5) == 0.5
     assert hg.normalize_twist(1.5) == 0.5
     assert hg.normalize_twist(0.7) == pytest.approx(-0.3)
+
+
+def test_normalize_twist_keeps_small_negative_twists():
+    # t % 1.0 rounds before 1 is subtracted: -0.1 came back as
+    # -0.09999999999999998 and -1e-20 as 0.0
+    assert hg.normalize_twist(-0.1) == -0.1
+    assert hg.normalize_twist(-1e-20) == -1e-20
 
 
 def test_validate_twist():

@@ -487,3 +487,100 @@ def test_estimate_reports_residuals_and_seconds(dom):
                               error_bar=0.0, extrapolated=False,
                               unknowns=(1,), iterations=(0,))
     assert bare.residuals == bare.seconds == ()
+
+
+def _preconditioned_system(dom):
+    """The lattice matrix, right-hand side and V-cycle of the solve at the
+    domain's own mesh."""
+    wrap = dom.periodic_x is not None
+    cls = eo._lattice(dom, dom.h)
+    mat, rhs = eo._assemble(cls, wrap)
+    return mat, rhs, eo._multigrid(mat, eo._transfers(cls, wrap))
+
+
+def _half_collar_strip():
+    from hypcollar import collar_modulus as cm
+
+    spec = cm.HalfCollarSpec(2.0, math.inf)
+    return eo.strip_domain(cm.nonstandard_half_collar_graphs(spec))
+
+
+_SOLVER_DOMAINS = [
+    eo.rectangle_domain(3.0, 1.0, h=1.0 / 16),
+    eo.annulus_domain(1.0, math.e, h=1.0 / 16),
+    eo.comb_domain(0.2),
+    _half_collar_strip(),
+]
+_SOLVER_IDS = ["rectangle", "annulus", "comb", "half-collar-strip"]
+
+
+@pytest.mark.parametrize("start", [None, "random"])
+@pytest.mark.parametrize("dom", _SOLVER_DOMAINS, ids=_SOLVER_IDS)
+def test_cg_is_scipys_cg_bit_for_bit(dom, start):
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import cg as scipy_cg
+
+    mat, rhs, vcycle = _preconditioned_system(dom)
+    x0 = None
+    if start:
+        x0 = np.random.default_rng(5).random(len(rhs))
+        kept = x0.copy()
+    runs = []
+    for cg, M in ((eo.cg, vcycle),
+                  (scipy_cg, LinearOperator(mat.shape, matvec=vcycle,
+                                            dtype=float))):
+        for maxiter in (eo.CG_MAXITER, 2):
+            iterates = []
+            x, info = cg(mat, rhs, x0=x0, rtol=eo.CG_TOL, atol=0.0,
+                         maxiter=maxiter, M=M,
+                         callback=lambda xk: iterates.append(xk.tobytes()))
+            runs.append((x.tobytes(), info, iterates))
+    ours, ours_short, theirs, theirs_short = runs
+    # every iterate, the solution and info agree byte for byte
+    assert ours == theirs
+    assert ours[1] == 0 and len(ours[2]) > 2
+    assert ours_short == theirs_short
+    assert ours_short[1] == 2 and len(ours_short[2]) == 2
+    if start:
+        assert np.array_equal(x0, kept)
+
+
+@pytest.mark.parametrize(
+    "dom, h",
+    [
+        # links across the periodic seam, 45 cells per period at h
+        (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45), 1.0 / 90),
+        (eo.annulus_domain(1.0, math.e, h=1.0 / 16), 1.0 / 32),
+    ],
+    ids=["periodic-seam", "annulus"],
+)
+def test_kernel_product_is_the_sparse_product(dom, h):
+    wrap = dom.periodic_x is not None
+    cls = eo._lattice(dom, h)
+    lattice, _ = eo._assemble(cls, wrap)
+    galerkin, depth = _coarsest_operator(dom, h)
+    assert depth > 0
+    interp, restrict, _ = eo._transfers(cls, wrap)[0]
+    rng = np.random.default_rng(11)
+    for mat in (lattice, galerkin, interp, restrict):
+        x = rng.standard_normal(mat.shape[1])
+        # a stale result is overwritten, not added to
+        y = np.full(mat.shape[0], np.nan)
+        got = eo._product(mat)(x, y)
+        assert got is y
+        assert got.tobytes() == (mat @ x).tobytes()
+
+
+@pytest.mark.parametrize("dom", _SOLVER_DOMAINS, ids=_SOLVER_IDS)
+def test_work_vectors_carry_no_state_between_calls(dom):
+    mat, rhs, vcycle = _preconditioned_system(dom)
+    r = np.random.default_rng(2).standard_normal(len(rhs))
+    kept = r.copy()
+    first = vcycle(r).copy()
+    vcycle(rhs)
+    assert vcycle(r).tobytes() == first.tobytes()
+    assert np.array_equal(r, kept)
+    # two estimates in a row are one estimate
+    one, two = eo.discrete_modulus(dom), eo.discrete_modulus(dom)
+    for name in ("value", "raw_values", "unknowns", "iterations", "residuals"):
+        assert getattr(one, name) == getattr(two, name)

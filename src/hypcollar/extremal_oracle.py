@@ -2,21 +2,24 @@
 
 A domain is discretised on a square lattice (staircase approximation); the
 Dirichlet problem u = 0 / 1 on the two electrodes with insulating remaining
-boundary is solved with multigrid-preconditioned CG, residual 1e-10 (a
+boundary is solved with multigrid-preconditioned CG, residual 1e-8 (a
 geometric V-cycle with Galerkin coarse operators, after Briggs, Henson &
 McCormick, "A Multigrid Tutorial", SIAM 2000), and the modulus of the family
-of curves connecting the electrodes is the discrete Dirichlet energy.
+of curves connecting the electrodes is the discrete Dirichlet energy.  The
+energy's error is quadratic in the residual, so at 1e-8 it is at the
+rounding floor of the energy.
 Every estimate solves at two meshes (h and h/2) and combines the values by
 Richardson extrapolation assuming first-order convergence.  The two meshes
 share one lattice (the one at h is the h/2 lattice at even indices) and one
 multigrid hierarchy of transfers, which are bilinear interpolations
 renormalised over the nodes that are not outside, each filled as CSR straight
 from the node classes of its lattice; the h/2 solve starts from the h
-solution interpolated by the first of them, with electrode b at 1.  The
-coarsest Galerkin operator is factored by sparse LU after a 1e-12 relative
-diagonal shift, added in place.  Each estimate reports, per mesh, the
-unknowns, the PCG iterations, the final relative residual and the seconds of
-the solve.
+solution interpolated by the first of them, with electrode b at 1.  A
+solve builds its Galerkin operators, and factors the coarsest by sparse LU
+after a 1e-12 relative diagonal shift added in place, on the first call of
+its preconditioner, so a solve whose start meets the tolerance builds
+neither.  Each estimate reports, per mesh, the unknowns, the PCG
+iterations, the final relative residual and the seconds of the solve.
 """
 
 import math
@@ -26,7 +29,7 @@ from typing import Callable, Optional, Tuple
 
 from ._lazy import numpy as np
 
-CG_TOL = 1e-10
+CG_TOL = 1e-8
 CG_MAXITER = 200_000
 # multigrid preconditioner: damped-Jacobi weight and sweeps per smoothing,
 # and the size at which the coarsest level is solved directly
@@ -305,10 +308,44 @@ def _prolongation(lat, wrap):
     return interp, lift, coarse
 
 
+def _transpose(mat):
+    """mat.T.tocsr() of a CSR matrix with int32 indices: the compiled routine
+    that it calls (imported on the first estimate), on int32 arrays, without
+    its index checks."""
+    from scipy import sparse
+    from scipy.sparse._sparsetools import csr_tocsc
+
+    m, n = mat.shape
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(mat.nnz, dtype=np.int32)
+    data = np.empty(mat.nnz)
+    csr_tocsc(m, n, mat.indptr, mat.indices, mat.data, indptr, indices, data)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, m))
+
+
+def _matmul(x, y):
+    """x @ y of two CSR matrices with int32 indices: the compiled routines
+    that it calls (imported on the first estimate), on int32 arrays, without
+    its dispatch, conversions and index checks.  As there, entries that sum
+    to zero are dropped."""
+    from scipy import sparse
+    from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
+
+    m, n = x.shape[0], y.shape[1]
+    nnz = csr_matmat_maxnnz(m, n, x.indptr, x.indices, y.indptr, y.indices)
+    indptr = np.empty(m + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    csr_matmat(m, n, x.indptr, x.indices, x.data, y.indptr, y.indices,
+               y.data, indptr, indices, data)
+    # the constructor trims the arrays to indptr[-1] entries
+    return sparse.csr_matrix((data, indices, indptr), shape=(m, n))
+
+
 def _transfers(lat, wrap):
     """The interpolations of the multigrid hierarchy below a lattice, each
-    with its restriction (the transpose) stored as CSR and its electrode-b
-    lift.
+    with its restriction (the transpose, _transpose) stored as CSR and its
+    electrode-b lift.
 
     Lattices are halved by _prolongation until at most _COARSEST unknowns
     are left or the lattice is too thin to halve.  The hierarchy below
@@ -322,7 +359,7 @@ def _transfers(lat, wrap):
         n = interp.shape[1]
         if n == 0:
             break
-        chain.append((interp, interp.T.tocsr(), lift))
+        chain.append((interp, _transpose(interp), lift))
     return chain
 
 
@@ -379,13 +416,13 @@ def _multigrid(mat, transfers):
     r -> M r to precondition CG with.
 
     The levels are those of `transfers` (from _transfers), with Galerkin
-    operators R A P; the coarsest level is solved by _coarsest.  Each level
-    smooths with _SWEEPS damped-Jacobi sweeps before and after its coarse
-    correction, so the cycle is symmetric positive definite.  Each level owns
-    preallocated work vectors, and every product writes into one of them
-    (_product), in the arithmetic of `x += damp * (r - a @ x)`.  The vector
-    returned is one of them (with no level, the coarsest solve's), valid
-    until the next call of the V-cycle; the argument r is only read.
+    operators R (A P) (_matmul); the coarsest level is solved by _coarsest.
+    Each level smooths with _SWEEPS damped-Jacobi sweeps before and after its
+    coarse correction, so the cycle is symmetric positive definite.  Each
+    level owns preallocated work vectors, and every product writes into one
+    of them (_product), in the arithmetic of `x += damp * (r - a @ x)`.  The
+    vector returned is one of them (with no level, the coarsest solve's),
+    valid until the next call of the V-cycle; the argument r is only read.
     """
     levels = []
     a = mat
@@ -395,7 +432,7 @@ def _multigrid(mat, transfers):
         n = a.shape[0]
         levels.append((_product(a), damp, _product(interp), _product(restrict),
                        np.empty(n), np.empty(n), np.empty(restrict.shape[0])))
-        a = (restrict @ (a @ interp)).tocsr()
+        a = _matmul(restrict, _matmul(a, interp))
     coarsest = _coarsest(a)
     upward = levels[::-1]
 
@@ -473,18 +510,28 @@ def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, M,
 def _solve(cls, wrap, transfers, h, x0=None):
     """Discrete energy of the lattice cls at mesh h, its interior potential,
     the number of PCG iterations taken, starting from x0, and the relative
-    residual |A u - b| / |b| of the potential."""
+    residual |A u - b| / |b| of the potential.
+
+    The V-cycle is built by the first call of the preconditioner, so a start
+    that already meets the tolerance builds no hierarchy."""
     if not np.any(cls == _IN):
         raise OracleError("no interior nodes at h = %.3g" % h)
     mat, rhs = _assemble(cls, wrap)
     iterations = 0
+    vcycle = None
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
+    def precondition(r):
+        nonlocal vcycle
+        if vcycle is None:
+            vcycle = _multigrid(mat, transfers)
+        return vcycle(r)
+
     u, info = cg(mat, rhs, x0=x0, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER,
-                 M=_multigrid(mat, transfers), callback=count)
+                 M=precondition, callback=count)
     if info != 0:
         raise OracleError("conjugate gradients did not reach residual %.0e "
                           "within %d iterations" % (CG_TOL, CG_MAXITER))
@@ -606,9 +653,11 @@ def comb_domain(epsilon, h=None):
     """Comb region: [0,1] x [0, eps] minus slits hanging from the top.
 
     N = ceil(1 / eps^2) and the slits sit at x = k/N, k = 2..N-1, spanning
-    eps^2 <= y <= eps.  Bottom side is one electrode; top side together with
-    the slits is the other.  The vertical-segment family has modulus 1/eps
-    (the slit abscissae have measure zero).
+    eps^2 <= y <= eps; on the lattice each is the column of mesh h nearest to
+    k/N, so the meshes h and h/2 see the same slits.  Bottom side is one
+    electrode; top side together with the slits is the other.  The
+    vertical-segment family has modulus 1/eps (the slit abscissae have
+    measure zero).
     """
     if not 0 < epsilon < 0.5:
         raise ValueError("need 0 < epsilon < 1/2")
@@ -624,12 +673,15 @@ def comb_domain(epsilon, h=None):
     y_low = epsilon * epsilon
 
     def on_slit(x, y):
+        # a column of mesh h is one of mesh h/2 too; 0.25 h takes one node
+        # of it at either mesh
         k = np.rint(x * n_slits)
+        column = np.rint(k * spacing / h) * h
         return (
             (y >= y_low)
             & (k >= 2)
             & (k <= n_slits - 1)
-            & (np.abs(x - k * spacing) <= 0.51 * h)
+            & (np.abs(x - column) <= 0.25 * h)
         )
 
     return GridDomain(

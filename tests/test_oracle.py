@@ -584,3 +584,102 @@ def test_work_vectors_carry_no_state_between_calls(dom):
     one, two = eo.discrete_modulus(dom), eo.discrete_modulus(dom)
     for name in ("value", "raw_values", "unknowns", "iterations", "residuals"):
         assert getattr(one, name) == getattr(two, name)
+
+
+def _glued_collar_strip():
+    from hypcollar import collar_modulus as cm
+
+    spec = cm.GluedCollarSpec(3.0, math.inf, math.inf, 0.25)
+    return eo.strip_domain(cm.glued_collar_graphs(spec))
+
+
+@pytest.mark.parametrize(
+    "dom",
+    _SOLVER_DOMAINS + [
+        eo.annular_sector_domain(1.0, 2.0, math.pi / 2, h=1.0 / 16),
+        _glued_collar_strip(),
+    ],
+    ids=_SOLVER_IDS + ["sector", "glued-collar-strip"],
+)
+def test_raw_values_at_cg_tol_are_those_of_a_tight_solve(dom, monkeypatch):
+    # the energy's error is quadratic in the residual: at CG_TOL it is at the
+    # rounding floor (at 1e-6 these differ by 7e-12 to 2e-11)
+    est = eo.discrete_modulus(dom)
+    monkeypatch.setattr(eo, "CG_TOL", 1e-12)
+    tight = eo.discrete_modulus(dom)
+    assert est.raw_values == pytest.approx(tight.raw_values, rel=1e-12, abs=0)
+    assert est.unknowns == tight.unknowns
+
+
+def _csr_bytes(mat):
+    return (mat.shape, mat.indptr.dtype, mat.indices.dtype,
+            mat.indptr.tobytes(), mat.indices.tobytes(), mat.data.tobytes())
+
+
+@pytest.mark.parametrize(
+    "dom, h",
+    [
+        # links across the periodic seam, 45 cells per period at h
+        (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45), 1.0 / 90),
+        # slits of electrode b inside the lattice
+        (eo.comb_domain(0.2), 0.0025),
+    ],
+    ids=["periodic-seam", "comb"],
+)
+def test_kernel_galerkin_products_are_the_sparse_products(dom, h):
+    wrap = dom.periodic_x is not None
+    cls = eo._lattice(dom, h)
+    a, _ = eo._assemble(cls, wrap)
+    transfers = eo._transfers(cls, wrap)
+    assert len(transfers) >= 2
+    for interp, restrict, _ in transfers:
+        # every array, its int32 dtype and the shape, byte for byte
+        assert restrict.indices.dtype == np.int32
+        assert _csr_bytes(restrict) == _csr_bytes(interp.T.tocsr())
+        assert _csr_bytes(eo._transpose(interp)) == _csr_bytes(restrict)
+        galerkin = eo._matmul(restrict, eo._matmul(a, interp))
+        want = (restrict @ (a @ interp)).tocsr()
+        assert _csr_bytes(galerkin) == _csr_bytes(want)
+        a = galerkin
+
+
+def test_a_solve_that_starts_converged_builds_no_hierarchy(monkeypatch):
+    built = []
+    multigrid = eo._multigrid
+
+    def counted(mat, transfers):
+        built.append(mat.shape[0])
+        return multigrid(mat, transfers)
+
+    monkeypatch.setattr(eo, "_multigrid", counted)
+    est = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h=1.0 / 16))
+    # the h/2 solve starts at its solution (test_rectangle_extrapolation_exact)
+    assert est.iterations[0] > 0 and est.iterations[1] == 0
+    assert built == [est.unknowns[0]]
+
+
+def _slit_runs(cls, rows):
+    """The lengths of the runs of electrode-b nodes along x in the given
+    lattice rows."""
+    runs = []
+    for row in cls[:, rows].T:
+        b = np.concatenate(([0], (row == eo._B).astype(int), [0]))
+        edges = np.flatnonzero(np.diff(b))
+        runs.extend(edges[1::2] - edges[::2])
+    return runs
+
+
+@pytest.mark.parametrize("eps, h", [(0.2, None), (0.35, 0.01), (0.25, 0.0075)])
+def test_comb_slits_are_one_node_wide_at_both_meshes(eps, h):
+    dom = eo.comb_domain(eps, h)
+    fine = eo._lattice(dom, 0.5 * dom.h)
+    coarse = fine[::2, ::2]
+    # the rows strictly between the slits' lower end and the top electrode,
+    # at h and the same rows at h/2
+    ys = dom.h * np.arange(coarse.shape[1])
+    rows = np.flatnonzero((ys > eps * eps + dom.h) & (ys < eps - dom.h))
+    assert len(rows) > 0
+    n_slits = math.ceil(1.0 / (eps * eps))
+    at_h, at_half = _slit_runs(coarse, rows), _slit_runs(fine, 2 * rows)
+    assert len(at_h) == len(at_half) == len(rows) * (n_slits - 2)
+    assert set(at_h) == set(at_half) == {1}

@@ -15,8 +15,8 @@ multigrid hierarchy of transfers, which are bilinear interpolations
 renormalised over the nodes that are not outside, each filled as CSR straight
 from the node classes of its lattice; the h/2 solve starts from the h
 solution interpolated by the first of them, with electrode b at 1.  A
-solve builds its Galerkin operators, and factors the coarsest by sparse LU
-after a 1e-12 relative diagonal shift added in place, on the first call of
+solve builds its Galerkin operators, and factors a copy of the coarsest
+shifted by 1e-12 relative on the diagonal by sparse LU, on the first call of
 its preconditioner, so a solve whose start meets the tolerance builds
 neither.  Each estimate reports, per mesh, the unknowns, the PCG
 iterations, the final relative residual and the seconds of the solve.
@@ -61,6 +61,8 @@ class GridDomain:
     region is g(x) < y < f(x) with electrode a on the upper graph and b on
     the lower.
     `periodic_x` identifies x and x + periodic_x.
+    `bbox` (x0, y0, x1, y1) is the domain's own extent; the lattice pads it
+    by 2h on every side that is not periodic (_classes).
     """
 
     h: float
@@ -71,7 +73,6 @@ class GridDomain:
     f_of_x: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
     g_of_x: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
     periodic_x: Optional[float] = None
-    min_feature: Optional[float] = None
     name: str = ""
 
     def __post_init__(self):
@@ -120,13 +121,21 @@ def _classes(dom, h):
     """Node classes of the lattice at mesh h, and for a strip profile the gap
     between the graphs at each lattice column (None for predicates).
 
-    Node coordinates are x0 + h·i and y0 + h·j.  Those of mesh h/2 at even
-    indices are those of mesh h bit for bit (0.5·h is exact), so the lattice
-    at h is the one at h/2 taken at even indices, once _check has accepted
-    both meshes.  A lattice of more than _MAX_NODES nodes is refused before
-    any array is allocated, and one whose arrays do not fit in memory.
+    The lattice covers dom.bbox padded by 2·dom.h on every side that is not
+    periodic (for a strip profile, y only), so an electrode on the edge of
+    bbox has lattice nodes past the interior at both meshes.  Node
+    coordinates are x0 + h·i and y0 + h·j from the padded corner.  Those of
+    mesh h/2 at even indices are those of mesh h bit for bit (0.5·h is
+    exact), so the lattice at h is the one at h/2 taken at even indices,
+    once _check has accepted both meshes.  A lattice of more than _MAX_NODES
+    nodes is refused before any array is allocated, and one whose arrays do
+    not fit in memory.
     """
+    pad = 2.0 * dom.h
     x0, y0, x1, y1 = dom.bbox
+    y0, y1 = y0 - pad, y1 + pad
+    if not dom.periodic_x:
+        x0, x1 = x0 - pad, x1 + pad
     nodes = ((dom.periodic_x or x1 - x0) / h + 1) * ((y1 - y0) / h + 1)
     refusal = ("h = %.3g needs a lattice of about %.3g nodes at mesh %.3g, %%s; "
                "coarsen the mesh" % (dom.h, nodes, h))
@@ -165,22 +174,20 @@ def _classes(dom, h):
         raise ResolutionError(refusal % "more than fits in memory") from None
 
 
+def _divides(h, length):
+    """Whether a whole number of mesh steps h spans length."""
+    return math.isclose(round(length / h) * h, length, rel_tol=1e-9)
+
+
 def _check(dom, h, gaps):
-    """Refuse mesh h if it does not divide the period or cannot resolve the
-    domain's thinnest feature; gaps are the strip gaps at its columns."""
-    if dom.periodic_x and not math.isclose(
-            round(dom.periodic_x / h) * h, dom.periodic_x, rel_tol=1e-9):
+    """Refuse mesh h if it does not divide the period or a strip gap (gaps,
+    at its columns) is thinner than 3 mesh cells."""
+    if dom.periodic_x and not _divides(h, dom.periodic_x):
         raise ResolutionError("mesh must divide the period")
-    if gaps is not None:
-        if np.min(gaps) < 3.0 * h:
-            raise ResolutionError(
-                "gap %.3g is thinner than 3 mesh cells (h = %.3g); "
-                "refine the mesh" % (float(np.min(gaps)), h)
-            )
-    elif dom.min_feature is not None and dom.min_feature < 3.0 * h:
+    if gaps is not None and np.min(gaps) < 3.0 * h:
         raise ResolutionError(
-            "feature size %.3g is thinner than 3 mesh cells (h = %.3g)"
-            % (dom.min_feature, h)
+            "gap %.3g is thinner than 3 mesh cells (h = %.3g); "
+            "refine the mesh" % (float(np.min(gaps)), h)
         )
 
 
@@ -364,32 +371,22 @@ def _transfers(lat, wrap):
 
 
 def _coarsest(a):
-    """Sparse LU solve of the coarsest operator a + 1e-12 max(diag a) I.
+    """Sparse LU solve of the coarsest operator a + 1e-12 max(diag a) I, for
+    a CSR matrix a.
 
     The shift keeps the factorisation defined when some interior nodes are
     linked to neither electrode: the lattice matrix is then singular, but
     the system stays consistent and their potential carries no energy.  It
-    is added in place to the stored diagonal of a CSC copy of a; a row that
-    stores none (a Galerkin product drops the zero of an isolated node) gets
-    one first.  The ordering is symmetric minimum degree on A + A^T.
+    is set on the diagonal of a CSC copy, which stores every diagonal entry,
+    also where a Galerkin product dropped the zero of an isolated node.  The
+    ordering is symmetric minimum degree on A + A^T.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    a = a.tocsc()
-    n = a.shape[0]
-    col = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
-    diag = a.indices == col
-    if np.count_nonzero(diag) < n:
-        # store an explicit zero on each missing diagonal, then shift
-        missing = np.setdiff1d(np.arange(n), col[diag], assume_unique=True)
-        return _coarsest(sparse.csc_matrix(
-            (np.concatenate((a.data, np.zeros(len(missing)))),
-             (np.concatenate((a.indices, missing)),
-              np.concatenate((col, missing)))),
-            shape=a.shape))
-    a.data[diag] += 1e-12 * a.data[diag].max()
-    return splu(a, permc_spec="MMD_AT_PLUS_A",
+    shifted = a.tocsc()
+    diag = shifted.diagonal()
+    shifted.setdiag(diag + 1e-12 * diag.max())
+    return splu(shifted, permc_spec="MMD_AT_PLUS_A",
                 options={"SymmetricMode": True}).solve
 
 
@@ -591,7 +588,13 @@ def discrete_modulus(domain):
 
 
 def rectangle_domain(width, height, h):
-    """Rectangle [0, w] x [0, h], electrodes = bottom and top sides."""
+    """Rectangle [0, width] x [0, height], electrodes = bottom and top
+    sides.  The mesh must divide both sides, so that they lie on lattice
+    lines."""
+    for side, length in (("width", width), ("height", height)):
+        if not _divides(h, length):
+            raise ResolutionError("mesh h = %.3g does not divide the %s %.3g"
+                                  % (h, side, length))
     return GridDomain(
         h=h,
         bbox=(0.0, 0.0, width, height),
@@ -606,10 +609,9 @@ def annulus_domain(r1, r2, h):
     """Round annulus, electrodes = the two boundary circles."""
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
-    pad = 2 * h
     return GridDomain(
         h=h,
-        bbox=(-r2 - pad, -r2 - pad, r2 + pad, r2 + pad),
+        bbox=(-r2, -r2, r2, r2),
         inside=lambda x, y: (np.hypot(x, y) > r1) & (np.hypot(x, y) < r2),
         electrode_a=lambda x, y: np.hypot(x, y) <= r1,
         electrode_b=lambda x, y: np.hypot(x, y) >= r2,
@@ -637,10 +639,10 @@ def annular_sector_domain(r1, r2, theta, h):
     return GridDomain(
         h=h,
         bbox=(
-            min(0.0, (r2 + pad) * math.cos(theta)) - pad,
-            -2 * pad,
-            r2 + pad,
-            (r2 + pad) * (math.sin(theta) if theta < math.pi / 2 else 1.0) + pad,
+            min(0.0, (r2 + pad) * math.cos(theta)),
+            -pad,
+            r2,
+            (r2 + pad) * (math.sin(theta) if theta < math.pi / 2 else 1.0),
         ),
         inside=inside,
         electrode_a=lambda x, y: (y <= 0) & (x > 0) & rb(x, y),
@@ -691,7 +693,6 @@ def comb_domain(epsilon, h=None):
         electrode_a=lambda x, y: (y <= 0) & (x >= 0) & (x <= 1),
         electrode_b=lambda x, y: ((y >= epsilon) | on_slit(x, y))
         & (x >= 0) & (x <= 1),
-        min_feature=spacing,
         name="comb",
     )
 
@@ -722,11 +723,9 @@ def strip_domain(pair, h=None):
             "gap %.3g is thinner than 3 mesh cells (h = %.3g); "
             "need h <= %.3g" % (min_gap, h, min_gap / 3.0)
         )
-    pad = 2 * h
     return GridDomain(
         h=h,
-        bbox=(pair.x1, float(np.min(gs)) - pad,
-              pair.x2, float(np.max(fs)) + pad),
+        bbox=(pair.x1, float(np.min(gs)), pair.x2, float(np.max(fs))),
         f_of_x=pair.f,
         g_of_x=pair.g,
         periodic_x=pair.period,

@@ -486,6 +486,22 @@ def test_oracle_mesh_refusal_exit_5(tmp_path, capsys):
     assert "refusal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width, height, side", [
+    (3.03, 1.0, "width 3.03"),
+    (3.0, 1.03, "height 1.03"),
+])
+def test_oracle_rectangle_side_the_mesh_does_not_divide_exit_5(
+        tmp_path, capsys, width, height, side):
+    # the lattice would solve a 3.0 x 1 rectangle, or one with no electrode b
+    cfg = write_config(tmp_path, {"shape": "rectangle", "width": width,
+                                  "height": height, "h": 0.0625})
+    assert run(["oracle", "--config", cfg]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "mesh refusal: mesh h = 0.0625 does not divide the %s\n" % side)
+
+
 @pytest.mark.parametrize("shape", [
     {"shape": "rectangle", "width": 1.0, "height": 1.0},
     {"shape": "annulus", "r1": 1.0, "r2": 2.0},

@@ -213,7 +213,7 @@ def _flat_strip(gap, dip_at=None, dip=None, h=1.0 / 16):
     graph comes down to dip."""
     return eo.GridDomain(
         h=h,
-        bbox=(0.0, -2 * h, 1.0, gap + 2 * h),
+        bbox=(0.0, 0.0, 1.0, gap),
         f_of_x=lambda x: np.where(x == dip_at, dip, gap),
         g_of_x=lambda x: 0.0,
         periodic_x=1.0,
@@ -675,11 +675,51 @@ def test_comb_slits_are_one_node_wide_at_both_meshes(eps, h):
     fine = eo._lattice(dom, 0.5 * dom.h)
     coarse = fine[::2, ::2]
     # the rows strictly between the slits' lower end and the top electrode,
-    # at h and the same rows at h/2
-    ys = dom.h * np.arange(coarse.shape[1])
+    # at h and the same rows at h/2, from the padded lattice origin y0 - 2h
+    ys = dom.bbox[1] - 2 * dom.h + dom.h * np.arange(coarse.shape[1])
     rows = np.flatnonzero((ys > eps * eps + dom.h) & (ys < eps - dom.h))
     assert len(rows) > 0
     n_slits = math.ceil(1.0 / (eps * eps))
     at_h, at_half = _slit_runs(coarse, rows), _slit_runs(fine, 2 * rows)
     assert len(at_h) == len(at_half) == len(rows) * (n_slits - 2)
     assert set(at_h) == set(at_half) == {1}
+
+
+def _neighbours(cls, wrap):
+    """The classes of each lattice node's neighbours along x and y, outside
+    past the lattice's edge (wrapping along a periodic x)."""
+    ring = np.pad(cls, 1, constant_values=eo._OUT)
+    if wrap:
+        ring[0], ring[-1] = ring[-2], ring[1]
+    return {"left": ring[:-2, 1:-1], "right": ring[2:, 1:-1],
+            "below": ring[1:-1, :-2], "above": ring[1:-1, 2:]}
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        eo.rectangle_domain(3.0, 1.0, h=1.0 / 16),
+        eo.annulus_domain(1.0, math.e, h=1.0 / 32),
+        eo.annular_sector_domain(1.0, 2.0, math.pi / 2, h=1.0 / 16),
+        eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+        # the benchmark's comb of seed 4001 at level 0: h divides neither eps
+        # nor 1, and eps lies between lattice rows at both meshes
+        eo.comb_domain(0.45511480400657883, h=0.042542284403658905),
+    ],
+    ids=["rectangle", "annulus", "sector", "odd-periodic-strip", "comb"],
+)
+def test_both_electrodes_border_the_interior_at_both_meshes(dom):
+    wrap = dom.periodic_x is not None
+    for h in (dom.h, 0.5 * dom.h):
+        cls = eo._lattice(dom, h)
+        near = _neighbours(cls, wrap)
+        inner = cls == eo._IN
+        for electrode in (eo._A, eo._B):
+            assert any(np.any(inner & (side == electrode))
+                       for side in near.values())
+        if dom.name == "comb":
+            # the top side is electrode b between the slits too: above every
+            # interior node of the top interior row
+            top = np.flatnonzero(inner.any(axis=0))[-1]
+            row = inner[:, top]
+            assert np.all(near["above"][row, top] == eo._B)

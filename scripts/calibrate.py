@@ -30,18 +30,18 @@ def main():
     worst = 0.0
     for l in (8.0, 12.0, 16.0):
         for t in (0.0, 0.25, 0.5):
-            res = cm.glued_collar_lambda(cm.GluedCollarSpec(l, math.inf, math.inf, t))
-            gain = res.bounds.lower / (2.0 * standard_half_collar_lambda(l))
+            b = cm.glued_collar_lambda(cm.GluedCollarSpec(l, math.inf, math.inf, t))
+            gain = b.lower / (2.0 * standard_half_collar_lambda(l))
             worst = max(worst, l * math.exp(0.5 * abs(t) * l) / gain)
     print("TWIST_GAIN_K must exceed %.6g" % worst)
 
     print("# glued half-twist collar, l in [4, 16]")
     lo, hi = [], []
     for l in np.linspace(4, 16, 7):
-        res = cm.glued_collar_lambda(cm.GluedCollarSpec(float(l), math.inf, math.inf, 0.5))
+        b = cm.glued_collar_lambda(cm.GluedCollarSpec(float(l), math.inf, math.inf, 0.5))
         e = math.exp(0.25 * l)
-        lo.append(res.bounds.lower * e)
-        hi.append(res.bounds.upper * e)
+        lo.append(b.lower * e)
+        hi.append(b.upper * e)
     print("lower * e^(l/4): [%.6g, %.6g]" % (min(lo), max(lo)))
     print("upper * e^(l/4): [%.6g, %.6g]" % (min(hi), max(hi)))
 

@@ -12,7 +12,6 @@ run them.
 
 import importlib.util
 import sys
-import types
 
 
 def lazy_import(name):
@@ -32,12 +31,6 @@ def lazy_import(name):
     if package:
         setattr(sys.modules[package], child, module)
     return module
-
-
-def loaded(module):
-    """Whether `module` has run (or is running): a lazy module stops being
-    one at its first attribute access, and this check makes none."""
-    return type(module) is types.ModuleType
 
 
 numpy = lazy_import("numpy")

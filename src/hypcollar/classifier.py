@@ -29,11 +29,8 @@ from .surfaces import (
     CantorTree,
     Constant,
     ExplicitPrefixThenTail,
-    Flute,
     FluteSpec,
-    Ladder,
     Linear,
-    LochNess,
     LogAffine,
     ScaledPowerDecay,
     SpecError,
@@ -62,16 +59,6 @@ class SeriesBehavior:
     @property
     def exact(self):
         return self.method == "bertrand-exact"
-
-
-@dataclass(frozen=True)
-class SeriesTerms:
-    """Structured terms C * e^{-kappa l_n} * n^{-poly} / l_n^{length_factor}."""
-
-    lengths: object
-    kappa: float
-    poly_exponent: float = 0.0
-    length_factor: bool = False
 
 
 def _exponents_single(spec, kappa, poly, length_factor):
@@ -103,13 +90,13 @@ def _exponents_single(spec, kappa, poly, length_factor):
     raise SpecError("no exponent form for the length shape %r" % (spec,))
 
 
-def _exponent_forms(terms):
-    """List of exponent triples, one for each of the `branches` of the
-    lengths: the series diverges iff one of them does."""
-    kappa = Fraction(terms.kappa)
-    return [_exponents_single(branch, kappa, terms.poly_exponent,
-                              terms.length_factor)
-            for branch in branches(terms.lengths)]
+def _exponent_forms(lengths, kappa, poly=0.0, length_factor=False):
+    """List of exponent triples of the terms e^{-kappa l_n} n^{-poly} /
+    l_n^{length_factor}, one for each of the `branches` of the lengths: the
+    series diverges iff one of them does."""
+    kappa = Fraction(kappa)
+    return [_exponents_single(branch, kappa, poly, length_factor)
+            for branch in branches(lengths)]
 
 
 def _exponent_text(x):
@@ -141,10 +128,11 @@ def _heuristic(term_fn):
     return SeriesBehavior("inconclusive", "partial-sum", detail)
 
 
-def classify_series(terms):
-    """Classify sum of C e^{-kappa l_n} n^{-m} / l_n^{e} for a validated
-    length spec, exactly: every branch of one has an exponent form."""
-    forms = _exponent_forms(terms)
+def classify_series(lengths, kappa, poly=0.0, length_factor=False):
+    """Classify sum of C e^{-kappa l_n} n^{-poly} / l_n^{length_factor} for a
+    validated length spec, exactly: every branch of one has an exponent
+    form."""
+    forms = _exponent_forms(lengths, kappa, poly, length_factor)
     return SeriesBehavior(
         "diverges" if min(forms) <= _BERTRAND else "converges",
         "bertrand-exact",
@@ -253,8 +241,7 @@ def _twisted_series(lengths, twists, poly=0.0):
     constant twist, else the partial-sum heuristic."""
     t = _constant_twist(twists)
     if t is not None:
-        return classify_series(SeriesTerms(
-            lengths, kappa=(1 - abs(Fraction(t))) / 2, poly_exponent=poly))
+        return classify_series(lengths, (1 - abs(Fraction(t))) / 2, poly)
     return _heuristic(
         lambda n: math.exp(
             -0.5 * (1.0 - abs(normalize_twist(twists.term(n)))) * lengths.term(n)
@@ -275,7 +262,7 @@ def classify_flute(flute):
         )
     t = _constant_twist(flute.twists)
     if t is not None and t == 0.0:
-        beh = classify_series(SeriesTerms(lengths, kappa=0.5))
+        beh = classify_series(lengths, 0.5)
         if beh.verdict == "diverges":
             return Verdict("Parabolic", criterion="zero-twist-series", series=beh)
         return Verdict(
@@ -285,7 +272,7 @@ def classify_flute(flute):
             series=beh,
         )
     if t is not None and abs(t) == 0.5:
-        beh = classify_series(SeriesTerms(lengths, kappa=0.25))
+        beh = classify_series(lengths, 0.25)
         if beh.verdict == "diverges":
             return Verdict("Parabolic", criterion="half-twist-series", series=beh)
         sig = classify_sigma_series(lengths)
@@ -324,8 +311,8 @@ def classify_exhaustion(spec, use_twists=False, hypotheses_asserted=()):
     'not-pair-of-pants' and 'uniform-orthogeodesic-distance' which the data
     model cannot check.
     """
-    if isinstance(spec, Flute):
-        return classify_flute(spec.flute)
+    if isinstance(spec, FluteSpec):
+        return classify_flute(spec)
     if isinstance(spec, AbelianCover):
         return classify_cover(spec)
     if isinstance(spec, CantorTree):
@@ -337,31 +324,28 @@ def classify_exhaustion(spec, use_twists=False, hypotheses_asserted=()):
                 "twisted exhaustion criterion requires asserted hypotheses: "
                 + ", ".join(sorted(missing))
             )
-    assumed = ()
-    if isinstance(spec, (LochNess, Ladder)):
-        if spec.beta_bound >= 1.5:
-            assumed = ("orthogeodesic-length-at-least-1",)
-    else:
-        assumed = ("orthogeodesic-length-at-least-1",)
-
     criterion = (
         "twisted-collar-series" if use_twists else "untwisted-collar-series"
     )
     asserted = set(hypotheses_asserted) if use_twists else set()
     if isinstance(spec, BiInfiniteFlute):
         beh = _bi_infinite_series(spec, use_twists)
-    elif isinstance(spec, (LochNess, Ladder, BoundedBoundary)):
+    elif isinstance(spec, BoundedBoundary):
         twists = spec.twists if use_twists else Constant(0.0)
-        # |boundary X_n| is 1 (Loch Ness), 2 (ladder) or about n^p
-        poly = spec.count_exponent if isinstance(spec, BoundedBoundary) else 0.0
-        beh = _twisted_series(spec.lengths, twists, poly)
+        beh = _twisted_series(spec.lengths, twists, spec.count_exponent)
     else:
         raise SpecError("unknown exhaustion spec %r" % (spec,))
+    # a handle bound below 1.5 gives consecutive boundary curves an
+    # orthogeodesic length of at least 1; without one it is assumed
+    assumed = set()
+    if (not isinstance(spec, BoundedBoundary) or spec.beta_bound is None
+            or spec.beta_bound >= 1.5):
+        assumed = {"orthogeodesic-length-at-least-1"}
     return Verdict(
         "Parabolic" if beh.verdict == "diverges" else "Unknown",
         criterion=criterion,
         series=beh,
-        hypotheses_assumed=tuple(sorted(set(assumed) | asserted)),
+        hypotheses_assumed=tuple(sorted(assumed | asserted)),
     )
 
 
@@ -373,10 +357,10 @@ def _bi_infinite_series(spec, use_twists):
         t = _constant_twist(twists) if use_twists else 0.0
         return None if t is None else (1 - abs(Fraction(t))) / 2
 
-    kpos, kneg = kappa(spec.twists_pos), kappa(spec.twists_neg_effective)
+    kpos, kneg = kappa(spec.twists_pos), kappa(spec.twists_neg)
     if kpos is not None and kneg is not None:
-        pos = _exponent_forms(SeriesTerms(spec.lengths_pos, kappa=kpos))
-        neg = _exponent_forms(SeriesTerms(spec.neg, kappa=kneg))
+        pos = _exponent_forms(spec.lengths_pos, kpos)
+        neg = _exponent_forms(spec.lengths_neg, kneg)
         # the branches are (even n, odd n), or one for both: the ends meet
         # at each parity, where 1/(A_n + B_n) is comparable to the
         # faster-decaying end, and the series diverges iff one parity does
@@ -396,7 +380,7 @@ def _bi_infinite_series(spec, use_twists):
 
     return _heuristic(
         lambda n: 1.0 / (one(spec.lengths_pos, spec.twists_pos, n)
-                         + one(spec.neg, spec.twists_neg_effective, n))
+                         + one(spec.lengths_neg, spec.twists_neg, n))
     )
 
 
@@ -434,23 +418,14 @@ def classify_cover(cov):
         crit = "cover-rank2-disjoint-series"
     elif cov.rank == 2 and cov.config == "intersecting-pair":
         if isinstance(cov.eps, Constant):
-            beh = classify_series(
-                SeriesTerms(cov.ell, kappa=0.0, length_factor=True)
-            )
+            beh = classify_series(cov.ell, 0.0, length_factor=True)
         else:
             beh = _heuristic(
                 lambda n: math.atan(math.sinh(cov.eps.term(n))) / cov.ell.term(n)
             )
         crit = "cover-collar-width-series"
     else:
-        beh = classify_series(
-            SeriesTerms(
-                cov.L,
-                kappa=0.5,
-                poly_exponent=float(cov.rank - 1),
-                length_factor=True,
-            )
-        )
+        beh = classify_series(cov.L, 0.5, float(cov.rank - 1), length_factor=True)
         crit = "cover-rank%d-series" % cov.rank
     if beh.verdict == "diverges":
         return Verdict("Parabolic", criterion=crit, series=beh)

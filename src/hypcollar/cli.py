@@ -18,7 +18,7 @@ from .classifier import (
     sweep_scaled,
     sweep_two_parameter,
 )
-from .hypgeom import HypothesisError, standard_half_collar_lambda
+from .hypgeom import HypothesisError, ResolutionError, standard_half_collar_lambda
 from .surfaces import (
     AbelianCover,
     AlternatingLogAffine,
@@ -27,11 +27,8 @@ from .surfaces import (
     CantorTree,
     Constant,
     ExplicitPrefixThenTail,
-    Flute,
     FluteSpec,
-    Ladder,
     Linear,
-    LochNess,
     LogAffine,
     ScaledPowerDecay,
     SpecError,
@@ -170,85 +167,91 @@ def parse_sequence(obj, path):
     raise ConfigError("unknown sequence kind %r at %s" % (kind, path))
 
 
-def _twist_spec(obj, path):
-    if obj is None:
-        return Constant(0.0)
-    return parse_sequence(obj, path)
+def _sequence(cfg, key, *default):
+    """The sequence spec at cfg[key]; an absent key gives the default, or a
+    ConfigError if there is none.  A null is not a spec."""
+    if default and key not in cfg:
+        return default[0]
+    return parse_sequence(_required(cfg, key, ""), key)
+
+
+_UNTWISTED = Constant(0.0)
+
+
+def _one_end(cfg):
+    """The lengths and twists of a surface with one flute-like end; no twist
+    unless given."""
+    return _sequence(cfg, "lengths"), _sequence(cfg, "twists", _UNTWISTED)
+
+
+def _bi_infinite_flute(cfg):
+    """The negative end takes the positive end's lengths and twists unless
+    given its own."""
+    lengths = _sequence(cfg, "lengths")
+    lengths_neg = _sequence(cfg, "lengths_neg", lengths)
+    twists = _sequence(cfg, "twists", _UNTWISTED)
+    return BiInfiniteFlute(lengths, lengths_neg, twists,
+                           _sequence(cfg, "twists_neg", twists))
+
+
+def _handles(cfg):
+    """The Loch Ness monster and the ladder: one or two boundary curves per
+    level, with a bound on the curves that cut off the handles."""
+    return BoundedBoundary(
+        *_one_end(cfg), beta_bound=_number(cfg.get("beta_bound", 1.0), "beta_bound"))
+
+
+def _cover(cfg):
+    rank = _required(cfg, "rank", "")
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ConfigError("rank must be an integer, got %r" % (rank,))
+    return AbelianCover(
+        rank=rank,
+        config=cfg.get("config", "single"),
+        L=_sequence(cfg, "L", None),
+        tau=_sequence(cfg, "tau", _UNTWISTED),
+        eps=_sequence(cfg, "eps", None),
+        ell=_sequence(cfg, "ell", None),
+    )
+
+
+# the keys of one flute-like end, and the options of the twisted
+# exhaustion criterion
+_ONE_END = {"lengths", "twists"}
+_TWIST_OPTIONS = {"use_twists", "hypotheses_asserted"}
+
+# each surface type: the config keys it reads besides "type", and its builder
+_SURFACES = {
+    "flute": (_ONE_END, lambda cfg: FluteSpec(*_one_end(cfg))),
+    "bi_infinite_flute": (_ONE_END | {"lengths_neg", "twists_neg"} | _TWIST_OPTIONS,
+                          _bi_infinite_flute),
+    "loch_ness": (_ONE_END | {"beta_bound"} | _TWIST_OPTIONS, _handles),
+    "ladder": (_ONE_END | {"beta_bound"} | _TWIST_OPTIONS, _handles),
+    "cantor_tree": ({"level_lengths"},
+                    lambda cfg: CantorTree(_sequence(cfg, "level_lengths"))),
+    "bounded_boundary": (
+        _ONE_END | {"count_exponent"} | _TWIST_OPTIONS,
+        lambda cfg: BoundedBoundary(*_one_end(cfg), count_exponent=_number(
+            cfg.get("count_exponent", 0.0), "count_exponent"))),
+    "cover": ({"rank", "config", "L", "tau", "eps", "ell"}, _cover),
+}
 
 
 def parse_surface(cfg):
-    """Parse a classify config into an exhaustion spec plus options."""
-    _check_keys(
-        cfg,
-        {"type", "lengths", "twists", "beta_bound", "count_exponent",
-         "lengths_neg", "twists_neg", "level_lengths", "rank", "config",
-         "L", "tau", "eps", "ell", "use_twists", "hypotheses_asserted"},
-        "",
-    )
+    """Parse a classify config into an exhaustion spec plus options; each
+    surface type takes only its own keys."""
     t = cfg.get("type")
+    if not isinstance(t, str) or t not in _SURFACES:
+        raise ConfigError("unknown surface type %r" % (t,))
+    keys, build = _SURFACES[t]
+    _check_keys(cfg, keys | {"type"}, "")
     use_twists = cfg.get("use_twists", False)
     hyps = cfg.get("hypotheses_asserted", [])
     if not isinstance(use_twists, bool):
         raise ConfigError("use_twists must be a boolean")
     if not (isinstance(hyps, list) and all(isinstance(h, str) for h in hyps)):
         raise ConfigError("hypotheses_asserted must be a list of strings")
-
-    def sequence(key):
-        return parse_sequence(_required(cfg, key, ""), key)
-
-    if t == "flute":
-        spec = Flute(
-            FluteSpec(
-                lengths=sequence("lengths"),
-                twists=_twist_spec(cfg.get("twists"), "twists"),
-            )
-        )
-    elif t == "bi_infinite_flute":
-        spec = BiInfiniteFlute(
-            lengths_pos=sequence("lengths"),
-            lengths_neg=parse_sequence(cfg["lengths_neg"], "lengths_neg")
-            if "lengths_neg" in cfg
-            else None,
-            twists_pos=_twist_spec(cfg.get("twists"), "twists"),
-            twists_neg=_twist_spec(cfg["twists_neg"], "twists_neg")
-            if "twists_neg" in cfg
-            else None,
-        )
-    elif t == "loch_ness":
-        spec = LochNess(
-            lengths=sequence("lengths"),
-            twists=_twist_spec(cfg.get("twists"), "twists"),
-            beta_bound=_number(cfg.get("beta_bound", 1.0), "beta_bound"),
-        )
-    elif t == "ladder":
-        spec = Ladder(
-            lengths=sequence("lengths"),
-            twists=_twist_spec(cfg.get("twists"), "twists"),
-            beta_bound=_number(cfg.get("beta_bound", 1.0), "beta_bound"),
-        )
-    elif t == "cantor_tree":
-        spec = CantorTree(sequence("level_lengths"))
-    elif t == "bounded_boundary":
-        spec = BoundedBoundary(
-            lengths=sequence("lengths"),
-            twists=_twist_spec(cfg.get("twists"), "twists"),
-            count_exponent=_number(cfg.get("count_exponent", 0.0), "count_exponent"),
-        )
-    elif t == "cover":
-        rank = _required(cfg, "rank", "")
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise ConfigError("rank must be an integer, got %r" % (rank,))
-        spec = AbelianCover(
-            rank=rank,
-            config=cfg.get("config", "single"),
-            L=parse_sequence(cfg["L"], "L") if "L" in cfg else None,
-            tau=_twist_spec(cfg.get("tau"), "tau"),
-            eps=parse_sequence(cfg["eps"], "eps") if "eps" in cfg else None,
-            ell=parse_sequence(cfg["ell"], "ell") if "ell" in cfg else None,
-        )
-    else:
-        raise ConfigError("unknown surface type %r" % (t,))
-    return spec, use_twists, tuple(hyps)
+    return build(cfg), use_twists, tuple(hyps)
 
 
 def _strict(data):
@@ -315,15 +318,15 @@ def cmd_collar(args):
             l_gamma2=args.l_gamma2,
             twist=args.twist,
         )
-        res = collar_modulus.glued_collar_lambda(spec)
+        bounds = collar_modulus.glued_collar_lambda(spec)
         data = {
             "kind": "glued-collar",
             "l_alpha": l_alpha,
             "twist": spec.twist,
-            "lambda_lower": res.bounds.lower,
-            "lambda_upper": res.bounds.upper,
-            "lambda_geometric_mean": res.bounds.geometric_mean,
-            "analytic_proxy": res.proxy,
+            "lambda_lower": bounds.lower,
+            "lambda_upper": bounds.upper,
+            "lambda_geometric_mean": bounds.geometric_mean,
+            "analytic_proxy": 1.0 / collar_modulus.glued_collar_proxy(spec),
             "standard_lambda": standard_half_collar_lambda(l_alpha),
         }
         _emit(data, args.output)
@@ -591,15 +594,13 @@ def main(argv=None):
     except (ConfigError, SpecError, FileNotFoundError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    except HypothesisError as exc:
+        print("hypothesis violation: %s" % exc, file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    except ResolutionError as exc:
+        print("mesh refusal: %s" % exc, file=sys.stderr)
+        return EXIT_RESOLUTION
     except ValueError as exc:
-        if isinstance(exc, HypothesisError):
-            print("hypothesis violation: %s" % exc, file=sys.stderr)
-            return EXIT_HYPOTHESIS
-        # an oracle that has not run refused no mesh; asking it would run it
-        if _lazy.loaded(extremal_oracle) and isinstance(
-                exc, extremal_oracle.ResolutionError):
-            print("mesh refusal: %s" % exc, file=sys.stderr)
-            return EXIT_RESOLUTION
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:  # OracleError and QuadratureError among them

@@ -284,14 +284,6 @@ def glued_collar_proxy(spec):
     )
 
 
-@dataclass(frozen=True)
-class GluedCollarResult:
-    """Bounds and analytic proxy for the glued-collar extremal distance."""
-
-    bounds: ModulusBounds
-    proxy: float
-
-
 def glued_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of a glued collar.
 
@@ -299,7 +291,7 @@ def glued_collar_lambda(spec):
     of the envelope pair (whose region is contained in the collar), with its
     vertical modulus and area in closed form and only the deviation constant
     computed; the upper bound is the reciprocal of the vertical modulus of
-    the full graph pair.  Also returns 1 / glued_collar_proxy(spec).
+    the full graph pair.
     """
     if spec.l_alpha < 2.0:
         raise HypothesisError("glued-collar bounds require l_alpha >= 2")
@@ -311,5 +303,4 @@ def glued_collar_lambda(spec):
     c = rectangle_deviation(glued_collar_envelope(spec), delta)
     env_mod = rectangle_sandwich(env_v, c, area, delta)
     full_v = vertical_modulus(glued_collar_graphs(spec))
-    bounds = ModulusBounds(lower=1.0 / env_mod.upper, upper=1.0 / full_v)
-    return GluedCollarResult(bounds=bounds, proxy=1.0 / glued_collar_proxy(spec))
+    return ModulusBounds(lower=1.0 / env_mod.upper, upper=1.0 / full_v)

@@ -24,10 +24,12 @@ iterations, the final relative residual and the seconds of the solve.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from ._lazy import numpy as np
+
+from .hypgeom import ResolutionError
 
 CG_TOL = 1e-8
 CG_MAXITER = 200_000
@@ -43,11 +45,6 @@ _MAX_NODES = (2**31 - 1) // 5
 
 class OracleError(ArithmeticError):
     """The discrete solve failed (no interior, disconnected, or CG stalled)."""
-
-
-class ResolutionError(ValueError):
-    """The mesh is too coarse to separate the domain's features, or so fine
-    that its lattice passes the solver's int32 index range."""
 
 
 @dataclass(frozen=True)
@@ -589,9 +586,12 @@ def discrete_modulus(domain):
 
 def rectangle_domain(width, height, h):
     """Rectangle [0, width] x [0, height], electrodes = bottom and top
-    sides.  The mesh must divide both sides, so that they lie on lattice
-    lines."""
+    sides.  Each side must be positive and finite, and the mesh must divide
+    it, so that the sides lie on lattice lines."""
     for side, length in (("width", width), ("height", height)):
+        if not 0 < length < math.inf:
+            raise ValueError("%s must be positive and finite, got %r"
+                             % (side, length))
         if not _divides(h, length):
             raise ResolutionError("mesh h = %.3g does not divide the %s %.3g"
                                   % (h, side, length))

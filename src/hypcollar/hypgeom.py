@@ -15,6 +15,13 @@ class HypothesisError(ValueError):
     """A geometric hypothesis of one of the closed-form bounds is violated."""
 
 
+class ResolutionError(ValueError):
+    """The mesh is too coarse to separate the domain's features, or so fine
+    that its lattice passes the solver's int32 index range.  The oracle
+    raises it; it is defined here so that the CLI can catch it without
+    loading the oracle."""
+
+
 def _require_positive(name, x, allow_inf=False):
     if not isinstance(x, (int, float)):
         raise TypeError("%s must be a number, got %r" % (name, x))

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ._lazy import numpy as np
 
@@ -379,74 +379,28 @@ class FluteSpec:
 
 
 @dataclass(frozen=True)
-class ExhaustionSpec:
-    """Base marker for exhaustions X_1 c X_2 c ... by finite subsurfaces."""
+class BiInfiniteFlute:
+    """Two flute ends, one in each direction; level n has boundary
+    {alpha_n, alpha_-n}.
 
-
-@dataclass(frozen=True)
-class Flute(ExhaustionSpec):
-    flute: FluteSpec
-
-
-@dataclass(frozen=True)
-class BiInfiniteFlute(ExhaustionSpec):
-    """Flute ends in both directions; level n has boundary {alpha_n, alpha_-n}."""
+    Each end has its own lengths and twists; a caller whose ends agree
+    passes the same spec for both.
+    """
 
     lengths_pos: object
-    lengths_neg: object = None
+    lengths_neg: object
     twists_pos: object = Constant(0.0)
-    twists_neg: object = None
+    twists_neg: object = Constant(0.0)
 
     def __post_init__(self):
         validate_lengths(self.lengths_pos, "lengths")
-        if self.lengths_neg is not None:
-            validate_lengths(self.lengths_neg, "lengths_neg")
+        validate_lengths(self.lengths_neg, "lengths_neg")
         _validate_twists(self.twists_pos, "twists")
-        if self.twists_neg is not None:
-            _validate_twists(self.twists_neg, "twists_neg")
-
-    @property
-    def neg(self):
-        return self.lengths_neg if self.lengths_neg is not None else self.lengths_pos
-
-    @property
-    def twists_neg_effective(self):
-        return self.twists_neg if self.twists_neg is not None else self.twists_pos
+        _validate_twists(self.twists_neg, "twists_neg")
 
 
 @dataclass(frozen=True)
-class LochNess(ExhaustionSpec):
-    """One flute-like end with handles; |boundary X_n| = 1.
-
-    beta_bound is a uniform upper bound for the lengths of the curves beta_n
-    cutting off the handles; it guarantees a definite orthogeodesic length
-    between consecutive boundary curves when small enough (< 1.5).
-    """
-
-    lengths: object
-    twists: object = Constant(0.0)
-    beta_bound: float = 1.0
-
-    def __post_init__(self):
-        validate_lengths(self.lengths)
-        _validate_twists(self.twists, "twists")
-
-
-@dataclass(frozen=True)
-class Ladder(ExhaustionSpec):
-    """Bi-infinite chain of handles; |boundary X_n| = 2."""
-
-    lengths: object
-    twists: object = Constant(0.0)
-    beta_bound: float = 1.0
-
-    def __post_init__(self):
-        validate_lengths(self.lengths)
-        _validate_twists(self.twists, "twists")
-
-
-@dataclass(frozen=True)
-class CantorTree(ExhaustionSpec):
+class CantorTree:
     """Binary-tree surface; level n has 2^n boundary curves of equal length."""
 
     level_lengths: object
@@ -456,16 +410,21 @@ class CantorTree(ExhaustionSpec):
 
 
 @dataclass(frozen=True)
-class BoundedBoundary(ExhaustionSpec):
+class BoundedBoundary:
     """Exhaustion with |boundary X_n| growing like n^p (p = 0: bounded).
 
     All boundary curves of level n share the length bound L_n and the twist
-    bound tau_n.
+    bound tau_n.  The Loch Ness monster (one curve per level) and the ladder
+    (two) are the case p = 0.  beta_bound is a uniform upper bound on the
+    lengths of the curves beta_n that cut off their handles: below 1.5 it
+    guarantees an orthogeodesic length of at least 1 between consecutive
+    boundary curves; None means no bound is known.
     """
 
     lengths: object
     twists: object = Constant(0.0)
     count_exponent: float = 0.0
+    beta_bound: Optional[float] = None
 
     def __post_init__(self):
         validate_lengths(self.lengths)
@@ -475,7 +434,7 @@ class BoundedBoundary(ExhaustionSpec):
 
 
 @dataclass(frozen=True)
-class AbelianCover(ExhaustionSpec):
+class AbelianCover:
     """Normal cover of a closed surface with free abelian deck group.
 
     config is 'single' (rank 1, one nonseparating curve), 'disjoint-pair'

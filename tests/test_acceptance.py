@@ -102,14 +102,14 @@ def test_criterion_05_asymptotic_bands():
         lo, hi = HALF_COLLAR_WIDE_BAND
         assert lo <= b.geometric_mean * e <= hi, l
     for l in np.linspace(4.0, 16.0, 7):
-        res = cm.glued_collar_lambda(
+        bounds = cm.glued_collar_lambda(
             cm.GluedCollarSpec(float(l), math.inf, math.inf, 0.5)
         )
         e = math.exp(0.25 * l)
         lo, hi = GLUED_HALF_TWIST_BAND_LOWER
-        assert lo <= res.bounds.lower * e <= hi, l
+        assert lo <= bounds.lower * e <= hi, l
         lo, hi = GLUED_HALF_TWIST_BAND_UPPER
-        assert lo <= res.bounds.upper * e <= hi, l
+        assert lo <= bounds.upper * e <= hi, l
     dt = time.perf_counter() - t0
     _report(5, "half-collar e^{l/2} and glued half-twist e^{l/4} scalings "
                "inside the frozen bands (%.1fs)" % dt)
@@ -119,10 +119,10 @@ def test_criterion_06_twist_gain():
     t0 = time.perf_counter()
     for l in (8.0, 12.0, 16.0):
         for t in (0.0, 0.25, 0.5):
-            res = cm.glued_collar_lambda(
+            bounds = cm.glued_collar_lambda(
                 cm.GluedCollarSpec(l, math.inf, math.inf, t)
             )
-            gain = res.bounds.lower / (2.0 * hg.standard_half_collar_lambda(l))
+            gain = bounds.lower / (2.0 * hg.standard_half_collar_lambda(l))
             assert gain >= l * math.exp(0.5 * abs(t) * l) / TWIST_GAIN_K, (l, t)
     dt = time.perf_counter() - t0
     _report(6, "glued-collar gain >= l e^{|t| l/2} / %g over the reference "
@@ -265,10 +265,8 @@ def test_criterion_11_property_suites():
             assert kinds[1] == "Parabolic" and kinds[2] == "Parabolic", (a, b, c)
 
         for t in (0.25, 0.5):
-            untwisted = cl.classify_series(cl.SeriesTerms(spec, kappa=0.5))
-            twisted = cl.classify_series(
-                cl.SeriesTerms(spec, kappa=0.5 * (1.0 - t))
-            )
+            untwisted = cl.classify_series(spec, 0.5)
+            twisted = cl.classify_series(spec, 0.5 * (1.0 - t))
             # e^{-l/2} <= e^{-(1-|t|) l/2} termwise for l > 0
             if untwisted.verdict == "diverges":
                 assert twisted.verdict == "diverges", (a, b, c, t)

@@ -28,17 +28,13 @@ def _flute(lengths, twist):
 def test_series_boundary_cases_exact():
     # sum n^{-kappa a} with kappa = 1/2: diverges iff a <= 2
     for a, want in ((1.9, "diverges"), (2.0, "diverges"), (2.1, "converges")):
-        beh = cl.classify_series(
-            cl.SeriesTerms(sf.log_affine(a=a, n0=1.0), kappa=0.5)
-        )
+        beh = cl.classify_series(sf.log_affine(a=a, n0=1.0), 0.5)
         assert beh.exact and beh.verdict == want
 
     # second-order boundary: sum 1/(n (ln n)^q)
     for q, want in ((0.5, "diverges"), (1.0, "diverges"), (1.5, "converges")):
         beh = cl.classify_series(
-            cl.SeriesTerms(sf.log_affine(a=2.0, b=2.0 * q, n0=1.0, n1=1.0),
-                           kappa=0.5)
-        )
+            sf.log_affine(a=2.0, b=2.0 * q, n0=1.0, n1=1.0), 0.5)
         assert beh.exact and beh.verdict == want
 
 
@@ -46,7 +42,7 @@ def test_series_agrees_with_partial_sums():
     # numeric cross-check away from the boundary
     for a in (1.0, 3.0):
         spec = sf.log_affine(a=a, n0=1.0)
-        beh = cl.classify_series(cl.SeriesTerms(spec, kappa=0.5))
+        beh = cl.classify_series(spec, 0.5)
         ns = np.arange(1, 200_000)
         partial = np.cumsum(np.exp(-0.5 * a * np.log(ns)))
         growing = partial[-1] / partial[len(partial) // 10] > 2.0
@@ -54,7 +50,7 @@ def test_series_agrees_with_partial_sums():
 
 
 def test_linear_lengths_converge():
-    beh = cl.classify_series(cl.SeriesTerms(sf.Linear(slope=1.0), kappa=0.5))
+    beh = cl.classify_series(sf.Linear(slope=1.0), 0.5)
     assert beh.exact and beh.verdict == "converges"
 
 
@@ -96,10 +92,9 @@ def test_every_validated_length_spec_is_exact(spec, kappa, poly, length_factor):
     stripped = spec
     while isinstance(stripped, sf.ExplicitPrefixThenTail):
         stripped = stripped.tail
-    beh = cl.classify_series(cl.SeriesTerms(spec, kappa, poly, length_factor))
+    beh = cl.classify_series(spec, kappa, poly, length_factor)
     assert beh.exact
-    assert beh == cl.classify_series(
-        cl.SeriesTerms(stripped, kappa, poly, length_factor))
+    assert beh == cl.classify_series(stripped, kappa, poly, length_factor)
     assert cl.classify_flute(sf.FluteSpec(lengths=spec)).series.exact
 
 
@@ -107,7 +102,7 @@ def test_unknown_length_shape_has_no_exponent_form():
     prefix = sf.ExplicitPrefixThenTail((1.0,), sf.log_affine(a=1.0, n0=1.0))
     alt = sf.AlternatingLogAffine(even=sf.log_affine(a=1.0, n0=1.0), odd=prefix)
     with pytest.raises(sf.SpecError, match="no exponent form"):
-        cl.classify_series(cl.SeriesTerms(alt, kappa=0.5))
+        cl.classify_series(alt, 0.5)
 
 
 def test_heuristic_never_exact():
@@ -302,26 +297,36 @@ def test_two_parameter_regions():
 # ---------------------------------------------------------------------------
 
 
+def _loch_ness(lengths, **kwargs):
+    """A Loch Ness monster or a ladder as the CLI builds it: a bounded
+    boundary with the handle bound 1.0 unless given."""
+    return sf.BoundedBoundary(lengths=lengths, **dict({"beta_bound": 1.0}, **kwargs))
+
+
 def test_loch_ness():
-    v = cl.classify_exhaustion(sf.LochNess(lengths=sf.log_affine(a=2.0, n0=1.0)))
+    v = cl.classify_exhaustion(_loch_ness(sf.log_affine(a=2.0, n0=1.0)))
     assert v.kind == "Parabolic" and v.criterion == "untwisted-collar-series"
-    v = cl.classify_exhaustion(sf.LochNess(lengths=sf.log_affine(a=3.0, n0=1.0)))
+    v = cl.classify_exhaustion(_loch_ness(sf.log_affine(a=3.0, n0=1.0)))
     assert v.kind == "Unknown"
 
 
-def test_loch_ness_beta_hypothesis_recorded():
+@pytest.mark.parametrize("beta_bound, assumed", [
+    # no handle bound known, or one too large to keep the boundary curves
+    # apart: the orthogeodesic length is assumed
+    (None, ("orthogeodesic-length-at-least-1",)),
+    (2.0, ("orthogeodesic-length-at-least-1",)),
+    (1.5, ("orthogeodesic-length-at-least-1",)),
+    (1.0, ()),
+])
+def test_bounded_boundary_beta_hypothesis_recorded(beta_bound, assumed):
     v = cl.classify_exhaustion(
-        sf.LochNess(lengths=sf.Constant(1.0), beta_bound=2.0)
+        sf.BoundedBoundary(lengths=sf.Constant(1.0), beta_bound=beta_bound)
     )
-    assert "orthogeodesic-length-at-least-1" in v.hypotheses_assumed
-    v = cl.classify_exhaustion(
-        sf.LochNess(lengths=sf.Constant(1.0), beta_bound=1.0)
-    )
-    assert v.hypotheses_assumed == ()
+    assert v.hypotheses_assumed == assumed
 
 
 def test_twisted_exhaustion_requires_hypotheses():
-    spec = sf.Ladder(lengths=sf.Constant(1.0), twists=sf.Constant(0.5))
+    spec = _loch_ness(sf.Constant(1.0), twists=sf.Constant(0.5))
     with pytest.raises(HypothesisError):
         cl.classify_exhaustion(spec, use_twists=True)
     v = cl.classify_exhaustion(
@@ -338,9 +343,7 @@ def test_twisted_exhaustion_requires_hypotheses():
 
 def test_twists_enlarge_parabolic_region():
     # constant half twist doubles the decay constant one can afford
-    spec = sf.Ladder(
-        lengths=sf.log_affine(a=3.0, n0=1.0), twists=sf.Constant(0.5)
-    )
+    spec = _loch_ness(sf.log_affine(a=3.0, n0=1.0), twists=sf.Constant(0.5))
     assert cl.classify_exhaustion(spec).kind == "Unknown"
     v = cl.classify_exhaustion(
         spec,
@@ -448,7 +451,7 @@ def _twisted_verdicts(lengths, twists):
     return (
         cl.classify_flute(sf.FluteSpec(lengths=lengths, twists=twists)),
         cl.classify_exhaustion(
-            sf.LochNess(lengths=lengths, twists=twists), use_twists=True,
+            _loch_ness(lengths, twists=twists), use_twists=True,
             hypotheses_asserted=("not-pair-of-pants",
                                  "uniform-orthogeodesic-distance"),
         ),

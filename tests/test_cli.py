@@ -66,6 +66,65 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+_CONST1 = {"kind": "constant", "value": 1.0}
+
+
+@pytest.mark.parametrize("config, key", [
+    # each type refuses a key that only another type reads
+    ({"type": "flute", "lengths": _CONST1, "use_twists": True}, "use_twists"),
+    ({"type": "bi_infinite_flute", "lengths": _CONST1, "beta_bound": 2.0},
+     "beta_bound"),
+    ({"type": "loch_ness", "lengths": _CONST1, "count_exponent": 1.0},
+     "count_exponent"),
+    ({"type": "ladder", "lengths": _CONST1, "lengths_neg": _CONST1}, "lengths_neg"),
+    ({"type": "cantor_tree", "level_lengths": _CONST1,
+      "hypotheses_asserted": []}, "hypotheses_asserted"),
+    ({"type": "bounded_boundary", "lengths": _CONST1, "beta_bound": 1.0},
+     "beta_bound"),
+    ({"type": "cover", "rank": 1, "L": _CONST1, "twists": _CONST1}, "twists"),
+    ({"type": "flute", "lengths": _CONST1, "beta_bound": 2, "rank": 7,
+      "use_twists": True}, "beta_bound, rank, use_twists"),
+], ids=lambda v: v["type"] if isinstance(v, dict) else v)
+def test_each_surface_type_takes_only_its_own_keys(tmp_path, capsys, config, key):
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown key(s) %s at top level\n" % key)
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"type": "flute", "lengths": _CONST1, "twists": None}, "twists"),
+    ({"type": "bi_infinite_flute", "lengths": _CONST1, "twists_neg": None},
+     "twists_neg"),
+    ({"type": "bi_infinite_flute", "lengths": _CONST1, "lengths_neg": None},
+     "lengths_neg"),
+    ({"type": "cover", "rank": 1, "L": _CONST1, "tau": None}, "tau"),
+], ids=lambda v: v["type"] if isinstance(v, dict) else v)
+def test_a_null_sequence_spec_is_refused_with_its_path(tmp_path, capsys, config,
+                                                       key):
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sequence spec at %s must be an object with 'kind'\n" % key)
+
+
+@pytest.mark.parametrize("twists_neg, kind", [
+    # an absent twists_neg is the twists: p = 3 / 4 at both ends
+    ("absent", "Parabolic"),
+    # an untwisted negative end has p = 3 / 2, and it dominates
+    ({"kind": "constant", "value": 0.0}, "Unknown"),
+])
+def test_bi_infinite_twists_neg_defaults_to_the_twists(tmp_path, capsys,
+                                                       twists_neg, kind):
+    config = {"type": "bi_infinite_flute",
+              "lengths": {"kind": "log_affine", "a": 3.0, "n0": 1.0},
+              "twists": {"kind": "constant", "value": 0.5}, "use_twists": True,
+              "hypotheses_asserted": ["not-pair-of-pants",
+                                      "uniform-orthogeodesic-distance"]}
+    if twists_neg != "absent":
+        config["twists_neg"] = twists_neg
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 0
+    assert strict_json(capsys.readouterr().out)["kind"] == kind
+
+
 def test_nested_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -500,6 +559,21 @@ def test_oracle_rectangle_side_the_mesh_does_not_divide_exit_5(
     assert captured.out == ""
     assert captured.err == (
         "mesh refusal: mesh h = 0.0625 does not divide the %s\n" % side)
+
+
+@pytest.mark.parametrize("side", ["width", "height"])
+@pytest.mark.parametrize("length", [0.0, -1.0, float("inf"), float("nan")])
+def test_oracle_rectangle_side_not_positive_is_config_error(tmp_path, capsys,
+                                                            side, length):
+    # a side of 0 once solved a single column of nodes (modulus -1.67e-16),
+    # and a negative one failed with no interior nodes
+    cfg = dict({"shape": "rectangle", "width": 1.0, "height": 1.0, "h": 0.0625},
+               **{side: length})
+    assert run(["oracle", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: %s must be positive and finite, got %r\n" % (side, length))
 
 
 @pytest.mark.parametrize("shape", [

@@ -123,14 +123,16 @@ def test_glued_twist_validation():
 
 
 def test_glued_result_fields():
-    res = cm.glued_collar_lambda(cm.GluedCollarSpec(8.0, math.inf, math.inf, 0.25))
-    assert 0.0 < res.bounds.lower <= res.bounds.upper
-    assert res.proxy > 0.0
+    spec = cm.GluedCollarSpec(8.0, math.inf, math.inf, 0.25)
+    bounds = cm.glued_collar_lambda(spec)
+    assert 0.0 < bounds.lower <= bounds.upper
+    proxy = 1.0 / cm.glued_collar_proxy(spec)
+    assert proxy > 0.0
     # the proxy is a two-sided surrogate for the lower bound
-    assert 0.01 < res.bounds.lower / res.proxy < 100.0
+    assert 0.01 < bounds.lower / proxy < 100.0
 
 
-def test_glued_proxy_is_the_four_interval_maximum():
+def test_glued_proxy_is_the_four_interval_maximum(capsys):
     # for |t| <= 1/2 the bounds e^{r_i - (1 - |t|) l/2} never exceed
     # e^{r_i - |t| l/2}, so the two-exponential proxy is the four-way max
     for l in (4.0, 8.0, 16.0):
@@ -140,8 +142,11 @@ def test_glued_proxy_is_the_four_interval_maximum():
             four = max(math.exp(ri - 0.5 * a * l)
                        for ri in r for a in (abs(t), 1.0 - abs(t)))
             assert cm.glued_collar_proxy(spec) == four
-            res = cm.glued_collar_lambda(spec)
-            assert res.proxy == 1.0 / four
+            # the collar command writes the reciprocal as its analytic proxy
+            assert cli.main(["collar", "--l-alpha", repr(l), "--l-gamma", "1",
+                             "--l-gamma2", "inf", "--twist", repr(t)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["analytic_proxy"] == 1.0 / four
 
 
 def test_glued_twist_improves_lower_bound():
@@ -150,7 +155,7 @@ def test_glued_twist_improves_lower_bound():
     lows = [
         cm.glued_collar_lambda(
             cm.GluedCollarSpec(l, math.inf, math.inf, t)
-        ).bounds.lower
+        ).lower
         for t in (0.0, 0.25, 0.5)
     ]
     assert lows[0] < lows[1] < lows[2]
@@ -160,8 +165,8 @@ def test_glued_twist_sign_symmetry():
     l = 10.0
     a = cm.glued_collar_lambda(cm.GluedCollarSpec(l, math.inf, math.inf, 0.25))
     b = cm.glued_collar_lambda(cm.GluedCollarSpec(l, math.inf, math.inf, -0.25))
-    assert a.bounds.lower == pytest.approx(b.bounds.lower, rel=1e-6)
-    assert a.bounds.upper == pytest.approx(b.bounds.upper, rel=1e-6)
+    assert a.lower == pytest.approx(b.lower, rel=1e-6)
+    assert a.upper == pytest.approx(b.upper, rel=1e-6)
 
 
 @pytest.mark.parametrize("argv, rc", [

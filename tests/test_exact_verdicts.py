@@ -201,17 +201,18 @@ def _surface(kind, lengths, twist=0.0, other=None, other_twist=None):
     a bi-infinite flute (None: the same as the positive end)."""
     t = sf.Constant(twist)
     if kind == "flute":
-        return sf.Flute(sf.FluteSpec(lengths=lengths, twists=t))
+        return sf.FluteSpec(lengths=lengths, twists=t)
     if kind == "loch_ness":
-        return sf.LochNess(lengths=lengths, twists=t)
+        return sf.BoundedBoundary(lengths=lengths, twists=t, beta_bound=1.0)
     if kind == "ladder":
-        return sf.Ladder(lengths=lengths, twists=t, beta_bound=2.0)
+        return sf.BoundedBoundary(lengths=lengths, twists=t, beta_bound=2.0)
     if kind == "bounded_boundary":
         return sf.BoundedBoundary(lengths=lengths, twists=t, count_exponent=0.5)
     if kind == "bi_infinite":
         return sf.BiInfiniteFlute(
-            lengths_pos=lengths, lengths_neg=other, twists_pos=t,
-            twists_neg=None if other_twist is None else sf.Constant(other_twist))
+            lengths_pos=lengths, lengths_neg=lengths if other is None else other,
+            twists_pos=t,
+            twists_neg=t if other_twist is None else sf.Constant(other_twist))
     if kind == "cantor":
         return sf.CantorTree(level_lengths=lengths)
     if kind == "cover_rank1":

@@ -268,13 +268,15 @@ def test_flute_spec_validates_twists():
 
 @pytest.mark.parametrize("build, field", [
     (lambda tw: sf.FluteSpec(lengths=sf.Constant(1.0), twists=tw), "twists"),
-    (lambda tw: sf.LochNess(lengths=sf.Constant(1.0), twists=tw), "twists"),
-    (lambda tw: sf.Ladder(lengths=sf.Constant(1.0), twists=tw), "twists"),
+    (lambda tw: sf.BoundedBoundary(lengths=sf.Constant(1.0), twists=tw,
+                                   beta_bound=1.0), "twists"),
+    (lambda tw: sf.BoundedBoundary(lengths=sf.Constant(1.0), twists=tw,
+                                   count_exponent=1.0), "twists"),
     (lambda tw: sf.BoundedBoundary(lengths=sf.Constant(1.0), twists=tw), "twists"),
     pytest.param(
-        lambda tw: sf.BiInfiniteFlute(lengths_pos=sf.Constant(1.0), twists_pos=tw),
+        lambda tw: sf.BiInfiniteFlute(sf.Constant(1.0), sf.Constant(1.0), twists_pos=tw),
         "twists", id="<lambda>-twists_pos"),
-    (lambda tw: sf.BiInfiniteFlute(lengths_pos=sf.Constant(1.0), twists_neg=tw),
+    (lambda tw: sf.BiInfiniteFlute(sf.Constant(1.0), sf.Constant(1.0), twists_neg=tw),
      "twists_neg"),
     (lambda tw: sf.AbelianCover(rank=1, L=sf.Constant(1.0), tau=tw), "tau"),
 ])

@@ -56,10 +56,6 @@ class SeriesBehavior:
     method: str  # "bertrand-exact" | "partial-sum"
     detail: str = ""
 
-    @property
-    def exact(self):
-        return self.method == "bertrand-exact"
-
 
 def _exponents_single(spec, kappa, poly, length_factor):
     """Exponent triple (p, q, r) for a leaf shape that `validate_lengths`
@@ -250,8 +246,21 @@ def _twisted_series(lengths, twists, poly=0.0):
     )
 
 
+def _sufficient(criterion, beh, **fields):
+    """The verdict of a series criterion where a convergent series proves
+    nothing: Parabolic when it diverges, else Unknown."""
+    kind = "Parabolic" if beh.verdict == "diverges" else "Unknown"
+    return Verdict(kind, criterion=criterion, series=beh, **fields)
+
+
+# the constant twists whose series criterion is an iff
+_IFF_CRITERIA = {0.0: "zero-twist-series", 0.5: "half-twist-series"}
+
+
 def classify_flute(flute):
-    """Parabolicity of a tight flute from its length/twist sequences."""
+    """Parabolicity of a tight flute from its length/twist sequences.  Its
+    series decides both ways for the zero twist and, when the sigma series
+    converges or the lengths are concave, for the half twist."""
     lengths = flute.lengths
     if any(branch.is_bounded for branch in branches(lengths)):
         return Verdict(
@@ -260,21 +269,12 @@ def classify_flute(flute):
             series=SeriesBehavior("diverges", "bertrand-exact",
                                   "bounded length subsequence"),
         )
-    t = _constant_twist(flute.twists)
-    if t is not None and t == 0.0:
-        beh = classify_series(lengths, 0.5)
-        if beh.verdict == "diverges":
-            return Verdict("Parabolic", criterion="zero-twist-series", series=beh)
-        return Verdict(
-            "NotParabolic",
-            criterion="zero-twist-series",
-            reason="SeriesConvergesUnderIff",
-            series=beh,
-        )
-    if t is not None and abs(t) == 0.5:
-        beh = classify_series(lengths, 0.25)
-        if beh.verdict == "diverges":
-            return Verdict("Parabolic", criterion="half-twist-series", series=beh)
+    criterion = _IFF_CRITERIA.get(_constant_twist(flute.twists),
+                                  "twisted-flute-series")
+    beh = _twisted_series(lengths, flute.twists)
+    if beh.verdict == "diverges" or criterion == "twisted-flute-series":
+        return _sufficient(criterion, beh)
+    if criterion == "half-twist-series":
         sig = classify_sigma_series(lengths)
         if sig is not None and sig.verdict == "converges":
             return Verdict(
@@ -283,19 +283,14 @@ def classify_flute(flute):
                 reason="Incomplete",
                 series=sig,
             )
-        if is_concave(lengths):
-            return Verdict(
-                "NotParabolic",
-                criterion="half-twist-series",
-                reason="SeriesConvergesUnderIff",
-                series=beh,
-            )
-        return Verdict("Unknown", criterion="half-twist-series", series=beh)
-    # general twists: sufficiency only
-    beh = _twisted_series(lengths, flute.twists)
-    if beh.verdict == "diverges":
-        return Verdict("Parabolic", criterion="twisted-flute-series", series=beh)
-    return Verdict("Unknown", criterion="twisted-flute-series", series=beh)
+        if not is_concave(lengths):
+            return _sufficient(criterion, beh)
+    return Verdict(
+        "NotParabolic",
+        criterion=criterion,
+        reason="SeriesConvergesUnderIff",
+        series=beh,
+    )
 
 
 _TWIST_HYPOTHESES = frozenset(
@@ -341,12 +336,8 @@ def classify_exhaustion(spec, use_twists=False, hypotheses_asserted=()):
     if (not isinstance(spec, BoundedBoundary) or spec.beta_bound is None
             or spec.beta_bound >= 1.5):
         assumed = {"orthogeodesic-length-at-least-1"}
-    return Verdict(
-        "Parabolic" if beh.verdict == "diverges" else "Unknown",
-        criterion=criterion,
-        series=beh,
-        hypotheses_assumed=tuple(sorted(assumed | asserted)),
-    )
+    return _sufficient(criterion, beh,
+                       hypotheses_assumed=tuple(sorted(assumed | asserted)))
 
 
 def _bi_infinite_series(spec, use_twists):
@@ -399,13 +390,13 @@ def _classify_cantor(spec):
     if ratio >= 1.0:
         detail = "terms grow geometrically" if ratio > 1.0 else "p=1 q=0"
         beh = SeriesBehavior("diverges", "bertrand-exact", detail)
-        return Verdict("Parabolic", criterion="tree-collar-series", series=beh)
-    # smaller bases, or lengths that decay at most polynomially (every other
-    # shape), so that lambda(l_n) grows at most polynomially: the terms are
-    # at most C 2^-n n^k, and the series converges
-    beh = SeriesBehavior("converges", "bertrand-exact",
-                         "terms decay geometrically")
-    return Verdict("Unknown", criterion="tree-collar-series", series=beh)
+    else:
+        # smaller bases, or lengths that decay at most polynomially (every
+        # other shape), so that lambda(l_n) grows at most polynomially: the
+        # terms are at most C 2^-n n^k, and the series converges
+        beh = SeriesBehavior("converges", "bertrand-exact",
+                             "terms decay geometrically")
+    return _sufficient("tree-collar-series", beh)
 
 
 def classify_cover(cov):
@@ -427,9 +418,7 @@ def classify_cover(cov):
     else:
         beh = classify_series(cov.L, 0.5, float(cov.rank - 1), length_factor=True)
         crit = "cover-rank%d-series" % cov.rank
-    if beh.verdict == "diverges":
-        return Verdict("Parabolic", criterion=crit, series=beh)
-    return Verdict("Unknown", criterion=crit, series=beh)
+    return _sufficient(crit, beh)
 
 
 # ---------------------------------------------------------------------------

@@ -69,15 +69,21 @@ def _required(obj, key, path):
 
 
 def _number(value, path, allow_inf=False):
+    """The number at path as a float.  NaN is refused everywhere; an
+    infinity, written as JSON Infinity or as the string "inf", is refused
+    unless allow_inf is set."""
     if isinstance(value, bool):
         raise ConfigError("expected a number at %s" % path)
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
-        if allow_inf:
-            return math.inf
-        raise ConfigError("'inf' is not allowed at %s" % path)
-    raise ConfigError("expected a number at %s, got %r" % (path, value))
+        value = math.inf
+    if not isinstance(value, (int, float)):
+        raise ConfigError("expected a number at %s, got %r" % (path, value))
+    value = float(value)
+    if math.isnan(value):
+        raise ConfigError("expected a number at %s, got nan" % path)
+    if math.isinf(value) and not allow_inf:
+        raise ConfigError("'%r' is not allowed at %s" % (value, path))
+    return value
 
 
 def _list(value, path):
@@ -346,23 +352,26 @@ def cmd_collar(args):
     return EXIT_OK
 
 
+# each sweep family: the lists of parameter values it reads besides
+# "family", and its sweep
+_SWEEPS = {
+    "two-parameter": (("a", "b"), sweep_two_parameter),
+    "scaled": (("s",), sweep_scaled),
+}
+
+
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"family", "a", "b", "s"}, "")
     family = cfg.get("family")
-    if family == "two-parameter":
-        for key in ("a", "b"):
-            if key not in cfg or not isinstance(cfg[key], list):
-                raise ConfigError("two-parameter sweep needs lists 'a' and 'b'")
-        rows = sweep_two_parameter(_numbers(cfg, "a"), _numbers(cfg, "b"))
-        fields = ["a", "b", "kind", "reason", "criterion"]
-    elif family == "scaled":
-        if "s" not in cfg or not isinstance(cfg["s"], list):
-            raise ConfigError("scaled sweep needs a list 's'")
-        rows = sweep_scaled(_numbers(cfg, "s"))
-        fields = ["s", "kind", "reason", "criterion"]
-    else:
+    if not isinstance(family, str) or family not in _SWEEPS:
         raise ConfigError("unknown sweep family %r" % (family,))
+    keys, sweep = _SWEEPS[family]
+    _check_keys(cfg, {"family", *keys}, "")
+    for key in keys:
+        if not isinstance(cfg.get(key), list):
+            raise ConfigError("%s sweep needs a list %r" % (family, key))
+    rows = sweep(*(_numbers(cfg, key) for key in keys))
+    fields = [*keys, "kind", "reason", "criterion"]
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
@@ -375,18 +384,27 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+# each oracle shape: the config keys it reads besides "shape" and "h"
+_SHAPES = {
+    "rectangle": {"width", "height"},
+    "annulus": {"r1", "r2"},
+    "annular_sector": {"r1", "r2", "theta"},
+    "comb": {"epsilon"},
+    "half_collar": {"l_alpha", "l_gamma"},
+    "glued_collar": {"l_alpha", "l_gamma", "l_gamma2", "twist"},
+}
+
+
 def _oracle_domain(cfg):
-    _check_keys(
-        cfg,
-        {"shape", "width", "height", "h", "r1", "r2", "theta", "epsilon",
-         "l_alpha", "l_gamma", "l_gamma2", "twist"},
-        "",
-    )
+    """The domain of an oracle config; each shape takes only its own keys."""
     shape = cfg.get("shape")
+    if not isinstance(shape, str) or shape not in _SHAPES:
+        raise ConfigError("unknown oracle shape %r" % (shape,))
+    _check_keys(cfg, _SHAPES[shape] | {"shape", "h"}, "")
     h = None
     if "h" in cfg:
         h = _number(cfg["h"], "h")
-        if not 0 < h < math.inf:
+        if not h > 0:
             raise ConfigError("h must be a positive mesh size, got %r" % h)
 
     def num(key, allow_inf=False):
@@ -405,15 +423,13 @@ def _oracle_domain(cfg):
     if shape == "half_collar":
         spec = cm.HalfCollarSpec(num("l_alpha"), num("l_gamma", allow_inf=True))
         return eo.strip_domain(cm.nonstandard_half_collar_graphs(spec), h=h)
-    if shape == "glued_collar":
-        spec = cm.GluedCollarSpec(
-            num("l_alpha"),
-            num("l_gamma", allow_inf=True),
-            num("l_gamma2", allow_inf=True),
-            num("twist"),
-        )
-        return eo.strip_domain(cm.glued_collar_graphs(spec), h=h)
-    raise ConfigError("unknown oracle shape %r" % (shape,))
+    spec = cm.GluedCollarSpec(  # the last shape, glued_collar
+        num("l_alpha"),
+        num("l_gamma", allow_inf=True),
+        num("l_gamma2", allow_inf=True),
+        num("twist"),
+    )
+    return eo.strip_domain(cm.glued_collar_graphs(spec), h=h)
 
 
 def cmd_oracle(args):
@@ -477,14 +493,14 @@ def standard_collar_checks():
 
 
 def comb_checks(epsilons):
-    """Ratio of the comb's vertical-segment modulus to its oracle modulus at
-    each epsilon.  The vertical segments are a subfamily of the connecting
-    family, so the ratio is below 1; a row passes when its ratio is below 1
-    and below the previous row's."""
+    """Ratio of the comb's vertical-segment modulus, 1/eps, to its oracle
+    modulus at each epsilon.  The vertical segments are a subfamily of the
+    connecting family, so the ratio is below 1; a row passes when its ratio
+    is below 1 and below the previous row's."""
     rows, prev = [], math.inf
     for eps in epsilons:
         est = extremal_oracle.discrete_modulus(extremal_oracle.comb_domain(eps))
-        ratio = extremal_oracle.comb_vertical_modulus(eps) / est.value
+        ratio = (1.0 / eps) / est.value
         rows.append(("comb-eps=%g" % eps, ratio, "< 1 and decreasing",
                      ratio < min(1.0, prev)))
         prev = ratio
@@ -591,16 +607,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecError, FileNotFoundError, KeyError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     except HypothesisError as exc:
         print("hypothesis violation: %s" % exc, file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ResolutionError as exc:
         print("mesh refusal: %s" % exc, file=sys.stderr)
         return EXIT_RESOLUTION
-    except ValueError as exc:
+    # ConfigError and SpecError among the ValueErrors; an OSError is a
+    # config or output path that cannot be opened
+    except (ValueError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:  # OracleError and QuadratureError among them

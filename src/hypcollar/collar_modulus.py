@@ -128,28 +128,6 @@ def nonstandard_half_collar_graphs(spec):
     )
 
 
-def half_collar_envelope(spec):
-    """Exponential envelope pair (f, h) with g <= h < f.
-
-    h(x) = pi/(2l) - e^{l |x| - r(eta)} / (2l) dominates the equidistant graph
-    g, so the region between f and h sits inside the half-collar, and its
-    vertical modulus has the closed form 4 (1 - e^{-l/2}) e^{r(eta)}.
-    """
-    l = spec.l_alpha
-    r = spec.r_eta
-    half_pi_over_l = 0.5 * math.pi / l
-
-    return PeriodicFunctionPair(
-        f=lambda x: np.full_like(x, half_pi_over_l, dtype=float),
-        g=lambda x: half_pi_over_l - _envelope(l, r, x),
-        period=1.0, x1=-0.5, x2=0.5,
-        breakpoints=(0.0,),
-        label="half-collar-envelope(l=%g)" % l,
-        F=lambda x: np.zeros_like(x, dtype=float),
-        G=lambda x: _envelope(l, r, x),
-    )
-
-
 def nonstandard_half_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 

@@ -188,13 +188,6 @@ def _check(dom, h, gaps):
         )
 
 
-def _lattice(dom, h):
-    """Node classes of the domain's lattice at mesh h."""
-    cls, gaps = _classes(dom, h)
-    _check(dom, h, gaps)
-    return cls
-
-
 def _assemble(cls, wrap):
     """The 5-point lattice matrix and right-hand side of the interior nodes.
 
@@ -695,13 +688,6 @@ def comb_domain(epsilon, h=None):
         & (x >= 0) & (x <= 1),
         name="comb",
     )
-
-
-def comb_vertical_modulus(epsilon):
-    """Modulus of the vertical-segment family of the comb region (= 1/eps)."""
-    if not 0 < epsilon < 0.5:
-        raise ValueError("need 0 < epsilon < 1/2")
-    return 1.0 / epsilon
 
 
 def strip_domain(pair, h=None):

@@ -84,10 +84,6 @@ class PeriodicFunctionPair:
         """The offset callables (F, G); about 0 when left out."""
         return self.F or self.f, self.G or (lambda x: -self.g(x))
 
-    def gap(self, x):
-        F, G = self.offsets()
-        return F(x) + G(x)
-
 
 @dataclass(frozen=True)
 class ModulusBounds:

@@ -8,8 +8,6 @@ arguments); everywhere else lengths must be finite and positive.
 import math
 import sys
 
-INF = math.inf
-
 
 class HypothesisError(ValueError):
     """A geometric hypothesis of one of the closed-form bounds is violated."""

@@ -74,7 +74,8 @@ class LogAffine:
         return v
 
     def terms(self, start, n_max):
-        """`term` for n = start, ..., n_max, as a float array.
+        """`term` for n = start, ..., n_max, as a float array; it agrees
+        with `term` up to the last bit or so of a logarithm.
 
         Each argument grows with n, so a run fails exactly when its first
         index does, with the message `term` gives there.
@@ -249,12 +250,6 @@ class ScaledPowerDecay:
         return True
 
 
-def sequence_terms(spec, n_max, start=1):
-    """Float array [spec.term(start), ..., spec.term(n_max)], evaluated as
-    one run; it agrees with `term` up to the last bit or so of a logarithm."""
-    return spec.terms(start, n_max)
-
-
 def _leading_coefficient(spec):
     """A number with the sign of a LogAffine's terms for large n: the first
     nonzero of (sum of log coefficients, log log coefficient, const), else
@@ -324,7 +319,7 @@ def _validate_twists(spec, field):
 # ---------------------------------------------------------------------------
 
 
-def sigma_sequence(lengths, n_max, start=1):
+def sigma_sequence(lengths, n_max):
     """The alternating partial sums sigma_n = l_n - sigma_{n-1}, sigma_1 = l_1.
 
     Identity: sigma_n + sigma_{n-1} = l_n for every n >= 2 (exactly, by
@@ -334,7 +329,7 @@ def sigma_sequence(lengths, n_max, start=1):
     sign is restored as 0 - x, so that an exact zero stays +0.0, as l - l
     gives it in the recurrence.
     """
-    sigma = sequence_terms(lengths, n_max, start)
+    sigma = lengths.terms(1, n_max)
     np.negative(sigma[1::2], out=sigma[1::2])
     np.cumsum(sigma, out=sigma)
     np.subtract(0.0, sigma[1::2], out=sigma[1::2])

@@ -1,11 +1,13 @@
 """Constructions that only the tests use: a smooth graph pair, a pair with
-both axes scaled, the closed-form vertical modulus of the half-collar
-envelope, and an oracle solve at a single mesh."""
+both axes scaled, the half-collar envelope pair with the closed form of its
+vertical modulus, an oracle lattice checked at one mesh, and an oracle solve
+at a single mesh."""
 
 import math
 
 import numpy as np
 
+from hypcollar import collar_modulus as cm
 from hypcollar import extremal_oracle as eo
 from hypcollar import graph_modulus as gm
 
@@ -41,15 +43,45 @@ def scaled_pair(pair, s):
     )
 
 
+def half_collar_envelope(spec):
+    """Exponential envelope pair (f, h) with g <= h < f.
+
+    h(x) = pi/(2l) - e^{l |x| - r(eta)} / (2l) dominates the equidistant graph
+    g, so the region between f and h sits inside the half-collar, and its
+    vertical modulus has the closed form 4 (1 - e^{-l/2}) e^{r(eta)}.
+    """
+    l = spec.l_alpha
+    r = spec.r_eta
+    half_pi_over_l = 0.5 * math.pi / l
+
+    return gm.PeriodicFunctionPair(
+        f=lambda x: np.full_like(x, half_pi_over_l, dtype=float),
+        g=lambda x: half_pi_over_l - cm._envelope(l, r, x),
+        period=1.0, x1=-0.5, x2=0.5,
+        breakpoints=(0.0,),
+        label="half-collar-envelope(l=%g)" % l,
+        F=lambda x: np.zeros_like(x, dtype=float),
+        G=lambda x: cm._envelope(l, r, x),
+    )
+
+
 def half_collar_envelope_vertical_modulus(spec):
     """Closed form of the vertical modulus of the half-collar envelope pair."""
     l = spec.l_alpha
     return 4.0 * (1.0 - math.exp(-0.5 * l)) * math.exp(spec.r_eta)
 
 
+def checked_lattice(dom, h):
+    """Node classes of the domain's lattice at mesh h, refused as the oracle
+    refuses that mesh."""
+    cls, gaps = eo._classes(dom, h)
+    eo._check(dom, h, gaps)
+    return cls
+
+
 def solve_at(dom, h):
     """The oracle's solve on the domain's own lattice and hierarchy at mesh
     h: the energy, the potential and the PCG iterations."""
-    cls = eo._lattice(dom, h)
+    cls = checked_lattice(dom, h)
     wrap = dom.periodic_x is not None
     return eo._solve(cls, wrap, eo._transfers(cls, wrap), h)[:3]

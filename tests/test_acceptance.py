@@ -150,7 +150,7 @@ def test_criterion_08_flute_tables_exact():
     for c, want in ((1.5, "Parabolic"), (2.0, "Parabolic"),
                     (2.5, "NotParabolic")):
         v = cl.classify_flute(flute(sf.log_affine(a=c, n0=1.0), 0.0))
-        assert v.kind == want and v.series.exact, c
+        assert v.kind == want and v.series.method == "bertrand-exact", c
 
     # half twist, concave l_n = c ln n: parabolic iff c <= 4
     for c, want in ((3.0, "Parabolic"), (4.0, "Parabolic"),
@@ -206,22 +206,22 @@ def test_criterion_10_exhaustion_examples():
     v = cl.classify_exhaustion(
         sf.CantorTree(level_lengths=sf.ScaledPowerDecay(coef=1.0, base=2.0))
     )
-    assert v.kind == "Parabolic" and v.series.exact
+    assert v.kind == "Parabolic" and v.series.method == "bertrand-exact"
 
     v = cl.classify_exhaustion(
         sf.AbelianCover(rank=2, config="disjoint-pair",
                         L=sf.log_affine(b=2.0, n1=2.0))
     )
-    assert v.kind == "Parabolic" and v.series.exact
+    assert v.kind == "Parabolic" and v.series.method == "bertrand-exact"
 
     v = cl.classify_exhaustion(
         sf.AbelianCover(rank=2, config="intersecting-pair",
                         eps=sf.Constant(0.5), ell=sf.Linear(slope=2.0))
     )
-    assert v.kind == "Parabolic" and v.series.exact
+    assert v.kind == "Parabolic" and v.series.method == "bertrand-exact"
 
     v = cl.classify_exhaustion(sf.AbelianCover(rank=3, L=sf.Constant(1.0)))
-    assert v.kind == "Unknown" and v.series.exact
+    assert v.kind == "Unknown" and v.series.method == "bertrand-exact"
 
     dt = time.perf_counter() - t0
     assert dt < 1.0
@@ -236,7 +236,7 @@ def test_criterion_11_property_suites():
     lengths = cl.two_parameter_flute(3.0, 2.0).lengths
     n_max = 100_000
     sigma = sf.sigma_sequence(lengths, n_max)
-    terms = sf.sequence_terms(lengths, n_max)
+    terms = lengths.terms(1, n_max)
     worst = max(
         abs(sigma[n] + sigma[n - 1] - terms[n]) for n in range(1, n_max)
     )

@@ -29,13 +29,13 @@ def test_series_boundary_cases_exact():
     # sum n^{-kappa a} with kappa = 1/2: diverges iff a <= 2
     for a, want in ((1.9, "diverges"), (2.0, "diverges"), (2.1, "converges")):
         beh = cl.classify_series(sf.log_affine(a=a, n0=1.0), 0.5)
-        assert beh.exact and beh.verdict == want
+        assert beh.method == "bertrand-exact" and beh.verdict == want
 
     # second-order boundary: sum 1/(n (ln n)^q)
     for q, want in ((0.5, "diverges"), (1.0, "diverges"), (1.5, "converges")):
         beh = cl.classify_series(
             sf.log_affine(a=2.0, b=2.0 * q, n0=1.0, n1=1.0), 0.5)
-        assert beh.exact and beh.verdict == want
+        assert beh.method == "bertrand-exact" and beh.verdict == want
 
 
 def test_series_agrees_with_partial_sums():
@@ -51,7 +51,7 @@ def test_series_agrees_with_partial_sums():
 
 def test_linear_lengths_converge():
     beh = cl.classify_series(sf.Linear(slope=1.0), 0.5)
-    assert beh.exact and beh.verdict == "converges"
+    assert beh.method == "bertrand-exact" and beh.verdict == "converges"
 
 
 _positive = st.floats(min_value=0.1, max_value=5.0)
@@ -93,9 +93,10 @@ def test_every_validated_length_spec_is_exact(spec, kappa, poly, length_factor):
     while isinstance(stripped, sf.ExplicitPrefixThenTail):
         stripped = stripped.tail
     beh = cl.classify_series(spec, kappa, poly, length_factor)
-    assert beh.exact
+    assert beh.method == "bertrand-exact"
     assert beh == cl.classify_series(stripped, kappa, poly, length_factor)
-    assert cl.classify_flute(sf.FluteSpec(lengths=spec)).series.exact
+    flute = cl.classify_flute(sf.FluteSpec(lengths=spec))
+    assert flute.series.method == "bertrand-exact"
 
 
 def test_unknown_length_shape_has_no_exponent_form():
@@ -108,7 +109,7 @@ def test_unknown_length_shape_has_no_exponent_form():
 def test_heuristic_never_exact():
     # irregular twists force the partial-sum fallback
     beh = cl._heuristic(lambda n: 1.0 / (n * (1.0 + 0.1 * math.sin(n))))
-    assert not beh.exact
+    assert beh.method != "bertrand-exact"
     assert beh.verdict in ("diverges", "inconclusive")
 
 
@@ -464,7 +465,7 @@ def test_slope_zero_linear_twist_is_a_constant_twist(t):
     lengths = sf.log_affine(a=3.0, n0=1.0)
     linear = _twisted_verdicts(lengths, sf.Linear(slope=0.0, intercept=t))
     assert linear == _twisted_verdicts(lengths, sf.Constant(t))
-    assert all(v.series.exact for v in linear)
+    assert all(v.series.method == "bertrand-exact" for v in linear)
     if t == 0.5:
         assert linear[0].criterion == "half-twist-series"
 
@@ -477,7 +478,7 @@ def test_twisted_series_heuristic_for_varying_twists():
         cl.classify_flute(sf.FluteSpec(lengths=lengths, twists=twists)),
         cl.classify_cover(sf.AbelianCover(rank=1, L=lengths, tau=twists)),
     ):
-        assert not v.series.exact
+        assert v.series.method != "bertrand-exact"
 
 
 def test_covers():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -221,6 +222,53 @@ def test_every_sequence_kind_names_the_path_of_a_bad_value(tmp_path, capsys, len
 
 def test_missing_config_file(capsys):
     assert run(["classify", "--config", "/nonexistent/nope.json"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--config", "{dir}"],
+    ["collar", "--l-alpha", "2", "--standard", "--output", "{dir}"],
+], ids=["config", "output"])
+def test_a_directory_as_a_path_is_a_config_error(tmp_path, capsys, argv):
+    # an IsADirectoryError once ended in a traceback with exit 1
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: [Errno 21] Is a directory: %r\n" % str(tmp_path))
+
+
+@pytest.mark.parametrize("config, message", [
+    # these once exited 0, with p=nan, with p=inf, and with a NaN handle
+    # bound read as one below 1.5
+    ({"type": "bounded_boundary", "lengths": _CONST1,
+      "count_exponent": float("nan")}, "expected a number at count_exponent, got nan"),
+    ({"type": "bounded_boundary", "lengths": _CONST1,
+      "count_exponent": float("inf")}, "'inf' is not allowed at count_exponent"),
+    ({"type": "loch_ness", "lengths": _CONST1, "beta_bound": float("nan")},
+     "expected a number at beta_bound, got nan"),
+], ids=["count_exponent-nan", "count_exponent-inf", "beta_bound-nan"])
+def test_nan_and_infinity_are_config_errors_that_name_their_key(tmp_path, capsys,
+                                                                config, message):
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr() == ("", "config error: %s\n" % message)
+
+
+@pytest.mark.parametrize("value, allow_inf, want", [
+    (2, False, 2.0),
+    (float("inf"), True, float("inf")),
+    (" Infinity", True, float("inf")),
+    (float("-inf"), True, float("-inf")),
+    (float("inf"), False, "'inf' is not allowed at x"),
+    ("inf", False, "'inf' is not allowed at x"),
+    (float("-inf"), False, "'-inf' is not allowed at x"),
+    (float("nan"), True, "expected a number at x, got nan"),
+    ("nan", True, "expected a number at x, got 'nan'"),
+    (True, True, "expected a number at x"),
+])
+def test_number_refuses_nan_and_an_infinity_unless_allowed(value, allow_inf, want):
+    if isinstance(want, str):
+        with pytest.raises(cli.ConfigError, match="^%s$" % re.escape(want)):
+            cli._number(value, "x", allow_inf)
+    else:
+        assert cli._number(value, "x", allow_inf) == want
 
 
 @pytest.mark.parametrize("command", ["classify", "sweep", "oracle"])
@@ -562,9 +610,15 @@ def test_oracle_rectangle_side_the_mesh_does_not_divide_exit_5(
 
 
 @pytest.mark.parametrize("side", ["width", "height"])
-@pytest.mark.parametrize("length", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("length, message", [
+    (0.0, "%s must be positive and finite, got 0.0"),
+    (-1.0, "%s must be positive and finite, got -1.0"),
+    # a JSON Infinity or NaN is refused as a config number
+    (float("inf"), "'inf' is not allowed at %s"),
+    (float("nan"), "expected a number at %s, got nan"),
+], ids=["0.0", "-1.0", "inf", "nan"])
 def test_oracle_rectangle_side_not_positive_is_config_error(tmp_path, capsys,
-                                                            side, length):
+                                                            side, length, message):
     # a side of 0 once solved a single column of nodes (modulus -1.67e-16),
     # and a negative one failed with no interior nodes
     cfg = dict({"shape": "rectangle", "width": 1.0, "height": 1.0, "h": 0.0625},
@@ -572,8 +626,7 @@ def test_oracle_rectangle_side_not_positive_is_config_error(tmp_path, capsys,
     assert run(["oracle", "--config", write_config(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "config error: %s must be positive and finite, got %r\n" % (side, length))
+    assert captured.err == "config error: %s\n" % (message % side)
 
 
 @pytest.mark.parametrize("shape", [
@@ -588,8 +641,8 @@ def test_oracle_rectangle_side_not_positive_is_config_error(tmp_path, capsys,
 @pytest.mark.parametrize("h, code, message", [
     (0, 2, "config error: h must be a positive mesh size, got 0.0"),
     (-0.5, 2, "config error: h must be a positive mesh size, got -0.5"),
-    (float("nan"), 2, "config error: h must be a positive mesh size, got nan"),
-    (float("inf"), 2, "config error: h must be a positive mesh size, got inf"),
+    (float("nan"), 2, "config error: expected a number at h, got nan"),
+    (float("inf"), 2, "config error: 'inf' is not allowed at h"),
     # a lattice past the int32 indices of the solver, refused before any of
     # its arrays is allocated
     (1e-9, 5, "mesh refusal: h = 1e-09 needs a lattice of about"),
@@ -626,6 +679,38 @@ def test_oracle_refine_key_is_unknown(tmp_path, capsys):
                                   "height": 1.0, "refine": False})
     assert run(["oracle", "--config", cfg]) == 2
     assert "unknown key(s) refine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("oracle", {"shape": "rectangle", "width": 1.0, "height": 1.0, "epsilon": 0.3},
+     "epsilon"),
+    ("oracle", {"shape": "annulus", "r1": 1.0, "r2": 2.0, "theta": 1.0}, "theta"),
+    ("oracle", {"shape": "annular_sector", "r1": 1.0, "r2": 2.0, "theta": 1.0,
+                "width": 1.0}, "width"),
+    ("oracle", {"shape": "comb", "epsilon": 0.2, "r1": 5}, "r1"),
+    ("oracle", {"shape": "half_collar", "l_alpha": 2.0, "l_gamma": "inf",
+                "twist": 0.5}, "twist"),
+    ("oracle", {"shape": "glued_collar", "l_alpha": 2.0, "l_gamma": "inf",
+                "l_gamma2": "inf", "twist": 0.5, "height": 1.0}, "height"),
+    ("sweep", {"family": "two-parameter", "a": [1.0], "b": [1.0], "s": [1.0]}, "s"),
+    ("sweep", {"family": "scaled", "s": [1.0], "a": ["junk"]}, "a"),
+], ids=lambda v: v.get("shape", v.get("family")) if isinstance(v, dict) else v)
+def test_each_oracle_shape_and_sweep_family_takes_only_its_own_keys(
+        tmp_path, capsys, command, config, key):
+    # a key that only another shape or family reads was once ignored
+    assert run([command, "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: unknown key(s) %s at top level\n" % key)
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("oracle", {"shape": "disc", "radius": 1.0}, "unknown oracle shape 'disc'"),
+    ("sweep", {"family": "linear", "t": [1.0]}, "unknown sweep family 'linear'"),
+])
+def test_an_unknown_shape_or_family_is_reported_before_unknown_keys(
+        tmp_path, capsys, command, config, message):
+    assert run([command, "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def test_comb_rows_need_a_ratio_below_one(monkeypatch):
@@ -679,6 +764,9 @@ def test_sweep_unknown_family(tmp_path, capsys):
      "expected a number at b[0]"),
     ({"family": "scaled", "s": [1.0, 2.0, None]}, "expected a number at s[2]"),
     ({"family": "scaled", "s": [-1]}, "s[0] = -1.0: need s > 0"),
+    # each list is named
+    ({"family": "two-parameter", "a": [1.0]}, "two-parameter sweep needs a list 'b'"),
+    ({"family": "scaled", "s": 2.0}, "scaled sweep needs a list 's'"),
     ({"family": "scaled", "s": [1.0, 0]}, "s[1] = 0.0: need s > 0"),
     # 2 s overflows, and the lengths turn to nan
     ({"family": "scaled", "s": [1e308]}, "s[0] = 1e+308: lengths term 2 is"),

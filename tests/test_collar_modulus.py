@@ -15,7 +15,7 @@ from hypcollar import collar_modulus as cm
 from hypcollar import graph_modulus as gm
 from hypcollar import hypgeom as hg
 
-from helpers import half_collar_envelope_vertical_modulus
+from helpers import half_collar_envelope, half_collar_envelope_vertical_modulus
 
 
 def test_half_collar_r_eta_stays_finite_where_eta_is_subnormal():
@@ -43,7 +43,7 @@ def test_nonstandard_lambda_requires_long_alpha():
 def test_envelope_vertical_modulus_closed_form():
     for l, g in ((4.0, math.inf), (8.0, 1.0), (12.0, math.inf)):
         spec = cm.HalfCollarSpec(l, g)
-        numeric = gm.vertical_modulus(cm.half_collar_envelope(spec))
+        numeric = gm.vertical_modulus(half_collar_envelope(spec))
         closed = half_collar_envelope_vertical_modulus(spec)
         assert numeric == pytest.approx(closed, rel=1e-6)
 
@@ -53,7 +53,7 @@ def test_envelope_encloses_true_graphs():
     for l in (2.0, 6.0, 12.0):
         spec = cm.HalfCollarSpec(l, math.inf)
         true_pair = cm.nonstandard_half_collar_graphs(spec)
-        env = cm.half_collar_envelope(spec)
+        env = half_collar_envelope(spec)
         for i in range(201):
             x = -0.5 + i / 200.0
             assert env.f(x) <= true_pair.f(x) + 1e-12
@@ -199,13 +199,13 @@ def test_collar_overflow_raises_not_warns(argv):
 def test_half_collar_gap_matches_high_precision_arcsin():
     l = 62.0
     spec = cm.HalfCollarSpec(l, math.inf)
-    pair = cm.nonstandard_half_collar_graphs(spec)
+    F, G = cm.nonstandard_half_collar_graphs(spec).offsets()
     with mpmath.workdps(50):
         cr = mpmath.cosh(mpmath.mpf(spec.r_eta))
         for x in (0.0, 1e-3, -0.01, 0.1, 0.25, -0.4, 0.5):
             u = min(mpmath.cosh(l * mpmath.mpf(x)) / cr, 1)
             want = mpmath.asin(u) / l
-            assert abs(pair.gap(x) - want) <= 1e-12 * want, x
+            assert abs(F(x) + G(x) - want) <= 1e-12 * want, x
 
 
 _GAMMA = st.one_of(st.just(math.inf), st.floats(0.01, 5.0))
@@ -219,17 +219,18 @@ def test_offsets_sum_to_the_graph_gap(l, d1, d2, t, x):
     floor = hg.collar_width(0.5 * l)
     spec = cm.GluedCollarSpec(l, floor + d1, floor + d2, t)
     for pair in (cm.nonstandard_half_collar_graphs(spec.side1),
-                 cm.half_collar_envelope(spec.side1),
+                 half_collar_envelope(spec.side1),
                  cm.glued_collar_graphs(spec), cm.glued_collar_envelope(spec)):
-        assert pair.F(x) >= 0.0 and pair.G(x) >= 0.0
-        assert pair.gap(x) == pytest.approx(pair.f(x) - pair.g(x), rel=1e-12)
+        F, G = pair.offsets()
+        assert F(x) >= 0.0 and G(x) >= 0.0
+        assert F(x) + G(x) == pytest.approx(pair.f(x) - pair.g(x), rel=1e-12)
 
 
 def _collar_pairs(l, t):
     spec = cm.GluedCollarSpec(l, math.inf, hg.collar_width(0.5 * l) + 0.5, t)
     return {
         "half": cm.nonstandard_half_collar_graphs(spec.side1),
-        "half-envelope": cm.half_collar_envelope(spec.side1),
+        "half-envelope": half_collar_envelope(spec.side1),
         "glued": cm.glued_collar_graphs(spec),
         "glued-envelope": cm.glued_collar_envelope(spec),
     }

@@ -64,15 +64,17 @@ def _recursive_simpson(f, a, b, rel_tol=1e-8, max_depth=40, scale=None):
 @pytest.mark.parametrize("name", ["exp", "sqrt-abs", "sin50", "half-collar", "glued-envelope"])
 def test_level_walk_matches_the_recursive_form(name):
     # the same points, tolerances and sums: equal bit for bit
-    half = cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(8.0, math.inf))
-    env = cm.glued_collar_envelope(cm.GluedCollarSpec(6.0, math.inf, 2.0, 0.25))
+    half_F, half_G = cm.nonstandard_half_collar_graphs(
+        cm.HalfCollarSpec(8.0, math.inf)).offsets()
+    env_F, env_G = cm.glued_collar_envelope(
+        cm.GluedCollarSpec(6.0, math.inf, 2.0, 0.25)).offsets()
     f, a, b = {
         "exp": (np.exp, 0.0, 1.0),
         "sqrt-abs": (lambda x: np.sqrt(np.abs(x)), -1.0, 0.7),
         "sin50": (lambda x: np.sin(50.0 * x), 0.0, 10.0),
         # 27 levels deep into the square-root end at x = 1/2
-        "half-collar": (lambda x: 1.0 / half.gap(x), 0.0, 0.5),
-        "glued-envelope": (env.gap, -0.5, 0.25),
+        "half-collar": (lambda x: 1.0 / (half_F(x) + half_G(x)), 0.0, 0.5),
+        "glued-envelope": (lambda x: env_F(x) + env_G(x), -0.5, 0.25),
     }[name]
     assert gm.adaptive_simpson(f, a, b) == _recursive_simpson(lambda x: float(f(x)), a, b)
 

@@ -110,7 +110,7 @@ def test_validate_lengths_accepts_nonnegative_leading_coefficients():
 def test_sigma_identity_exact():
     lengths = sf.log_affine(a=3.0, c=0.5, n0=1.0)
     sigma = sf.sigma_sequence(lengths, 1000)
-    terms = sf.sequence_terms(lengths, 1000)
+    terms = lengths.terms(1, 1000)
     assert sigma[0] == terms[0]
     for n in range(1, 1000):
         assert abs(sigma[n] + sigma[n - 1] - terms[n]) == 0.0
@@ -124,7 +124,7 @@ def test_sigma_identity_exact():
 def test_sigma_identity_property(a, c):
     lengths = sf.log_affine(a=a, c=c, n0=1.0)
     sigma = sf.sigma_sequence(lengths, 300)
-    terms = sf.sequence_terms(lengths, 300)
+    terms = lengths.terms(1, 300)
     assert all(
         abs(sigma[n] + sigma[n - 1] - terms[n]) < 1e-12 for n in range(1, 300)
     )
@@ -165,7 +165,7 @@ def _outcome(fn):
 @given(spec=_shapes, start=st.sampled_from([1, 2]), count=st.integers(0, 300))
 def test_sequence_terms_match_term(spec, start, count):
     n_max = start + count - 1
-    got = _outcome(lambda: sf.sequence_terms(spec, n_max, start))
+    got = _outcome(lambda: spec.terms(start, n_max))
     want = _outcome(lambda: [spec.term(n) for n in range(start, n_max + 1)])
     if isinstance(want, tuple):
         # an alternating tail refuses n = 1, with the scalar message
@@ -186,11 +186,10 @@ def _scalar_sigma(terms):
 
 
 @settings(max_examples=80, deadline=None)
-@given(spec=_shapes, start=st.sampled_from([1, 2]), count=st.integers(0, 300))
-def test_sigma_sequence_is_the_recurrence_bit_for_bit(spec, start, count):
-    n_max = start + count - 1
-    sigma = _outcome(lambda: sf.sigma_sequence(spec, n_max, start))
-    terms = _outcome(lambda: sf.sequence_terms(spec, n_max, start))
+@given(spec=_shapes, n_max=st.integers(0, 300))
+def test_sigma_sequence_is_the_recurrence_bit_for_bit(spec, n_max):
+    sigma = _outcome(lambda: sf.sigma_sequence(spec, n_max))
+    terms = _outcome(lambda: spec.terms(1, n_max))
     if isinstance(terms, tuple):
         assert sigma == terms
         return
@@ -201,7 +200,7 @@ def test_sigma_sequence_long_run_bit_for_bit():
     lengths = sf.ExplicitPrefixThenTail(values=(1.0,), tail=sf.AlternatingLogAffine(
         even=sf.log_affine(a=7.0, n0=1.0), odd=sf.log_affine(a=5.0, n0=1.0)))
     sigma = sf.sigma_sequence(lengths, 200_000)
-    terms = sf.sequence_terms(lengths, 200_000).tolist()
+    terms = lengths.terms(1, 200_000).tolist()
     assert sigma.tobytes() == _scalar_sigma(terms).tobytes()
 
 
@@ -228,17 +227,18 @@ def test_sequence_terms_keep_the_scalar_errors(spec, start, message):
             spec.term(n)
     assert str(scalar.value) == message
     with pytest.raises(sf.SpecError) as run:
-        sf.sequence_terms(spec, 50, start)
+        spec.terms(start, 50)
     assert str(run.value) == message
-    with pytest.raises(sf.SpecError) as run:
-        sf.sigma_sequence(spec, 50, start)
-    assert str(run.value) == message
+    if start == 1:  # sigma runs from sigma_1
+        with pytest.raises(sf.SpecError) as run:
+            sf.sigma_sequence(spec, 50)
+        assert str(run.value) == message
 
 
 def test_power_decay_terms_keep_the_overflow_error():
     spec = sf.ScaledPowerDecay(coef=1.0, base=2.0)
     with pytest.raises(OverflowError):
-        sf.sequence_terms(spec, 2000)
+        spec.terms(1, 2000)
 
 
 def test_is_concave_verdicts():

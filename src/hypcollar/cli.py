@@ -69,16 +69,19 @@ def _required(obj, key, path):
 
 
 def _number(value, path, allow_inf=False):
-    """The number at path as a float.  NaN is refused everywhere; an
-    infinity, written as JSON Infinity or as the string "inf", is refused
-    unless allow_inf is set."""
+    """The number at path as a float.  NaN and an integer past the float
+    range are refused everywhere; an infinity, written as JSON Infinity or
+    as the string "inf", is refused unless allow_inf is set."""
     if isinstance(value, bool):
         raise ConfigError("expected a number at %s" % path)
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
         value = math.inf
     if not isinstance(value, (int, float)):
         raise ConfigError("expected a number at %s, got %r" % (path, value))
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError("number at %s is beyond the float range" % path) from None
     if math.isnan(value):
         raise ConfigError("expected a number at %s, got nan" % path)
     if math.isinf(value) and not allow_inf:
@@ -208,12 +211,21 @@ def _handles(cfg):
 
 
 def _cover(cfg):
+    """A cover reads its configuration only at rank 2; at rank 1 it can only
+    be "single", and at rank 3 or more it is not given."""
     rank = _required(cfg, "rank", "")
     if isinstance(rank, bool) or not isinstance(rank, int):
         raise ConfigError("rank must be an integer, got %r" % (rank,))
+    config = cfg.get("config", "single")
+    if not isinstance(config, str):
+        raise ConfigError("config must be a string, got %r" % (config,))
+    if rank >= 3 and "config" in cfg:
+        raise ConfigError("config is read only at rank 2, not at rank %d" % rank)
+    if rank == 1 and config != "single":
+        raise ConfigError("config at rank 1 must be 'single', got %r" % config)
     return AbelianCover(
         rank=rank,
-        config=cfg.get("config", "single"),
+        config=config,
         L=_sequence(cfg, "L", None),
         tau=_sequence(cfg, "tau", _UNTWISTED),
         eps=_sequence(cfg, "eps", None),

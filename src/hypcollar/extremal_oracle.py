@@ -10,16 +10,23 @@ energy's error is quadratic in the residual, so at 1e-8 it is at the
 rounding floor of the energy.
 Every estimate solves at two meshes (h and h/2) and combines the values by
 Richardson extrapolation assuming first-order convergence.  The two meshes
-share one lattice (the one at h is the h/2 lattice at even indices) and one
-multigrid hierarchy of transfers, which are bilinear interpolations
-renormalised over the nodes that are not outside, each filled as CSR straight
-from the node classes of its lattice; the h/2 solve starts from the h
-solution interpolated by the first of them, with electrode b at 1.  A
-solve builds its Galerkin operators, and factors a copy of the coarsest
-shifted by 1e-12 relative on the diagonal by sparse LU, on the first call of
-its preconditioner, so a solve whose start meets the tolerance builds
-neither.  Each estimate reports, per mesh, the unknowns, the PCG
-iterations, the final relative residual and the seconds of the solve.
+share one lattice (the one at h is the h/2 lattice at even indices).  Where
+its node classes are mirror-symmetric along x, y or both (symmetric, or
+antisymmetric: mirrored with the electrodes swapped), found by comparing the
+class array with its flip, only the half or quarter on one side of the
+mirror lines is solved, with conductance 1/2 along a symmetric mirror line
+or the antisymmetric one as an electrode, and its energy is scaled to the
+whole lattice's: the same discrete problem, so the same value up to
+rounding.  The meshes share one multigrid hierarchy of transfers of that
+part, which are bilinear interpolations renormalised over the nodes that are
+not outside, each filled as CSR straight from the node classes of its
+lattice; the h/2 solve starts from the h solution interpolated by the first
+of them, with electrode b at 1.  A solve builds its Galerkin operators, and
+factors a copy of the coarsest shifted by 1e-12 relative on the diagonal by
+sparse LU, on the first call of its preconditioner, so a solve whose start
+meets the tolerance builds neither.  Each estimate reports, per mesh, the
+unknowns and PCG iterations of the part solved, the final relative residual
+and the seconds of the solve.
 """
 
 import math
@@ -94,11 +101,13 @@ class ModulusEstimate:
     raw_values: tuple
     error_bar: float
     extrapolated: bool
-    unknowns: tuple  # interior nodes at each mesh
-    iterations: tuple  # PCG iterations at each mesh
-    # at each mesh, |A u - b| / |b| of the returned potential, and the
-    # seconds of its solve (assembly, multigrid set-up, CG and energy; the
-    # shared lattice and transfers are in neither)
+    # the interior nodes and PCG iterations at each mesh, of the part of the
+    # lattice that was solved (a half or quarter where it has mirrors)
+    unknowns: tuple
+    iterations: tuple
+    # at each mesh, |A u - b| / |b| of the part's potential, and the seconds
+    # of its solve (assembly, multigrid set-up, CG and energy; the shared
+    # lattice, its mirrors and the transfers are in neither)
     residuals: tuple = ()
     seconds: tuple = ()
 
@@ -142,8 +151,8 @@ def _classes(dom, h):
     if dom.periodic_x:
         nx = int(round(dom.periodic_x / h))
     else:
-        nx = int(math.floor((x1 - x0) / h)) + 1
-    ny = int(math.floor((y1 - y0) / h)) + 1
+        nx = _steps(h, x1 - x0) + 1
+    ny = _steps(h, y1 - y0) + 1
     try:
         xs = x0 + h * np.arange(nx)
         ys = y0 + h * np.arange(ny)
@@ -176,6 +185,13 @@ def _divides(h, length):
     return math.isclose(round(length / h) * h, length, rel_tol=1e-9)
 
 
+def _steps(h, length):
+    """The whole mesh steps h within length; a length that h divides spans
+    round(length / h) of them, whichever way the quotient rounds."""
+    return int(round(length / h) if _divides(h, length)
+               else math.floor(length / h))
+
+
 def _check(dom, h, gaps):
     """Refuse mesh h if it does not divide the period or a strip gap (gaps,
     at its columns) is thinner than 3 mesh cells."""
@@ -188,14 +204,18 @@ def _check(dom, h, gaps):
         )
 
 
-def _assemble(cls, wrap):
+def _assemble(cls, wrap, mirrors=()):
     """The 5-point lattice matrix and right-hand side of the interior nodes.
 
-    The unknowns are the interior nodes in row-major lattice order.  An
-    electrode neighbour is Dirichlet data (0 on a, 1 on b); an outside
-    neighbour is insulating (no link).  The CSR arrays are one (n, 5) table
-    of each interior node's neighbours on the lattice, ringed by outside
-    nodes (or, along a periodic x, by its own first and last rows),
+    The unknowns are the interior nodes in row-major lattice order.  Each
+    link has a conductance w: 1/2 along the lattice lines that `mirrors`
+    names as (axis, index), and 1 elsewhere.  An electrode neighbour is
+    Dirichlet data (0 on a, 1 on b); an outside neighbour is insulating (no
+    link).  A row holds -w at each interior neighbour and the sum of w over
+    the neighbours that are not outside on the diagonal; its right-hand side
+    is the sum of w over the neighbours on b.  The CSR arrays are one (n, 5)
+    table of each interior node's neighbours on the lattice, ringed by
+    outside nodes (or, along a periodic x, by its own first and last rows),
     compressed row-major to its links, with int32 indices.
     """
     from scipy import sparse
@@ -213,27 +233,38 @@ def _assemble(cls, wrap):
     ring, index = ring.ravel(), index.ravel()
 
     # the table: each row's five lattice neighbours in increasing column
-    # order (off the periodic seam): x-1, y-1, the node itself, y+1, x+1
+    # order (off the periodic seam): x-1, y-1, the node itself, y+1, x+1;
+    # and the conductance of each link, 0 to the node itself
     near = np.stack([nodes + step for step in (-stride, -1, 0, 1, stride)],
                     axis=1)
+    weight = np.ones(near.shape)
+    weight[:, 2] = 0.0
+    for axis, line in mirrors:
+        # a line of constant x holds links along y, and one of constant y
+        # links along x
+        coord = (nodes // stride if axis == 0 else nodes % stride) - 1
+        on = coord == line % cls.shape[axis]
+        for column in ((1, 3) if axis == 0 else (0, 4)):
+            weight[on, column] = 0.5
     kinds = ring[near]
-    # counts along each row, by a product with ones (exact small integers)
-    rhs = (kinds == _B) @ np.ones(5)
+    # sums of 1 and 1/2 along each row, by a product with ones (exact)
+    rhs = ((kinds == _B) * weight) @ np.ones(5)
     if not np.any(rhs):
         raise OracleError("electrode b is not adjacent to the interior; "
                           "domain appears disconnected")
-    diag = (kinds != _OUT) @ np.ones(5) - 1.0  # less the node itself
+    diag = ((kinds != _OUT) * weight) @ np.ones(5)
     del kinds
     cols = index[near]
     del near
 
-    # compressed row-major: a link is an interior neighbour, at -1 off the
+    # compressed row-major: a link is an interior neighbour, at -w off the
     # diagonal; ends[k] counts the links up to table entry k
     links = cols >= 0
     ends = np.cumsum(links.ravel(), dtype=np.int32)
     indptr = np.zeros(n_unknown + 1, dtype=np.int32)
     indptr[1:] = ends[4::5]
-    data = np.full(indptr[-1], -1.0)
+    data = -weight[links]
+    del weight
     data[ends[2::5] - 1] = diag
     del ends
     indices = cols[links]
@@ -494,16 +525,17 @@ def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, M,
     return x, maxiter
 
 
-def _solve(cls, wrap, transfers, h, x0=None):
-    """Discrete energy of the lattice cls at mesh h, its interior potential,
-    the number of PCG iterations taken, starting from x0, and the relative
-    residual |A u - b| / |b| of the potential.
+def _solve(cls, wrap, transfers, h, x0=None, mirrors=()):
+    """Discrete energy of the lattice cls at mesh h, with conductance 1/2
+    along its `mirrors` (_assemble), its interior potential, the number of
+    PCG iterations taken, starting from x0, and the relative residual
+    |A u - b| / |b| of the potential.
 
     The V-cycle is built by the first call of the preconditioner, so a start
     that already meets the tolerance builds no hierarchy."""
     if not np.any(cls == _IN):
         raise OracleError("no interior nodes at h = %.3g" % h)
-    mat, rhs = _assemble(cls, wrap)
+    mat, rhs = _assemble(cls, wrap, mirrors)
     iterations = 0
     vcycle = None
 
@@ -522,7 +554,7 @@ def _solve(cls, wrap, transfers, h, x0=None):
     if info != 0:
         raise OracleError("conjugate gradients did not reach residual %.0e "
                           "within %d iterations" % (CG_TOL, CG_MAXITER))
-    # The lattice edge sum of (U_i - U_j)^2, with U = u inside, 0 on
+    # The lattice edge sum of w (U_i - U_j)^2, with U = u inside, 0 on
     # electrode a and 1 on b, is u.(A u - 2 rhs) + sum(rhs) for any u.  In
     # this arrangement nothing cancels: rhs.(1 - u) is the flux into b, and
     # u.(A u - rhs) is the residual's small share.
@@ -534,6 +566,76 @@ def _solve(cls, wrap, transfers, h, x0=None):
             float(np.linalg.norm(residual) / np.linalg.norm(rhs)))
 
 
+def _half(lat, periodic):
+    """The half of the lattice lat on one side of a mirror across its first
+    axis, or None where there is none: (half, mirror lines, factor).
+
+    The mirror is the flip about the centre line, or along a periodic axis of
+    N lines the reflection k -> -k mod N, which fixes lines 0 and N/2.  Its
+    line has an even index, so that the lattice's even-indexed nodes (the
+    lattice of the next coarser mesh) have it too.  The half runs from the
+    mirror line, its line 0, to the lattice's edge (or, along a periodic
+    axis, to line N/2, its line -1), and no longer wraps.
+    - Where the flipped classes are the classes, the mirror is symmetric: the
+      potential is even about it, the half's mirror lines are returned, and
+      the lattice's energy is twice the half's once the links along them,
+      which both halves share, have conductance 1/2.
+    - Where they are the classes with the electrodes swapped, it is
+      antisymmetric: the potential u is 1/2 on the mirror lines.  The half
+      holds one electrode; swapped to b if it is a (the energy does not
+      depend on the orientation), with the mirror lines as electrode a, it
+      carries v = 2u - 1, and the lattice's energy is half the half's.  A
+      mirror line that would then be linked to b at either mesh is not
+      folded, since a link between two electrodes carries no unknown.
+    """
+    n = len(lat)
+    if periodic and n % 4 == 0:
+        flipped = np.roll(lat[::-1], 1, axis=0)
+        half, lines = lat[:n // 2 + 1], [0, -1]
+    elif not periodic and n % 4 == 1:
+        flipped = lat[::-1]
+        half, lines = lat[n // 2:], [0]
+    else:
+        return None
+    if np.array_equal(flipped, lat):
+        return half, lines, 2.0
+    swap = np.array([_OUT, _IN, _B, _A], dtype=np.int8)
+    if not np.array_equal(swap[flipped], lat):
+        return None
+    if np.any(half == _A):
+        if np.any(half == _B):
+            return None
+        half = swap[half]
+    else:
+        half = half.copy()
+    for line, inner in zip(lines, (half[1:3], half[-3:-1])):
+        if np.any((half[line] == _IN) & (inner == _B)):
+            return None
+        half[line][half[line] == _IN] = _A
+    return half, [], 0.5
+
+
+def _fold(cls, wrap):
+    """The part of the lattice cls that an estimate solves: one half or
+    quarter of it where its node classes are mirror-symmetric along x, y or
+    both (_half, tried along x and then along y of that half), else all of
+    it.  Returns the part, whether it wraps along x, its mirror lines as
+    (axis, index), along which its links have conductance 1/2, and the
+    lattice's energy over the part's.  The part of the lattice at mesh 2h
+    is the part's even-indexed nodes."""
+    mirrors, scale = [], 1.0
+    for axis in (0, 1):
+        half = _half(np.moveaxis(cls, axis, 0), wrap and axis == 0)
+        if half is None:
+            continue
+        part, lines, factor = half
+        cls = np.ascontiguousarray(np.moveaxis(part, 0, axis))
+        mirrors += [(axis, line) for line in lines]
+        scale *= factor
+        wrap = wrap and axis != 0
+    return cls, wrap, tuple(mirrors), scale
+
+
 def discrete_modulus(domain):
     """Discrete modulus of the family of curves joining the two electrodes.
 
@@ -541,20 +643,25 @@ def discrete_modulus(domain):
     first-order convergence; error_bar is the difference of the two raw
     values.
 
-    The estimate classifies one lattice, at h/2, and solves on its
-    even-indexed nodes at h first, with the multigrid hierarchy of h/2 less
-    its first level; the h/2 solve starts from the h potential, with
-    electrode b at 1, interpolated by that first level.  Mesh h is checked
-    and solved before mesh h/2 is checked, so a refusal is the one a solve
-    at h alone would give.
+    The estimate classifies one lattice, at h/2, and where its node classes
+    are mirror-symmetric solves only the half or quarter of it that _fold
+    keeps: the discrete problem is the same, so the scaled energies are the
+    whole lattice's up to rounding, while the unknowns, iterations and
+    residuals are those of the part.  It solves on the part's even-indexed
+    nodes at h first, with the multigrid hierarchy of h/2 less its first
+    level; the h/2 solve starts from the h potential, with electrode b at
+    1, interpolated by that first level.  Mesh h is checked and solved
+    before mesh h/2 is checked, so a refusal is the one a solve at h alone
+    would give.
     """
     h = domain.h
-    wrap = domain.periodic_x is not None
     fine, gaps = _classes(domain, 0.5 * h)
     _check(domain, h, None if gaps is None else gaps[::2])
-    transfers = _transfers(fine, wrap)
+    part, wrap, mirrors, scale = _fold(fine, domain.periodic_x is not None)
+    transfers = _transfers(part, wrap)
     t0 = time.perf_counter()
-    v1, u1, it1, res1 = _solve(fine[::2, ::2], wrap, transfers[1:], h)
+    e1, u1, it1, res1 = _solve(part[::2, ::2], wrap, transfers[1:], h,
+                               mirrors=mirrors)
     t1 = time.perf_counter()
     _check(domain, 0.5 * h, gaps)
     x0 = None
@@ -562,8 +669,10 @@ def discrete_modulus(domain):
         interp, _, lift = transfers[0]
         x0 = interp @ u1 + lift
     t2 = time.perf_counter()
-    v2, u2, it2, res2 = _solve(fine, wrap, transfers, 0.5 * h, x0)
+    e2, u2, it2, res2 = _solve(part, wrap, transfers, 0.5 * h, x0,
+                               mirrors=mirrors)
     t3 = time.perf_counter()
+    v1, v2 = scale * e1, scale * e2
     return ModulusEstimate(
         value=2.0 * v2 - v1,
         meshes=(h, 0.5 * h),
@@ -598,48 +707,98 @@ def rectangle_domain(width, height, h):
     )
 
 
+def _on_grid(v, h):
+    """The coordinates v read at the multiples of h/2 nearest to them.  A
+    lattice whose bbox corners are multiples of h has its nodes at meshes h
+    and h/2 there up to rounding; read this way, mirror images are exact
+    negatives, and the nodes of mesh h are those of mesh h/2 bit for bit."""
+    return np.rint(v * (2.0 / h)) * (0.5 * h)
+
+
+def _multiple(length, h):
+    """The least multiple of the mesh h that is at least length, or length
+    itself where length / h is past the float range: its lattice is past
+    what the solver takes, and _classes refuses it."""
+    if not h > 0:
+        raise ValueError("mesh size must be positive")
+    steps = length / h
+    return h * math.ceil(steps) if math.isfinite(steps) else length
+
+
 def annulus_domain(r1, r2, h):
-    """Round annulus, electrodes = the two boundary circles."""
+    """Round annulus, electrodes = the two boundary circles.
+
+    The lattice is centred on a node: the bbox is +-R with R the least
+    multiple of h at least r2, and the predicates read each node on the grid
+    (_on_grid), so the node classes are symmetric in x and in y and an
+    estimate solves a quarter (_fold).
+    """
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
+    big = _multiple(r2, h)
+
+    def radius(x, y):
+        return np.hypot(_on_grid(x, h), _on_grid(y, h))
+
+    def inside(x, y):
+        r = radius(x, y)
+        return (r > r1) & (r < r2)
+
     return GridDomain(
         h=h,
-        bbox=(-r2, -r2, r2, r2),
-        inside=lambda x, y: (np.hypot(x, y) > r1) & (np.hypot(x, y) < r2),
-        electrode_a=lambda x, y: np.hypot(x, y) <= r1,
-        electrode_b=lambda x, y: np.hypot(x, y) >= r2,
+        bbox=(-big, -big, big, big),
+        inside=inside,
+        electrode_a=lambda x, y: radius(x, y) <= r1,
+        electrode_b=lambda x, y: radius(x, y) >= r2,
         name="annulus",
     )
 
 
 def annular_sector_domain(r1, r2, theta, h):
-    """Annular sector of opening theta, electrodes = the two radial sides.
+    """Annular sector r1 < r < r2, |phi| < theta/2 about the positive x-axis,
+    electrodes = the two radial sides, a below the x-axis and b above it.
 
     The modulus of curves joining the radial sides is ln(r2/r1) / theta.
+    The bbox corners are multiples of h, symmetric in y, and the predicates
+    read each node on the grid (_on_grid), so the flip y -> -y maps the node
+    classes onto themselves with the electrodes swapped, and an estimate
+    solves the half above the x-axis (_fold).
     """
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
     if not 0 < theta < 2 * math.pi:
         raise ValueError("need 0 < theta < 2 pi")
+    side_angle = 0.5 * theta
     pad = 2 * h
-    rb = lambda x, y: (np.hypot(x, y) >= r1 - pad) & (np.hypot(x, y) <= r2 + pad)
+    # the sector reaches r2 along the x-axis, and its sides' ends at
+    # +-theta/2, or r2 along y past a right angle
+    top = r2 if side_angle >= 0.5 * math.pi else r2 * math.sin(side_angle)
+    left = min(r1 * math.cos(side_angle), r2 * math.cos(side_angle))
+
+    def polar(x, y):
+        x, y = _on_grid(x, h), _on_grid(y, h)
+        return np.hypot(x, y), np.arctan2(y, x), y
 
     def inside(x, y):
-        r = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        return (r > r1) & (r < r2) & (phi > 0) & (phi < theta)
+        r, phi, _ = polar(x, y)
+        return (r > r1) & (r < r2) & (np.abs(phi) < side_angle)
 
+    def side(sign):
+        # the band r1 - 2h <= r <= r2 + 2h past the radial side on the side
+        # of the x-axis given by sign
+        def electrode(x, y):
+            r, phi, y = polar(x, y)
+            return ((r >= r1 - pad) & (r <= r2 + pad)
+                    & (sign * phi >= side_angle) & (sign * y > 0))
+        return electrode
+
+    big = _multiple(top, h)
     return GridDomain(
         h=h,
-        bbox=(
-            min(0.0, (r2 + pad) * math.cos(theta)),
-            -pad,
-            r2,
-            (r2 + pad) * (math.sin(theta) if theta < math.pi / 2 else 1.0),
-        ),
+        bbox=(-_multiple(-left, h), -big, _multiple(r2, h), big),
         inside=inside,
-        electrode_a=lambda x, y: (y <= 0) & (x > 0) & rb(x, y),
-        electrode_b=lambda x, y: (np.arctan2(y, x) >= theta) & rb(x, y),
+        electrode_a=side(-1.0),
+        electrode_b=side(1.0),
         name="annular-sector",
     )
 

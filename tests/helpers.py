@@ -1,7 +1,7 @@
 """Constructions that only the tests use: a smooth graph pair, a pair with
 both axes scaled, the half-collar envelope pair with the closed form of its
-vertical modulus, an oracle lattice checked at one mesh, and an oracle solve
-at a single mesh."""
+vertical modulus, an oracle lattice checked at one mesh, and oracle solves
+at a single mesh, of the whole lattice or of the part an estimate solves."""
 
 import math
 
@@ -79,9 +79,26 @@ def checked_lattice(dom, h):
     return cls
 
 
-def solve_at(dom, h):
-    """The oracle's solve on the domain's own lattice and hierarchy at mesh
-    h: the energy, the potential and the PCG iterations."""
+def solve_whole(dom, h):
+    """The oracle's solve on the domain's whole lattice at mesh h, with the
+    hierarchy of that lattice: the energy, the potential and the PCG
+    iterations."""
     cls = checked_lattice(dom, h)
     wrap = dom.periodic_x is not None
     return eo._solve(cls, wrap, eo._transfers(cls, wrap), h)[:3]
+
+
+def solve_at(dom, h):
+    """The oracle's solve at mesh h, dom.h or dom.h / 2, on the part of the
+    lattice that an estimate of the domain solves there (eo._fold of the
+    lattice at dom.h / 2, at dom.h its even-indexed nodes), with the
+    hierarchy of that part alone and no start: the energy of the whole
+    lattice, the part's potential and the PCG iterations.  Mesh h is
+    refused as the oracle refuses it."""
+    checked_lattice(dom, h)
+    part, wrap, mirrors, scale = eo._fold(eo._classes(dom, 0.5 * dom.h)[0],
+                                          dom.periodic_x is not None)
+    part = {dom.h: part[::2, ::2], 0.5 * dom.h: part}[h]
+    energy, u, iterations, _ = eo._solve(part, wrap, eo._transfers(part, wrap),
+                                         h, mirrors=mirrors)
+    return scale * energy, u, iterations

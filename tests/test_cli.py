@@ -251,6 +251,47 @@ def test_nan_and_infinity_are_config_errors_that_name_their_key(tmp_path, capsys
     assert capsys.readouterr() == ("", "config error: %s\n" % message)
 
 
+@pytest.mark.parametrize("key", ["count_exponent", "beta_bound"])
+def test_an_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, key):
+    # it once exited 3 with "int too large to convert to float", naming no
+    # field; the float literal 1e400 is an infinity, refused as such
+    config = {"type": "bounded_boundary" if key == "count_exponent" else "loch_ness",
+              "lengths": _CONST1, key: 10 ** 400}
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: number at %s is beyond the float range\n" % key)
+    config[key] = 1e400
+    assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: 'inf' is not allowed at %s\n" % key)
+
+
+@pytest.mark.parametrize("rank, config, message", [
+    # these once exited 0: the rank never read the configuration
+    (3, [1, "junk"], "config must be a string, got [1, 'junk']"),
+    (3, "single", "config is read only at rank 2, not at rank 3"),
+    (1, "intersecting-pair", "config at rank 1 must be 'single', got 'intersecting-pair'"),
+    (1, "disjoint-pair", "config at rank 1 must be 'single', got 'disjoint-pair'"),
+    (2, 2, "config must be a string, got 2"),
+], ids=["rank3-list", "rank3-single", "rank1-intersecting", "rank1-disjoint",
+        "rank2-number"])
+def test_a_cover_config_that_its_rank_never_reads_is_refused(tmp_path, capsys, rank,
+                                                             config, message):
+    cover = {"type": "cover", "rank": rank, "config": config,
+             "L": {"kind": "constant", "value": 2.0},
+             "eps": {"kind": "constant", "value": 0.5},
+             "ell": {"kind": "linear", "slope": 1.0, "intercept": 1.0}}
+    assert run(["classify", "--config", write_config(tmp_path, cover)]) == 2
+    assert capsys.readouterr() == ("", "config error: %s\n" % message)
+    # the same cover reads as before without the key, and at rank 1 with
+    # "single"
+    del cover["config"]
+    assert run(["classify", "--config", write_config(tmp_path, cover)]) == 0
+    if rank == 1:
+        cover["config"] = "single"
+        assert run(["classify", "--config", write_config(tmp_path, cover)]) == 0
+
+
 @pytest.mark.parametrize("value, allow_inf, want", [
     (2, False, 2.0),
     (float("inf"), True, float("inf")),
@@ -262,6 +303,7 @@ def test_nan_and_infinity_are_config_errors_that_name_their_key(tmp_path, capsys
     (float("nan"), True, "expected a number at x, got nan"),
     ("nan", True, "expected a number at x, got 'nan'"),
     (True, True, "expected a number at x"),
+    (10 ** 400, True, "number at x is beyond the float range"),
 ])
 def test_number_refuses_nan_and_an_infinity_unless_allowed(value, allow_inf, want):
     if isinstance(want, str):
@@ -652,6 +694,19 @@ def test_oracle_mesh_size_is_checked_for_every_shape(tmp_path, capsys, shape, h,
     cfg = write_config(tmp_path, dict(shape, h=h))
     assert run(["oracle", "--config", cfg]) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("shape", [
+    {"shape": "annulus", "r1": 1.0, "r2": 2.0},
+    {"shape": "annular_sector", "r1": 1.0, "r2": 2.0, "theta": 1.0},
+], ids=lambda cfg: cfg["shape"])
+def test_a_mesh_whose_quotient_overflows_is_a_mesh_refusal(tmp_path, capsys,
+                                                           shape):
+    # r2 / h is past the float range, where the builders lay their bbox on
+    # multiples of h: the lattice is refused as one past the solver's indices
+    cfg = write_config(tmp_path, dict(shape, h=1e-320))
+    assert run(["oracle", "--config", cfg]) == 5
+    assert "needs a lattice of about inf nodes" in capsys.readouterr().err
 
 
 def test_oracle_lattice_past_memory_is_a_mesh_refusal(tmp_path):

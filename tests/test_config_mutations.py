@@ -1,10 +1,12 @@
-"""Mutated classify and sweep configs: whatever is dropped, added or
-replaced, `cli.main` exits with a documented code and raises nothing."""
+"""Mutated classify, sweep and oracle configs: whatever is dropped, added or
+replaced, `cli.main` exits with a documented code and raises nothing, and a
+config error names a key of the config."""
 
 import contextlib
 import copy
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,18 @@ _CONFIGS = [
     ("classify", {"type": "cover", "rank": 3, "L": _log(1.0, c=1.0)}),
     ("sweep", {"family": "two-parameter", "a": [1.0, 3.0], "b": [1.0, 2.0]}),
     ("sweep", {"family": "scaled", "s": [0.5, 1.0, 2.0]}),
+    # one per oracle shape, each small enough that the default mesh, taken
+    # when h is dropped (1/128 for the closed-form shapes), solves in well
+    # under a second
+    ("oracle", {"shape": "rectangle", "width": 0.5, "height": 0.25, "h": 0.0625}),
+    ("oracle", {"shape": "annulus", "r1": 0.25, "r2": 0.5, "h": 0.0625}),
+    ("oracle", {"shape": "annular_sector", "r1": 0.25, "r2": 0.5, "theta": 1.0,
+                "h": 0.0625}),
+    ("oracle", {"shape": "comb", "epsilon": 0.45, "h": 0.05}),
+    ("oracle", {"shape": "half_collar", "l_alpha": 1.5, "l_gamma": "inf",
+                "h": 0.05}),
+    ("oracle", {"shape": "glued_collar", "l_alpha": 1.5, "l_gamma": 2.0,
+                "l_gamma2": "inf", "twist": 0.25, "h": 0.05}),
 ]
 
 _REPLACEMENTS = [None, "x", [1.0], {"kind": "constant"}, True,
@@ -87,9 +101,10 @@ def _at(node, path):
 @st.composite
 def _mutated(draw):
     """A base config after one to three mutations, each of which drops a
-    key, adds a foreign key, or replaces a value at any depth."""
-    command, config = draw(st.sampled_from(_CONFIGS))
-    config = copy.deepcopy(config)
+    key, adds a foreign key, or replaces a value at any depth: the command,
+    the mutated config and the base config."""
+    command, base = draw(st.sampled_from(_CONFIGS))
+    config = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(config))
         dicts = [p for p in [()] + paths if isinstance(_at(config, p), dict)]
@@ -105,7 +120,12 @@ def _mutated(draw):
             path = draw(st.sampled_from(paths))
             _at(config, path[:-1])[path[-1]] = copy.deepcopy(
                 draw(st.sampled_from(_REPLACEMENTS)))
-    return command, config
+    return command, config, base
+
+
+def _keys(node):
+    """The dict keys at every depth of node."""
+    return {path[-1] for path in _paths(node) if isinstance(path[-1], str)}
 
 
 def _main(command, config, directory):
@@ -125,7 +145,7 @@ def directory(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, config", _CONFIGS,
-                         ids=lambda v: v.get("type", v.get("family"))
+                         ids=lambda v: v.get("type", v.get("family", v.get("shape")))
                          if isinstance(v, dict) else v)
 def test_every_base_config_is_valid(directory, command, config):
     assert _main(command, config, directory) == (0, "")
@@ -134,7 +154,11 @@ def test_every_base_config_is_valid(directory, command, config):
 @settings(max_examples=300, deadline=None)
 @given(mutation=_mutated())
 def test_a_mutated_config_exits_with_a_documented_code(directory, mutation):
-    code, err = _main(*mutation, directory)
-    assert code in (0, 2, 3, 4), (code, err)
+    command, config, base = mutation
+    code, err = _main(command, config, directory)
+    assert code in (0, 2, 3, 4, 5), (code, err)
     if code == 2:
         assert err.startswith("config error: ")
+        # a key of the mutated config, or one that the mutation dropped
+        assert any(re.search(r"\b%s\b" % re.escape(key), err)
+                   for key in _keys(config) | _keys(base)), err

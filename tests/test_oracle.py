@@ -7,7 +7,7 @@ from scipy.sparse.linalg import spsolve
 from hypcollar import extremal_oracle as eo
 from hypcollar import graph_modulus as gm
 
-from helpers import checked_lattice, sinusoid_pair, solve_at
+from helpers import checked_lattice, sinusoid_pair, solve_at, solve_whole
 
 
 def test_rectangle_extrapolation_exact():
@@ -40,8 +40,8 @@ def test_electrode_swap_symmetry():
         electrode_b=base.electrode_a,
         name="swapped",
     )
-    a = solve_at(base, base.h)[0]
-    b = solve_at(swapped, swapped.h)[0]
+    a = solve_whole(base, base.h)[0]
+    b = solve_whole(swapped, swapped.h)[0]
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -724,3 +724,172 @@ def test_both_electrodes_border_the_interior_at_both_meshes(dom):
             top = np.flatnonzero(inner.any(axis=0))[-1]
             row = inner[:, top]
             assert np.all(near["above"][row, top] == eo._B)
+
+
+def _collar_strip(spec):
+    from hypcollar import collar_modulus as cm
+
+    if isinstance(spec, cm.GluedCollarSpec):
+        return eo.strip_domain(cm.glued_collar_graphs(spec))
+    return eo.strip_domain(cm.nonstandard_half_collar_graphs(spec))
+
+
+def _glued(twist):
+    from hypcollar import collar_modulus as cm
+
+    return _collar_strip(cm.GluedCollarSpec(4.0, math.inf, math.inf, twist))
+
+
+def _half_collar():
+    from hypcollar import collar_modulus as cm
+
+    return _collar_strip(cm.HalfCollarSpec(2.0, math.inf))
+
+
+def _swapped_rectangle():
+    """The 3 x 1 rectangle at mesh 1/16 with electrode b at the bottom: the
+    half above its y mirror holds electrode a."""
+    rect = eo.rectangle_domain(3.0, 1.0, h=1.0 / 16)
+    return eo.GridDomain(h=rect.h, bbox=rect.bbox, inside=rect.inside,
+                         electrode_a=rect.electrode_b,
+                         electrode_b=rect.electrode_a)
+
+
+@pytest.mark.parametrize(
+    "dom, mirrors, scale",
+    [
+        # 48 x 16 cells: symmetric in x, antisymmetric in y (a quarter)
+        (eo.rectangle_domain(3.0, 1.0, h=1.0 / 16), ((0, 0),), 1.0),
+        (_swapped_rectangle(), ((0, 0),), 1.0),
+        # 49 x 16 cells: the x mirror lies between lines of mesh h
+        (eo.rectangle_domain(3.0 + 1.0 / 16, 1.0, h=1.0 / 16), (), 0.5),
+        # 32 x 17 cells
+        (eo.rectangle_domain(2.0, 1.0 + 1.0 / 16, h=1.0 / 16), ((0, 0),), 2.0),
+        # one interior row at h, on the y mirror: folded, it would link the
+        # mirror's electrode a to b, so only x is folded
+        (eo.rectangle_domain(100.0, 1.0 / 8, h=1.0 / 16), ((0, 0),), 2.0),
+        (eo.annulus_domain(1.0, math.e, h=1.0 / 32), ((0, 0), (1, 0)), 4.0),
+        (eo.annulus_domain(1.0, 2.0, h=1.0 / 24), ((0, 0), (1, 0)), 4.0),
+        # the padded side over h/2 rounds to just below 48: the side that h
+        # divides keeps its last line, and the lattice its centre
+        (eo.annulus_domain(0.5, 1.0, h=0.1), ((0, 0), (1, 0)), 4.0),
+        (eo.annular_sector_domain(1.0, 2.0, math.pi / 2, h=1.0 / 16), (), 0.5),
+        # past a right angle either side of the bisector
+        (eo.annular_sector_domain(1.0, 2.5, 4.0, h=1.0 / 24), (), 0.5),
+        # a periodic x folds to the lines 0 to N/2 of the period
+        (_half_collar(), ((0, 0), (0, -1)), 2.0),
+        (_glued(0.0), ((0, 0), (0, -1)), 2.0),
+        (_glued(0.5), ((0, 0), (0, -1)), 2.0),
+        (eo.strip_domain(gm.constant_pair(0.25)), ((0, 0), (0, -1)), 1.0),
+    ],
+    ids=["rectangle-even", "rectangle-b-below", "rectangle-odd-x",
+         "rectangle-odd-y",
+         "one-row-rectangle", "annulus", "annulus-24", "annulus-h0.1", "sector",
+         "wide-sector", "half-collar-strip", "glued-t0", "glued-t1/2",
+         "flat-strip"],
+)
+def test_mirror_part_gives_the_whole_lattice_raw_values(dom, mirrors, scale):
+    wrap = dom.periodic_x is not None
+    fine = checked_lattice(dom, 0.5 * dom.h)
+    part, part_wrap, got_mirrors, got_scale = eo._fold(fine, wrap)
+    assert (got_mirrors, got_scale) == (mirrors, scale)
+    assert not part_wrap
+    # the part is a half (or a quarter) of the lattice and starts on its
+    # mirror lines
+    folded = [n for n, m in zip(fine.shape, part.shape) if m < n]
+    assert folded and all(m == n // 2 + 1 for n, m in
+                          zip(fine.shape, part.shape) if m < n)
+    est = eo.discrete_modulus(dom)
+    whole = [solve_whole(dom, h)[0] for h in est.meshes]
+    assert est.raw_values == pytest.approx(whole, rel=1e-12, abs=0)
+    assert est.unknowns[1] == np.count_nonzero(part == eo._IN)
+    assert est.unknowns[1] < np.count_nonzero(fine == eo._IN) * (
+        0.6 if len(folded) == 1 else 0.3)
+
+
+def _rectangle_less_one_node(h):
+    """The 2 x 1 rectangle at mesh h (symmetric in x, antisymmetric in y)
+    with its node (1/4, 1/4) outside."""
+    rect = eo.rectangle_domain(2.0, 1.0, h)
+
+    def inside(x, y):
+        return rect.inside(x, y) & ~((x == 0.25) & (y == 0.25))
+
+    return eo.GridDomain(h=h, bbox=rect.bbox, inside=inside,
+                         electrode_a=rect.electrode_a,
+                         electrode_b=rect.electrode_b)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        _rectangle_less_one_node(1.0 / 16),
+        eo.comb_domain(0.2),
+        _glued(0.125),
+        # 33 x 17 cells: symmetric in x and antisymmetric in y, but each
+        # mirror lies between lines of mesh h
+        eo.rectangle_domain(2.0 + 1.0 / 16, 1.0 + 1.0 / 16, h=1.0 / 16),
+        # 45 cells per period: the reflection's line N/2 lies between lines
+        # of mesh h
+        eo.strip_domain(gm.constant_pair(0.25), h=1.0 / 45),
+    ],
+    ids=["rectangle-less-one-node", "comb", "glued-t1/8", "odd-mirror-lines",
+         "odd-periodic-flat-strip"],
+)
+def test_mirror_not_found_solves_the_whole_lattice(dom):
+    wrap = dom.periodic_x is not None
+    fine = checked_lattice(dom, 0.5 * dom.h)
+    part, part_wrap, mirrors, scale = eo._fold(fine, wrap)
+    assert part is fine and part_wrap == wrap
+    assert (mirrors, scale) == ((), 1.0)
+    assert eo.discrete_modulus(dom).unknowns[1] == np.count_nonzero(
+        fine == eo._IN)
+    # the flips are mirrors of the lattice at h/2: only their lines' odd
+    # index keeps them from being folded
+    if dom.name == "rectangle":
+        swap = np.array([eo._OUT, eo._IN, eo._B, eo._A], dtype=np.int8)
+        assert np.array_equal(fine[::-1], fine)
+        assert np.array_equal(swap[fine[:, ::-1]], fine)
+    elif wrap and dom.name == "constant-gap":
+        assert np.array_equal(np.roll(fine[::-1], 1, axis=0), fine)
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize("shape", [(1, 4), (3, 5), (6, 7), (9, 9)])
+def test_mirror_weighted_assembly_matches_a_loop_over_the_lattice(shape, wrap):
+    rng = np.random.default_rng(13)
+    choices = [((0, 0),), ((1, 0),), ((0, -1),), ((0, 0), (0, -1), (1, 0)),
+               ((1, 0), (1, -1))]
+    for trial in range(20):
+        mirrors = choices[trial % len(choices)]
+        cls = rng.choice(4, size=shape, p=[0.2, 0.5, 0.1, 0.2]).astype(np.int8)
+        nodes = list(zip(*np.nonzero(cls == eo._IN)))
+        if not nodes:
+            continue
+        number = {node: k for k, node in enumerate(nodes)}
+        want = np.zeros((len(nodes), len(nodes)))
+        rhs = np.zeros(len(nodes))
+        for (i, j), k in number.items():
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ni, nj = i + di, j + dj
+                if wrap:
+                    ni %= shape[0]
+                if not (0 <= ni < shape[0] and 0 <= nj < shape[1]):
+                    continue
+                # a link along y lies on the line x = i, one along x on y = j
+                axis, line = (0, i) if di == 0 else (1, j)
+                w = 0.5 if any(a == axis and line == m % shape[a]
+                               for a, m in mirrors) else 1.0
+                c = cls[ni, nj]
+                want[k, k] += w * (c != eo._OUT)
+                rhs[k] += w * (c == eo._B)
+                if c == eo._IN:
+                    want[k, number[ni, nj]] -= w
+        if not rhs.any():
+            with pytest.raises(eo.OracleError):
+                eo._assemble(cls, wrap, mirrors)
+            continue
+        mat, got_rhs = eo._assemble(cls, wrap, mirrors)
+        assert mat.has_canonical_format
+        assert np.array_equal(mat.toarray(), want)
+        assert np.array_equal(got_rhs, rhs)

@@ -68,6 +68,28 @@ def _required(obj, key, path):
     return obj[key]
 
 
+class _LongInteger:
+    """A JSON integer of more digits than int() converts from text (the
+    interpreter's limit, 4300 by default): past the float range."""
+
+    def __init__(self, digits):
+        self.digits = digits
+
+    def __float__(self):
+        raise OverflowError("integer of %d digits" % self.digits)
+
+    def __repr__(self):
+        return "<integer of %d digits>" % self.digits
+
+
+def _integer(text):
+    """A JSON integer, or a _LongInteger where int() refuses its digits."""
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(len(text))
+
+
 def _number(value, path, allow_inf=False):
     """The number at path as a float.  NaN and an integer past the float
     range are refused everywhere; an infinity, written as JSON Infinity or
@@ -76,7 +98,7 @@ def _number(value, path, allow_inf=False):
         raise ConfigError("expected a number at %s" % path)
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
         value = math.inf
-    if not isinstance(value, (int, float)):
+    if not isinstance(value, (int, float, _LongInteger)):
         raise ConfigError("expected a number at %s, got %r" % (path, value))
     try:
         value = float(value)
@@ -295,10 +317,11 @@ def _emit(data, output=None):
 
 
 def _load_config(path):
-    """The JSON object in the config file at path."""
+    """The JSON object in the config file at path; an integer too long for
+    int() is kept for _number to refuse by its path."""
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_int=_integer)
         except json.JSONDecodeError as exc:
             raise ConfigError("invalid JSON: %s" % exc)
     if not isinstance(cfg, dict):

@@ -22,11 +22,11 @@ part, which are bilinear interpolations renormalised over the nodes that are
 not outside, each filled as CSR straight from the node classes of its
 lattice; the h/2 solve starts from the h solution interpolated by the first
 of them, with electrode b at 1.  A solve builds its Galerkin operators, and
-factors a copy of the coarsest shifted by 1e-12 relative on the diagonal by
-sparse LU, on the first call of its preconditioner, so a solve whose start
-meets the tolerance builds neither.  Each estimate reports, per mesh, the
-unknowns and PCG iterations of the part solved, the final relative residual
-and the seconds of the solve.
+factors the coarsest, shifted by 1e-12 relative on the diagonal, by banded
+Cholesky in reverse Cuthill-McKee order, on the first call of its
+preconditioner, so a solve whose start meets the tolerance builds neither.
+Each estimate reports, per mesh, the unknowns and PCG iterations of the part
+solved, the final relative residual and the seconds of the solve.
 """
 
 import math
@@ -44,7 +44,7 @@ CG_MAXITER = 200_000
 # and the size at which the coarsest level is solved directly
 _OMEGA = 2.0 / 3.0
 _SWEEPS = 2
-_COARSEST = 400
+_COARSEST = 1600
 # most lattice nodes: the lattice matrix stores up to five entries per node,
 # counted by int32 indices
 _MAX_NODES = (2**31 - 1) // 5
@@ -376,9 +376,11 @@ def _transfers(lat, wrap):
     electrode-b lift.
 
     Lattices are halved by _prolongation until at most _COARSEST unknowns
-    are left or the lattice is too thin to halve.  The hierarchy below
-    lat[::2, ::2] is this one without its first level, so meshes h and h/2
-    share one.
+    are left or the lattice is too thin to halve.  The last is solved by
+    banded Cholesky in reverse Cuthill-McKee order (_coarsest), so a lattice
+    of at most _COARSEST unknowns has no level below it.  The hierarchy
+    below lat[::2, ::2] is this one without its first level, so meshes h
+    and h/2 share one.
     """
     chain = []
     n = np.count_nonzero(lat == _IN)
@@ -392,23 +394,48 @@ def _transfers(lat, wrap):
 
 
 def _coarsest(a):
-    """Sparse LU solve of the coarsest operator a + 1e-12 max(diag a) I, for
-    a CSR matrix a.
+    """Banded Cholesky solve of the coarsest operator a + 1e-12 max(diag a) I,
+    for a CSR matrix a: a function r -> x valid until its next call.
 
-    The shift keeps the factorisation defined when some interior nodes are
-    linked to neither electrode: the lattice matrix is then singular, but
-    the system stays consistent and their potential carries no energy.  It
-    is set on the diagonal of a CSC copy, which stores every diagonal entry,
-    also where a Galerkin product dropped the zero of an isolated node.  The
-    ordering is symmetric minimum degree on A + A^T.
+    The unknowns are taken in reverse Cuthill-McKee order, which keeps the
+    links of a periodic seam near the diagonal, and the upper triangle in
+    that order is scattered into LAPACK upper band storage, factored by
+    dpbtrf and solved by dpbtrs.  Only that triangle is read, so the solve
+    is exactly symmetric.  The shift keeps the factorisation defined when
+    some interior nodes are linked to neither electrode: the lattice matrix
+    is then singular, but the system stays consistent and their potential
+    carries no energy.  Band storage holds every diagonal entry, also where
+    a Galerkin product dropped the zero of an isolated node.
     """
-    from scipy.sparse.linalg import splu
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    shifted = a.tocsc()
-    diag = shifted.diagonal()
-    shifted.setdiag(diag + 1e-12 * diag.max())
-    return splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                options={"SymmetricMode": True}).solve
+    n = a.shape[0]
+    order = reverse_cuthill_mckee(a, symmetric_mode=True)
+    # rank[i]: the position of unknown i in the order
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rows = rank[np.repeat(np.arange(n), np.diff(a.indptr))]
+    cols = rank[a.indices]
+    upper = rows <= cols
+    rows, cols = rows[upper], cols[upper]
+    width = int(np.max(cols - rows, initial=0))
+    # band[width + i - j, j] holds entry (i, j) of the upper triangle
+    band = np.zeros((width + 1, n), order="F")
+    band[width + rows - cols, cols] = a.data[upper]
+    band[width] += 1e-12 * band[width].max()
+    factor, info = dpbtrf(band, overwrite_ab=1)
+    if info != 0:
+        raise OracleError("the coarsest multigrid operator is not positive "
+                          "definite (LAPACK dpbtrf info %d)" % info)
+    work, out = np.empty(n), np.empty(n)
+
+    def solve(r):
+        np.take(r, order, out=work)
+        x, _ = dpbtrs(factor, work, overwrite_b=1)
+        return np.take(x, rank, out=out)
+
+    return solve
 
 
 def _product(mat):
@@ -434,7 +461,8 @@ def _multigrid(mat, transfers):
     r -> M r to precondition CG with.
 
     The levels are those of `transfers` (from _transfers), with Galerkin
-    operators R (A P) (_matmul); the coarsest level is solved by _coarsest.
+    operators R (A P) (_matmul); the coarsest level is solved by _coarsest,
+    banded Cholesky in reverse Cuthill-McKee order.
     Each level smooths with _SWEEPS damped-Jacobi sweeps before and after its
     coarse correction, so the cycle is symmetric positive definite.  Each
     level owns preallocated work vectors, and every product writes into one
@@ -689,12 +717,14 @@ def discrete_modulus(domain):
 def rectangle_domain(width, height, h):
     """Rectangle [0, width] x [0, height], electrodes = bottom and top
     sides.  Each side must be positive and finite, and the mesh must divide
-    it, so that the sides lie on lattice lines."""
+    it, so that the sides lie on lattice lines; where side / h is past the
+    float range, the lattice is past what the solver takes, and _classes
+    refuses it."""
     for side, length in (("width", width), ("height", height)):
         if not 0 < length < math.inf:
             raise ValueError("%s must be positive and finite, got %r"
                              % (side, length))
-        if not _divides(h, length):
+        if math.isfinite(length / h) and not _divides(h, length):
             raise ResolutionError("mesh h = %.3g does not divide the %s %.3g"
                                   % (h, side, length))
     return GridDomain(
@@ -861,8 +891,12 @@ def strip_domain(pair, h=None):
     min_gap = float(np.min(fs - gs))
     if h is None:
         h = min(min_gap / 4.0, pair.period / 64.0)
-    # snap to an integer division of the period
-    h = pair.period / int(math.ceil(pair.period / h))
+    # snap to an integer division of the period, unless period / h is past
+    # the float range: that lattice is past what the solver takes, and
+    # _classes refuses it
+    steps = pair.period / h
+    if math.isfinite(steps):
+        h = pair.period / math.ceil(steps)
     if min_gap < 3.0 * h:
         raise ResolutionError(
             "gap %.3g is thinner than 3 mesh cells (h = %.3g); "

@@ -264,6 +264,14 @@ def test_an_integer_past_the_float_range_is_a_config_error(tmp_path, capsys, key
     assert run(["classify", "--config", write_config(tmp_path, config)]) == 2
     assert capsys.readouterr() == (
         "", "config error: 'inf' is not allowed at %s\n" % key)
+    # past the interpreter's limit on the digits that int() converts, it
+    # once exited 2 with "Exceeds the limit (4300 digits)", naming no field
+    config[key] = "digits"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(config).replace('"digits"', "1" + "0" * 5000))
+    assert run(["classify", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: number at %s is beyond the float range\n" % key)
 
 
 @pytest.mark.parametrize("rank, config, message", [
@@ -699,11 +707,16 @@ def test_oracle_mesh_size_is_checked_for_every_shape(tmp_path, capsys, shape, h,
 @pytest.mark.parametrize("shape", [
     {"shape": "annulus", "r1": 1.0, "r2": 2.0},
     {"shape": "annular_sector", "r1": 1.0, "r2": 2.0, "theta": 1.0},
+    # these once exited 3 with "cannot convert float infinity to integer"
+    {"shape": "rectangle", "width": 1.0, "height": 1.0},
+    {"shape": "half_collar", "l_alpha": 2.0, "l_gamma": "inf"},
 ], ids=lambda cfg: cfg["shape"])
 def test_a_mesh_whose_quotient_overflows_is_a_mesh_refusal(tmp_path, capsys,
                                                            shape):
-    # r2 / h is past the float range, where the builders lay their bbox on
-    # multiples of h: the lattice is refused as one past the solver's indices
+    # r2 / h, side / h or period / h is past the float range, where the
+    # builders lay their bbox on multiples of h, check that h divides each
+    # side or snap h to the period: the lattice is refused as one past the
+    # solver's indices
     cfg = write_config(tmp_path, dict(shape, h=1e-320))
     assert run(["oracle", "--config", cfg]) == 5
     assert "needs a lattice of about inf nodes" in capsys.readouterr().err

@@ -12,11 +12,11 @@ from helpers import checked_lattice, sinusoid_pair, solve_at, solve_whole
 
 def test_rectangle_extrapolation_exact():
     # raw discrete value is (W + h)/H; one Richardson step cancels it exactly
-    est = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h=1.0 / 16))
+    est = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h=1.0 / 32))
     assert est.extrapolated
     assert est.value == pytest.approx(3.0, abs=1e-9)
-    assert est.raw_values[0] == pytest.approx(3.0 + 1.0 / 16, abs=1e-9)
-    assert est.error_bar == pytest.approx(1.0 / 32, abs=1e-9)
+    assert est.raw_values[0] == pytest.approx(3.0 + 1.0 / 32, abs=1e-9)
+    assert est.error_bar == pytest.approx(1.0 / 64, abs=1e-9)
     # the h potential is linear in y, which bilinear interpolation with
     # electrode b at 1 reproduces: the h/2 solve starts at its solution
     assert est.unknowns[1] > eo._COARSEST
@@ -412,9 +412,17 @@ def test_prolongation_equals_the_kronecker_product(wrap):
     assert np.array_equal(lift, _kron_prolongation(cls, wrap)[1])
 
 
+def _glued_collar_strip():
+    from hypcollar import collar_modulus as cm
+
+    spec = cm.GluedCollarSpec(3.0, math.inf, math.inf, 0.25)
+    return eo.strip_domain(cm.glued_collar_graphs(spec))
+
+
 def _coarsest_operator(dom, h):
     """The lattice matrix at mesh h after the Galerkin products of its
-    hierarchy, as the multigrid preconditioner forms them."""
+    hierarchy, as the multigrid preconditioner forms them, and the depth of
+    the hierarchy."""
     wrap = dom.periodic_x is not None
     cls = checked_lattice(dom, h)
     a, _ = eo._assemble(cls, wrap)
@@ -424,8 +432,23 @@ def _coarsest_operator(dom, h):
     return a, len(transfers)
 
 
+def _floating_clusters(a):
+    """The nodes of the connected components of the operator a that have
+    more than one node and no link to an electrode: the indicator of each is
+    a null vector of a."""
+    from scipy.sparse.csgraph import connected_components
+
+    _, component = connected_components(a, directed=False)
+    floating = np.zeros(a.shape[0], dtype=bool)
+    for label in np.unique(component):
+        nodes = component == label
+        if np.count_nonzero(nodes) > 1 and not np.any(a @ nodes):
+            floating |= nodes
+    return floating
+
+
 @pytest.mark.parametrize(
-    "dom, h, levels",
+    "dom, h, levels, floating",
     [
         # one interior node at (3, 0.5), apart from the rest: its Galerkin
         # row stores no diagonal
@@ -436,35 +459,84 @@ def _coarsest_operator(dom, h):
                                  | (np.hypot(x - 3.0, y - 0.5) < 0.01)),
             electrode_a=lambda x, y: (y <= 0) & (x <= 2),
             electrode_b=lambda x, y: (y >= 1) & (x <= 2),
-        ), 1.0 / 32, 2),
-        # links across the periodic seam, 45 cells per period at h
-        (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45), 1.0 / 90, 2),
+        ), 1.0 / 64, 2, 0),
+        # a 3 x 3 block of interior nodes about (3, 0.5), linked to each
+        # other and to neither electrode: the operator is singular
+        (eo.GridDomain(
+            h=1.0 / 16,
+            bbox=(0.0, 0.0, 4.0, 1.0),
+            inside=lambda x, y: (((x <= 2) & (y > 0) & (y < 1))
+                                 | (np.hypot(x - 3.0, y - 0.5) < 0.09)),
+            electrode_a=lambda x, y: (y <= 0) & (x <= 2),
+            electrode_b=lambda x, y: (y >= 1) & (x <= 2),
+        ), 1.0 / 16, 0, 9),
+        # links across the periodic seam, 90 cells per period at h
+        (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 90), 1.0 / 180, 2, 0),
+        # the glued strip at t = 1/4, which no mirror folds, at the h/2 of its
+        # estimate: the seam links nodes about n apart
+        (_glued_collar_strip(), 1.0 / 128, 2, 0),
         # 255 unknowns: the lattice is its own coarsest level
-        (eo.rectangle_domain(1.0, 1.0, h=1.0 / 16), 1.0 / 16, 0),
+        (eo.rectangle_domain(1.0, 1.0, h=1.0 / 16), 1.0 / 16, 0, 0),
     ],
-    ids=["isolated-node", "periodic-seam", "one-level"],
+    ids=["isolated-node", "floating-cluster", "periodic-seam", "glued-strip",
+         "one-level"],
 )
-def test_coarsest_solve_matches_the_shifted_system(dom, h, levels):
+def test_coarsest_solve_matches_the_shifted_system(dom, h, levels, floating,
+                                                   monkeypatch):
     from scipy import sparse
+    from scipy.linalg import lapack
 
     a, depth = _coarsest_operator(dom, h)
     assert depth == levels
     n = a.shape[0]
     diag = a.diagonal()
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    cluster = _floating_clusters(a)
+    assert np.count_nonzero(cluster) == floating
     if dom.periodic_x:
         # the seam links the first and last columns of x
         assert np.max(np.abs(a.indices - rows)) > n // 2
     elif levels:
         assert np.count_nonzero(diag == 0) == 1
         assert np.count_nonzero(a.indices == rows) == n - 1
-    shifted = (a + 1e-12 * diag.max() * sparse.identity(n)).tocsc()
+    bands = []
+    factor = lapack.dpbtrf
+
+    def recorded(ab, **options):
+        bands.append(ab.shape)
+        return factor(ab, **options)
+
+    monkeypatch.setattr(lapack, "dpbtrf", recorded)
     b = np.random.default_rng(3).standard_normal(n)
+    # a coarse residual sums to zero over a floating cluster, so the system
+    # is consistent, and the cluster's potential is defined up to a constant
+    # that carries no energy
+    if floating:
+        b[cluster] -= b[cluster].mean()
+    shifted = (a + 1e-12 * diag.max() * sparse.identity(n)).tocsc()
     want = spsolve(shifted, b)
-    got = eo._coarsest(a)(b)
+    got = eo._coarsest(a)(b).copy()
+    if floating:
+        for x in (got, want):
+            x[cluster] -= x[cluster].mean()
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # the operator itself is left as it was
     assert np.array_equal(a.diagonal(), diag)
+    # one factor, whose order keeps every link within two lattice widths of
+    # the diagonal, also across a periodic seam
+    (diagonals, columns), = bands
+    width = checked_lattice(dom, h)[::2**depth, ::2**depth].shape[1]
+    assert columns == n
+    assert diagonals - 1 <= 2 * width + 2
+
+
+def test_an_indefinite_coarsest_operator_is_an_oracle_error():
+    from scipy import sparse
+
+    # eigenvalues 3 and -1: banded Cholesky stops at the second pivot
+    a = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(eo.OracleError, match="not positive definite"):
+        eo._coarsest(a)
 
 
 @pytest.mark.parametrize(
@@ -507,7 +579,7 @@ def _half_collar_strip():
 
 
 _SOLVER_DOMAINS = [
-    eo.rectangle_domain(3.0, 1.0, h=1.0 / 16),
+    eo.rectangle_domain(3.0, 1.0, h=1.0 / 32),
     eo.annulus_domain(1.0, math.e, h=1.0 / 16),
     eo.comb_domain(0.2),
     _half_collar_strip(),
@@ -587,13 +659,6 @@ def test_work_vectors_carry_no_state_between_calls(dom):
         assert getattr(one, name) == getattr(two, name)
 
 
-def _glued_collar_strip():
-    from hypcollar import collar_modulus as cm
-
-    spec = cm.GluedCollarSpec(3.0, math.inf, math.inf, 0.25)
-    return eo.strip_domain(cm.glued_collar_graphs(spec))
-
-
 @pytest.mark.parametrize(
     "dom",
     _SOLVER_DOMAINS + [
@@ -620,8 +685,8 @@ def _csr_bytes(mat):
 @pytest.mark.parametrize(
     "dom, h",
     [
-        # links across the periodic seam, 45 cells per period at h
-        (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45), 1.0 / 90),
+        # links across the periodic seam, 90 cells per period at h
+        (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 90), 1.0 / 180),
         # slits of electrode b inside the lattice
         (eo.comb_domain(0.2), 0.0025),
     ],
@@ -653,7 +718,7 @@ def test_a_solve_that_starts_converged_builds_no_hierarchy(monkeypatch):
         return multigrid(mat, transfers)
 
     monkeypatch.setattr(eo, "_multigrid", counted)
-    est = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h=1.0 / 16))
+    est = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h=1.0 / 32))
     # the h/2 solve starts at its solution (test_rectangle_extrapolation_exact)
     assert est.iterations[0] > 0 and est.iterations[1] == 0
     assert built == [est.unknowns[0]]

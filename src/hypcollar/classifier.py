@@ -175,12 +175,14 @@ def classify_sigma_series(lengths):
     where sigma telescopes, else None.
 
     Otherwise sigma_1, ..., sigma_200000 are built only to raise the
-    OverflowError of e^{-sigma_n / 2} where it overflows (exp is monotone,
-    so the largest exponent decides), an exit code the benchmark records.
+    OverflowError of e^{-sigma_n / 2} where it overflows, an exit code the
+    benchmark records.  exp is monotone, so the least sigma decides; the
+    scaling by -1/2 is exact and applied to that one value, and NaN and
+    infinities reach exp as they would elementwise.
     """
     pair = _telescoping_branches(lengths)
     if pair is None:
-        math.exp(float(np.max(-0.5 * sigma_sequence(lengths, 200_000))))
+        math.exp(-0.5 * float(np.min(sigma_sequence(lengths, 200_000))))
         return None
     # e^{-sigma/2} ~ k^{-a/2} and k^{-b/2} on the two branches
     p = [Fraction(a) / 2 for a in pair]

@@ -10,7 +10,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+
+# One BLAS thread unless the user asked for more: threading the oracle's
+# small banded Cholesky solves and dot products costs more than it saves.
+# Set before numpy first loads, which is on the first command that uses it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import _lazy
 from .classifier import (
@@ -238,6 +245,7 @@ def _cover(cfg):
     rank = _required(cfg, "rank", "")
     if isinstance(rank, bool) or not isinstance(rank, int):
         raise ConfigError("rank must be an integer, got %r" % (rank,))
+    _number(rank, "rank")  # the cover series takes rank - 1 as a float
     config = cfg.get("config", "single")
     if not isinstance(config, str):
         raise ConfigError("config must be a string, got %r" % (config,))

@@ -319,17 +319,30 @@ def _validate_twists(spec, field):
 # ---------------------------------------------------------------------------
 
 
+# Terms per `terms` call of a sigma run: each temporary of a block is 64 KiB,
+# under glibc's 128 KiB mmap threshold, so it reuses freed heap memory
+# instead of faulting in fresh pages the way a 200k-term temporary does.
+_SIGMA_BLOCK = 8192
+
+
 def sigma_sequence(lengths, n_max):
     """The alternating partial sums sigma_n = l_n - sigma_{n-1}, sigma_1 = l_1.
 
     Identity: sigma_n + sigma_{n-1} = l_n for every n >= 2 (exactly, by
-    construction of the recurrence).  Computed in place as an alternating
-    cumulative sum, (-1)^k sigma = cumsum((-1)^k l), which rounds exactly as
-    the recurrence does: rounding to nearest commutes with negation.  The
-    sign is restored as 0 - x, so that an exact zero stays +0.0, as l - l
-    gives it in the recurrence.
+    construction of the recurrence).  The one result array is filled with
+    `lengths.terms` in blocks of _SIGMA_BLOCK terms, in order of n; each
+    term depends on its n alone, so the blocks give the terms of one
+    `terms(1, n_max)` call bit for bit, and a failing spec raises the error
+    that call raises.  Then, in place, an alternating cumulative sum,
+    (-1)^k sigma = cumsum((-1)^k l), which rounds exactly as the recurrence
+    does: rounding to nearest commutes with negation.  The sign is restored
+    as 0 - x, so that an exact zero stays +0.0, as l - l gives it in the
+    recurrence.
     """
-    sigma = lengths.terms(1, n_max)
+    sigma = np.empty(max(n_max, 0))
+    for start in range(1, n_max + 1, _SIGMA_BLOCK):
+        stop = min(start + _SIGMA_BLOCK - 1, n_max)
+        sigma[start - 1:stop] = lengths.terms(start, stop)
     np.negative(sigma[1::2], out=sigma[1::2])
     np.cumsum(sigma, out=sigma)
     np.subtract(0.0, sigma[1::2], out=sigma[1::2])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -206,6 +207,31 @@ def test_sigma_path_raises_no_warning():
             assert cl.classify_sigma_series(lengths) is None
         with pytest.raises(OverflowError, match="math range error"):
             cl.classify_sigma_series(alternating(7.0, 5.0))
+
+
+@pytest.mark.parametrize("lengths, overflows", [
+    (sf.log_affine(a=5.0, b=2.0, n0=1.0, n1=2.0), False),
+    (sf.ExplicitPrefixThenTail(values=(1.0,), tail=sf.AlternatingLogAffine(
+        even=sf.log_affine(a=7.0, n0=1.0), odd=sf.log_affine(a=5.0, n0=1.0))), True),
+], ids=["5ln+2lnln", "7ln/5ln"])
+def test_sigma_check_holds_one_sigma_array(lengths, overflows):
+    # the 200k sigma values take 1.6 MB; full-length temporaries beside
+    # them once took the traced peak to 6.4 and 4.0 MB
+    def check():
+        if overflows:
+            with pytest.raises(OverflowError):
+                cl.classify_sigma_series(lengths)
+        else:
+            assert cl.classify_sigma_series(lengths) is None
+
+    check()  # numpy loads outside the traced window
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * 200_000
 
 
 # ---------------------------------------------------------------------------

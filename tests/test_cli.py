@@ -372,6 +372,17 @@ def test_cover_rank_must_be_an_integer(tmp_path, capsys, rank):
     assert "rank must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank", [10 ** 400, -10 ** 400])
+def test_a_cover_rank_past_the_float_range_is_a_config_error(tmp_path, capsys, rank):
+    # 10^400 once exited 3 with "int too large to convert to float", naming
+    # no field
+    cfg = write_config(tmp_path, {"type": "cover", "rank": rank,
+                                  "L": {"kind": "constant", "value": 2.0}})
+    assert run(["classify", "--config", cfg]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: number at rank is beyond the float range\n")
+
+
 @pytest.mark.parametrize("command, config, message", [
     ("classify", {"type": "flute"}, "missing required key 'lengths' at top level"),
     ("classify", {"type": "flute", "lengths": {"kind": "constant"}},

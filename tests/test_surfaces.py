@@ -204,6 +204,52 @@ def test_sigma_sequence_long_run_bit_for_bit():
     assert sigma.tobytes() == _scalar_sigma(terms).tobytes()
 
 
+# three blocks, the last of three terms
+_BLOCKS_N = 2 * sf._SIGMA_BLOCK + 3
+_ALTERNATING = sf.AlternatingLogAffine(even=sf.log_affine(a=7.0, n0=1.0),
+                                       odd=sf.log_affine(a=5.0, b=2.0, n0=0.5, n1=2.0))
+
+
+@pytest.mark.parametrize("spec", [
+    sf.log_affine(a=5.0, b=2.0, c=0.1, n0=1.0, n1=2.0),
+    sf.Linear(slope=0.75, intercept=1.0),
+    # the alternating tail starts at n = 4, on the even branch, behind three
+    # values, and at n = 3, on the odd one, behind two
+    sf.ExplicitPrefixThenTail(values=(1.0, 2.0, 3.0), tail=_ALTERNATING),
+    sf.ExplicitPrefixThenTail(values=(1.0, 2.0), tail=_ALTERNATING),
+], ids=["log-loglog", "linear", "alternating-odd-prefix", "alternating-even-prefix"])
+def test_sigma_sequence_is_the_recurrence_across_blocks(spec):
+    sigma = sf.sigma_sequence(spec, _BLOCKS_N)
+    terms = spec.terms(1, _BLOCKS_N).tolist()
+    assert sigma.tobytes() == _scalar_sigma(terms).tobytes()
+
+
+@pytest.mark.parametrize("spec, message", [
+    (sf.log_affine(a=1.0, n0=-3.0), "log argument nonpositive at n = 1"),
+    (sf.ExplicitPrefixThenTail(values=(1.0, 2.0), tail=sf.log_affine(a=1.0, n0=-3.0)),
+     "log argument nonpositive at n = 3"),
+    (_ALTERNATING, "alternating specs start at n = 2; supply a prefix for n = 1"),
+    # the tail opens the second block
+    (sf.ExplicitPrefixThenTail(values=(1.0,) * sf._SIGMA_BLOCK,
+                               tail=sf.log_affine(a=1.0, n0=-sf._SIGMA_BLOCK - 1.0)),
+     "log argument nonpositive at n = %d" % (sf._SIGMA_BLOCK + 1)),
+    # the tail's one term in the first block is even; its odd branch, which
+    # fails from its first index, k = _SIGMA_BLOCK / 2, opens the second block
+    (sf.ExplicitPrefixThenTail(
+        values=(1.0,) * (sf._SIGMA_BLOCK - 1),
+        tail=sf.AlternatingLogAffine(even=sf.log_affine(a=1.0),
+                                     odd=sf.log_affine(a=1.0, n0=-sf._SIGMA_BLOCK / 2))),
+     "log argument nonpositive at n = %d" % (sf._SIGMA_BLOCK // 2)),
+], ids=["log", "prefix", "alternating", "tail-at-block-edge", "branch-at-block-edge"])
+def test_sigma_sequence_over_blocks_keeps_the_first_error(spec, message):
+    with pytest.raises(sf.SpecError) as run:
+        spec.terms(1, _BLOCKS_N)
+    assert str(run.value) == message
+    with pytest.raises(sf.SpecError) as run:
+        sf.sigma_sequence(spec, _BLOCKS_N)
+    assert str(run.value) == message
+
+
 @pytest.mark.parametrize("spec, start, message", [
     (sf.log_affine(a=1.0, n0=-3.0), 1, "log argument nonpositive at n = 1"),
     (sf.log_affine(a=1.0, n0=-3.0), 2, "log argument nonpositive at n = 2"),

@@ -8,6 +8,7 @@ reciprocal of the periodic-annulus modulus, which the rectangle-sandwich of
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._lazy import numpy as np
@@ -26,6 +27,10 @@ from .graph_modulus import (
     sandwich_bounds,
     vertical_modulus,
 )
+
+
+# the natural logarithm of the largest float
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _wrap(x):
@@ -128,15 +133,38 @@ def nonstandard_half_collar_graphs(spec):
     )
 
 
+def _past_float_range(l, t):
+    """Whether the half-collar bounds at l_alpha = l and tanh(l_gamma) = t
+    pass the float range.  With eta = atanh(t / cosh(l/2)) small, cosh r(eta)
+    = coth(eta), so the integrand 1/G of the vertical modulus peaks at x = 0
+    at l / arcsin(tanh(eta)), about l cosh(l/2) / t, and adaptive Simpson's
+    rule adds six values of about that size."""
+    return 0.5 * l + math.log(3.0 * l / t) >= _LOG_MAX
+
+
 def nonstandard_half_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 
     Requires l_alpha >= 1.  With delta = 1/l_alpha, the rectangle sandwich for
     the graph pair bounds the collar modulus, and extremal distance is its
-    reciprocal: lower = 1/upper_modulus, upper = 1/vertical_modulus.
+    reciprocal: lower = 1/upper_modulus, upper = 1/vertical_modulus.  Past
+    the l_alpha at which their quadrature leaves the float range (1402.87 at
+    l_gamma = inf) it raises OverflowError, naming that limit.
     """
     if spec.l_alpha < 1.0:
         raise HypothesisError("half-collar bounds require l_alpha >= 1")
+    t = 1.0 if math.isinf(spec.l_gamma) else math.tanh(spec.l_gamma)
+    if _past_float_range(spec.l_alpha, t):
+        # the limit, by bisection: the test is monotone in l, and holds
+        # from l = 2 _LOG_MAX on, as t <= 1
+        lo, hi = 0.0, 2.0 * _LOG_MAX
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _past_float_range(mid, t) else (mid, hi)
+        raise OverflowError(
+            "half-collar bounds take l_alpha up to %.2f at l_gamma = %g, past "
+            "which their quadrature leaves the float range; got l_alpha = %g"
+            % (math.floor(100.0 * lo) / 100.0, spec.l_gamma, spec.l_alpha))
     pair = nonstandard_half_collar_graphs(spec)
     delta = 1.0 / spec.l_alpha
     mod = sandwich_bounds(pair, delta)

@@ -19,12 +19,13 @@ or the antisymmetric one as an electrode, and its energy is scaled to the
 whole lattice's: the same discrete problem, so the same value up to
 rounding.  The meshes share one multigrid hierarchy of transfers of that
 part, which are bilinear interpolations renormalised over the nodes that are
-not outside, each filled as CSR straight from the node classes of its
-lattice; the h/2 solve starts from the h solution interpolated by the first
-of them, with electrode b at 1.  A solve builds its Galerkin operators, and
-factors the coarsest, shifted by 1e-12 relative on the diagonal, by banded
-Cholesky in reverse Cuthill-McKee order, on the first call of its
-preconditioner, so a solve whose start meets the tolerance builds neither.
+not outside, each compressed to CSR from a table of parents on its lattice,
+as the lattice matrix is from a table of neighbours (_compressed); the h/2
+solve starts from the h solution interpolated by the first of them, with
+electrode b at 1.  A solve builds its Galerkin operators, and factors the
+coarsest, shifted by 1e-12 relative on the diagonal, by banded Cholesky in
+reverse Cuthill-McKee order, on the first call of its preconditioner, so a
+solve whose start meets the tolerance builds neither.
 Each estimate reports, per mesh, the unknowns and PCG iterations of the part
 solved, the final relative residual and the seconds of the solve.
 """
@@ -36,6 +37,7 @@ from typing import Callable, Optional, Tuple
 
 from ._lazy import numpy as np
 
+from .graph_modulus import _sample
 from .hypgeom import ResolutionError
 
 CG_TOL = 1e-8
@@ -116,13 +118,6 @@ class ModulusEstimate:
 _OUT, _IN, _A, _B = 0, 1, 2, 3
 
 
-def _profile(func, xs):
-    """A strip profile on the array xs, broadcast to its shape; overflow,
-    division by zero and invalid operations raise FloatingPointError."""
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        return np.broadcast_to(np.asarray(func(xs), dtype=float), xs.shape)
-
-
 def _classes(dom, h):
     """Node classes of the lattice at mesh h, and for a strip profile the gap
     between the graphs at each lattice column (None for predicates).
@@ -157,8 +152,8 @@ def _classes(dom, h):
         xs = x0 + h * np.arange(nx)
         ys = y0 + h * np.arange(ny)
         if dom.f_of_x is not None and dom.g_of_x is not None:
-            fcol = _profile(dom.f_of_x, xs)
-            gcol = _profile(dom.g_of_x, xs)
+            fcol = _sample(dom.f_of_x, xs)
+            gcol = _sample(dom.g_of_x, xs)
             Y = ys[None, :]
             F = fcol[:, None]
             G = gcol[:, None]
@@ -204,6 +199,26 @@ def _check(dom, h, gaps):
         )
 
 
+def _compressed(cols, vals, n_cols):
+    """The CSR matrix of n_cols columns whose row i holds vals[i, k] (vals[i]
+    if vals has one value per row) at column cols[i, k] wherever
+    cols[i, k] >= 0, for an (n, k) int32 table cols: int32 indices, entries
+    in table order, and sum_duplicates sorts the rows out of column order
+    (along a periodic seam) and merges the entries that share a column."""
+    from scipy import sparse
+
+    links = cols >= 0
+    # each row's links: a sum of columns is faster than a row reduction
+    row_len = sum(links.view(np.int8)[:, k] for k in range(cols.shape[1]))
+    indptr = np.zeros(len(cols) + 1, dtype=np.int32)
+    np.cumsum(row_len, out=indptr[1:])
+    data = np.repeat(vals, row_len) if vals.ndim == 1 else vals[links]
+    mat = sparse.csr_matrix((data, cols[links], indptr),
+                            shape=(len(cols), n_cols))
+    mat.sum_duplicates()
+    return mat
+
+
 def _assemble(cls, wrap, mirrors=()):
     """The 5-point lattice matrix and right-hand side of the interior nodes.
 
@@ -213,13 +228,11 @@ def _assemble(cls, wrap, mirrors=()):
     Dirichlet data (0 on a, 1 on b); an outside neighbour is insulating (no
     link).  A row holds -w at each interior neighbour and the sum of w over
     the neighbours that are not outside on the diagonal; its right-hand side
-    is the sum of w over the neighbours on b.  The CSR arrays are one (n, 5)
+    is the sum of w over the neighbours on b.  The matrix is one (n, 5)
     table of each interior node's neighbours on the lattice, ringed by
     outside nodes (or, along a periodic x, by its own first and last rows),
-    compressed row-major to its links, with int32 indices.
+    with -w and the diagonal beside them, compressed by _compressed.
     """
-    from scipy import sparse
-
     stride = cls.shape[1] + 2
     ring = np.pad(cls, 1, constant_values=_OUT)
     # ring positions fit in int32: the lattice has at most _MAX_NODES nodes
@@ -253,26 +266,12 @@ def _assemble(cls, wrap, mirrors=()):
         raise OracleError("electrode b is not adjacent to the interior; "
                           "domain appears disconnected")
     diag = ((kinds != _OUT) * weight) @ np.ones(5)
-    del kinds
     cols = index[near]
-    del near
-
-    # compressed row-major: a link is an interior neighbour, at -w off the
-    # diagonal; ends[k] counts the links up to table entry k
-    links = cols >= 0
-    ends = np.cumsum(links.ravel(), dtype=np.int32)
-    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
-    indptr[1:] = ends[4::5]
-    data = -weight[links]
-    del weight
-    data[ends[2::5] - 1] = diag
-    del ends
-    indices = cols[links]
-    del cols, links
-    mat = sparse.csr_matrix((data, indices, indptr),
-                            shape=(n_unknown, n_unknown))
-    mat.sum_duplicates()  # sorts the seam rows; merges links when nx <= 2
-    return mat, rhs
+    del kinds, near
+    # the values: -w at each link, and the diagonal in the node's own column
+    np.negative(weight, out=weight)
+    weight[:, 2] = diag
+    return _compressed(cols, weight, n_unknown), rhs
 
 
 def _prolongation(lat, wrap):
@@ -290,15 +289,13 @@ def _prolongation(lat, wrap):
     so the interpolation has full column rank and the Galerkin operator
     P^T A P is positive definite with A.
 
-    The CSR arrays are filled straight from the lattice, one slot per
-    parent in increasing column order, with int32 indices.
+    The matrix is the (n, 4) table of each interior fine node's parents in
+    increasing column order (off the periodic seam), compressed by _compressed.
 
     Returns the sparse interpolation of the coarse unknowns, each fine row's
     weight on coarse electrode-b nodes (so that interp @ u + lift lifts a
     coarse potential with b at 1 and a at 0), and the coarse node classes.
     """
-    from scipy import sparse
-
     coarse = lat[::2, ::2]
     inner = coarse == _IN
     n_coarse = np.count_nonzero(inner)
@@ -323,16 +320,8 @@ def _prolongation(lat, wrap):
     share = np.divide(1.0, kept, out=np.zeros(len(nodes)), where=kept > 0)
     lift = share * sum(p == -3 for p in parents)
 
-    cols = np.stack(parents, axis=1)
-    row_len = sum(p >= 0 for p in parents)
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-    np.cumsum(row_len, out=indptr[1:])
-    interp = sparse.csr_matrix(
-        (np.repeat(share, row_len), cols[cols >= 0], indptr),
-        shape=(len(nodes), n_coarse))
-    # sorts the seam rows; merges the two parents along a periodic x of one
-    # coarse node
-    interp.sum_duplicates()
+    # along a periodic x of one coarse node, its two parents are merged
+    interp = _compressed(np.stack(parents, axis=1), share, n_coarse)
     return interp, lift, coarse
 
 
@@ -507,36 +496,31 @@ def _multigrid(mat, transfers):
     return vcycle
 
 
-def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, M,
-       callback=None):
-    """Conjugate gradients for the CSR matrix A, preconditioned by M (a
-    function r -> M r, such as a V-cycle of _multigrid), in the arithmetic
-    of scipy 1.17's scipy.sparse.linalg.cg step for step, so the iterates,
-    the iteration count and the return are its own bit for bit.
+def cg(A, b, x0, M, callback=None):
+    """Conjugate gradients for the CSR matrix A from x0 (only read),
+    preconditioned by M (a function r -> M r, such as a V-cycle of
+    _multigrid), in the arithmetic of scipy 1.17's scipy.sparse.linalg.cg at
+    rtol=CG_TOL and atol=0, step for step: the iterates and the iteration
+    count are its own bit for bit.
 
-    The tolerance is max(atol, rtol |b|), tested on |r| before each call of
-    M.  Each step sets p = z (first) or p = beta p + z, then x += alpha p and
-    r -= alpha q with q = A p, and calls callback(x).  Returns (x, 0) on
-    convergence and (x, maxiter) when the iterations run out.  The products
-    A p write into one preallocated vector (_product), and M's return is
-    read before M is called again, so a V-cycle may return a vector that is
-    valid until its next call.  It stays a module attribute for
-    `perfbench/tracing.py` to wrap.
+    The tolerance CG_TOL |b| is tested on |r| before each call of M.  Each
+    step sets p = z (first) or p = beta p + z, then x += alpha p and
+    r -= alpha q with q = A p, and calls callback(x).  Returns (x, the steps
+    taken), or raises OracleError after CG_MAXITER steps.  A p is written
+    into one preallocated vector (_product), and M's return is read before M
+    is called again, so a V-cycle may return a vector valid until its next
+    call.  `perfbench/tracing.py` wraps this module attribute, and calls it
+    with A and b first and callback by keyword.
     """
-    bnrm2 = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(bnrm2))
-    if bnrm2 == 0:
-        return b, 0
+    atol = CG_TOL * float(np.linalg.norm(b))
     n = len(b)
-    if maxiter is None:
-        maxiter = 10 * n
     product = _product(A)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     p, q, t = np.empty(n), np.empty(n), np.empty(n)
     r = b - product(x, q) if x.any() else b.copy()
-    for iteration in range(maxiter):
+    for iteration in range(CG_MAXITER):
         if np.linalg.norm(r) < atol:
-            return x, 0
+            return x, iteration
         z = M(r)
         rho = np.dot(r, z)
         if iteration > 0:
@@ -550,26 +534,22 @@ def cg(A, b, x0=None, *, rtol=1e-5, atol=0.0, maxiter=None, M,
         rho_prev = rho
         if callback:
             callback(x)
-    return x, maxiter
+    raise OracleError("conjugate gradients did not reach residual %.0e "
+                      "within %d iterations" % (CG_TOL, CG_MAXITER))
 
 
 def _solve(cls, wrap, transfers, h, x0=None, mirrors=()):
     """Discrete energy of the lattice cls at mesh h, with conductance 1/2
     along its `mirrors` (_assemble), its interior potential, the number of
-    PCG iterations taken, starting from x0, and the relative residual
-    |A u - b| / |b| of the potential.
+    PCG iterations taken (cg), starting from x0 or else from zero, and the
+    relative residual |A u - b| / |b| of the potential.
 
     The V-cycle is built by the first call of the preconditioner, so a start
     that already meets the tolerance builds no hierarchy."""
     if not np.any(cls == _IN):
         raise OracleError("no interior nodes at h = %.3g" % h)
     mat, rhs = _assemble(cls, wrap, mirrors)
-    iterations = 0
     vcycle = None
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
 
     def precondition(r):
         nonlocal vcycle
@@ -577,11 +557,8 @@ def _solve(cls, wrap, transfers, h, x0=None, mirrors=()):
             vcycle = _multigrid(mat, transfers)
         return vcycle(r)
 
-    u, info = cg(mat, rhs, x0=x0, rtol=CG_TOL, atol=0.0, maxiter=CG_MAXITER,
-                 M=precondition, callback=count)
-    if info != 0:
-        raise OracleError("conjugate gradients did not reach residual %.0e "
-                          "within %d iterations" % (CG_TOL, CG_MAXITER))
+    u, iterations = cg(mat, rhs, np.zeros(len(rhs)) if x0 is None else x0,
+                       precondition)
     # The lattice edge sum of w (U_i - U_j)^2, with U = u inside, 0 on
     # electrode a and 1 on b, is u.(A u - 2 rhs) + sum(rhs) for any u.  In
     # this arrangement nothing cancels: rhs.(1 - u) is the flux into b, and
@@ -887,7 +864,7 @@ def strip_domain(pair, h=None):
     region (the modulus of the family joining the two boundary curves).
     """
     xs = pair.x1 + pair.period * np.arange(2049) / 2048.0
-    fs, gs = _profile(pair.f, xs), _profile(pair.g, xs)
+    fs, gs = _sample(pair.f, xs), _sample(pair.g, xs)
     min_gap = float(np.min(fs - gs))
     if h is None:
         h = min(min_gap / 4.0, pair.period / 64.0)

@@ -3,7 +3,10 @@
 Length and twist sequences are given by small structured specs so that the
 classifier can reason about their growth exactly; only a few shapes are
 supported (logarithmic growth, alternating logarithmic, linear, constant,
-explicit prefixes, and the scaled power decay used by trees).
+explicit prefixes, and the scaled power decay used by trees).  The unbounded
+shapes, and the alternating and prefixed specs over them, also evaluate a
+run of terms as an array (`terms`), for the sigma sums; the classifier
+decides bounded lengths before any such run.
 """
 
 import math
@@ -31,12 +34,6 @@ def _indices(start, n_max):
     """The run start, ..., n_max as a float array of exact integers."""
     _check_start(start, n_max)
     return np.arange(start, n_max + 1, dtype=float)
-
-
-def _elementwise(spec, start, n_max):
-    """spec.term at each index of the run, keeping the scalar errors (such
-    as the OverflowError of a float power)."""
-    return np.array([spec.term(n) for n in range(start, n_max + 1)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +135,6 @@ class Constant:
             raise SpecError("indices start at n = 1")
         return self.value
 
-    def terms(self, start, n_max):
-        return _elementwise(self, start, n_max)
-
     @property
     def is_bounded(self):
         return True
@@ -241,9 +235,6 @@ class ScaledPowerDecay:
         if n < 1:
             raise SpecError("indices start at n = 1")
         return self.coef * n / self.base**n
-
-    def terms(self, start, n_max):
-        return _elementwise(self, start, n_max)
 
     @property
     def is_bounded(self):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -617,11 +618,27 @@ def test_collar_glued(capsys):
     assert out["analytic_proxy"] > 0
 
 
-def test_collar_eta_underflow_is_numeric_failure(capsys):
+def test_oracle_eta_underflow_is_numeric_failure(tmp_path, capsys):
     # eta = 2 tanh(l_gamma) e^{-l_alpha/2} underflows to 0 at l_alpha = 2000
-    assert run(["collar", "--l-alpha", "2000", "--l-gamma", "inf"]) == 3
+    config = write_config(tmp_path, {"shape": "half_collar", "l_alpha": 2000,
+                                     "l_gamma": "inf"})
+    assert run(["oracle", "--config", config]) == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "underflow" in err
+
+
+@pytest.mark.parametrize("l_alpha", ["1403", "1408", "1430", "1500", "2000"])
+def test_half_collar_past_the_float_range_is_one_refusal(capsys, l_alpha):
+    # one message past the limit, whether the quadrature's sums, cosh r(eta)
+    # or eta itself would leave the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numeric failure: half-collar bounds take l_alpha up to "
+                   "1402.87 at l_gamma = inf, past which their quadrature "
+                   "leaves the float range; got l_alpha = %s\n" % l_alpha)
 
 
 @pytest.mark.parametrize("kind", [["--standard"], ["--l-gamma", "inf"]])

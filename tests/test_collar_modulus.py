@@ -172,7 +172,7 @@ def test_glued_twist_sign_symmetry():
 @pytest.mark.parametrize("argv, rc", [
     (["--l-alpha", "80", "--l-gamma", "inf"], 0),
     (["--l-alpha", "80", "--l-gamma", "inf", "--l-gamma2", "inf", "--twist", "0"], 0),
-    # eta = 2 tanh(l_gamma) e^{-l_alpha/2} underflows to 0
+    # past the float range of the half-collar's quadrature
     (["--l-alpha", "2000", "--l-gamma", "inf"], 3),
 ])
 def test_collar_exit_codes_at_long_alpha(capsys, argv, rc):
@@ -194,6 +194,20 @@ def test_collar_overflow_raises_not_warns(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["collar"] + argv) == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("l_gamma, limit", [
+    (math.inf, 1402.87), (1.0, 1402.33), (0.01, 1393.67)])
+def test_half_collar_bounds_hold_up_to_their_float_range_limit(l_gamma, limit):
+    # 0.01 past the limit, adaptive Simpson's sums overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = cm.nonstandard_half_collar_lambda(cm.HalfCollarSpec(limit, l_gamma))
+        assert 0.0 < bounds.lower <= bounds.upper < math.inf
+        with pytest.raises(OverflowError, match="up to %.2f at l_gamma = %g"
+                           % (limit, l_gamma)):
+            cm.nonstandard_half_collar_lambda(
+                cm.HalfCollarSpec(limit + 0.01, l_gamma))
 
 
 def test_half_collar_gap_matches_high_precision_arcsin():

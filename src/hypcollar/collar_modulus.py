@@ -142,6 +142,17 @@ def _past_float_range(l, t):
     return 0.5 * l + math.log(3.0 * l / t) >= _LOG_MAX
 
 
+def _float_limit(past):
+    """The l_alpha past which the bounds leave the float range, rounded down
+    to two decimals: by bisection of past(l), which is monotone in l and
+    holds from l = 2 _LOG_MAX on."""
+    lo, hi = 0.0, 2.0 * _LOG_MAX
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    return math.floor(100.0 * lo) / 100.0
+
+
 def nonstandard_half_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 
@@ -155,16 +166,12 @@ def nonstandard_half_collar_lambda(spec):
         raise HypothesisError("half-collar bounds require l_alpha >= 1")
     t = 1.0 if math.isinf(spec.l_gamma) else math.tanh(spec.l_gamma)
     if _past_float_range(spec.l_alpha, t):
-        # the limit, by bisection: the test is monotone in l, and holds
-        # from l = 2 _LOG_MAX on, as t <= 1
-        lo, hi = 0.0, 2.0 * _LOG_MAX
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if _past_float_range(mid, t) else (mid, hi)
+        # the test holds from l = 2 _LOG_MAX on, as t <= 1
         raise OverflowError(
             "half-collar bounds take l_alpha up to %.2f at l_gamma = %g, past "
             "which their quadrature leaves the float range; got l_alpha = %g"
-            % (math.floor(100.0 * lo) / 100.0, spec.l_gamma, spec.l_alpha))
+            % (_float_limit(lambda l: _past_float_range(l, t)), spec.l_gamma,
+               spec.l_alpha))
     pair = nonstandard_half_collar_graphs(spec)
     delta = 1.0 / spec.l_alpha
     mod = sandwich_bounds(pair, delta)
@@ -290,6 +297,24 @@ def glued_collar_proxy(spec):
     )
 
 
+def _glued_past_float_range(l, t1, t2, twist):
+    """Whether the glued-collar bounds at l_alpha = l, tanh(l_gamma) = t1,
+    tanh(l_gamma2) = t2 and the twist pass the float range.  As for the
+    half-collar (_past_float_range), cosh r(eta_i) is about cosh(l/2) / t_i;
+    the graphs take it, and the envelope's closed forms take e^{l/2}, so
+    both stay in range while e^{l/2} / min(1, t1, t2) does (a factor 2 to
+    spare for the rounding of eta_i near the subnormals).  With
+    arcsin(u) >= u, the integrand 1/(F + G) of the vertical modulus is at
+    most l over the least of (cosh(l x) t1 + cosh(l (x - twist)) t2) /
+    cosh(l/2), which is hypot(t1 - t2, 2 sqrt(t1 t2) cosh(l twist / 2)) /
+    cosh(l/2); adaptive Simpson's rule adds six values of about that peak."""
+    if 0.5 * l - math.log(min(1.0, t1, t2)) >= _LOG_MAX:
+        return True
+    least = math.hypot(t1 - t2, 2.0 * math.sqrt(t1) * math.sqrt(t2)
+                       * math.cosh(0.5 * l * twist))
+    return 0.5 * l + math.log(3.0 * l / least) >= _LOG_MAX
+
+
 def glued_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of a glued collar.
 
@@ -297,13 +322,23 @@ def glued_collar_lambda(spec):
     of the envelope pair (whose region is contained in the collar), with its
     vertical modulus and area in closed form and only the deviation constant
     computed; the upper bound is the reciprocal of the vertical modulus of
-    the full graph pair.
+    the full graph pair.  Past the l_alpha at which their closed forms or
+    their quadrature leave the float range (1404.25 at l_gamma = l_gamma2 =
+    inf and twist 0) it raises OverflowError, naming that limit.
     """
     if spec.l_alpha < 2.0:
         raise HypothesisError("glued-collar bounds require l_alpha >= 2")
+    ts = [1.0 if math.isinf(g) else math.tanh(g)
+          for g in (spec.l_gamma, spec.l_gamma2)]
+    if _glued_past_float_range(spec.l_alpha, *ts, spec.twist):
+        raise OverflowError(
+            "glued-collar bounds take l_alpha up to %.2f at l_gamma = %g, "
+            "l_gamma2 = %g and twist %g, past which they leave the float "
+            "range; got l_alpha = %g"
+            % (_float_limit(lambda l: _glued_past_float_range(
+                l, *ts, spec.twist)),
+               spec.l_gamma, spec.l_gamma2, spec.twist, spec.l_alpha))
     delta = 1.0 / spec.l_alpha
-    # the closed forms first: where e^{l/2} overflows they raise
-    # OverflowError before the deviation grid runs
     env_v = glued_envelope_vertical_modulus(spec)
     area = glued_envelope_area(spec)
     c = rectangle_deviation(glued_collar_envelope(spec), delta)

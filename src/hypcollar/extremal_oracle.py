@@ -10,19 +10,23 @@ energy's error is quadratic in the residual, so at 1e-8 it is at the
 rounding floor of the energy.
 Every estimate solves at two meshes (h and h/2) and combines the values by
 Richardson extrapolation assuming first-order convergence.  The two meshes
-share one lattice (the one at h is the h/2 lattice at even indices).  Where
-its node classes are mirror-symmetric along x, y or both (symmetric, or
-antisymmetric: mirrored with the electrodes swapped), found by comparing the
-class array with its flip, only the half or quarter on one side of the
-mirror lines is solved, with conductance 1/2 along a symmetric mirror line
-or the antisymmetric one as an electrode, and its energy is scaled to the
-whole lattice's: the same discrete problem, so the same value up to
-rounding.  The meshes share one multigrid hierarchy of transfers of that
-part, which are bilinear interpolations renormalised over the nodes that are
-not outside, each compressed to CSR from a table of parents on its lattice,
-as the lattice matrix is from a table of neighbours (_compressed); the h/2
-solve starts from the h solution interpolated by the first of them, with
-electrode b at 1.  A solve builds its Galerkin operators, and factors the
+share one lattice (the one at h is the h/2 lattice at even indices), whose
+node classes the domain's predicates give from one column of abscissae and
+one row of ordinates, broadcast to the lattice.  Where its node classes are
+mirror-symmetric along x, y or both (symmetric, or antisymmetric: mirrored
+with the electrodes swapped), found by comparing the class array with its
+flip, only the half or quarter on one side of the mirror lines is solved,
+with conductance 1/2 along a symmetric mirror line or the antisymmetric one
+as an electrode; where that part is square and equals its transpose, with
+conductances that the transpose keeps, only its nodes on and above the
+diagonal are.  The part's energy is scaled to the whole lattice's: the same
+discrete problem, so the same value up to rounding.  The meshes share one
+multigrid hierarchy of transfers of that part, which are bilinear
+interpolations renormalised over the nodes that are not outside, each
+compressed to CSR from a table of parents on its lattice, as the lattice
+matrix is from a table of neighbours (_compressed); the h/2 solve starts
+from the h solution interpolated by the first of them, with electrode b at
+1.  A solve builds its Galerkin operators, and factors the
 coarsest, shifted by 1e-12 relative on the diagonal, by banded Cholesky in
 reverse Cuthill-McKee order, on the first call of its preconditioner, so a
 solve whose start meets the tolerance builds neither.
@@ -61,11 +65,15 @@ class GridDomain:
     """A planar domain with two electrodes, ready for discretisation.
 
     Either give vectorised point predicates (`inside`, `electrode_a`,
-    `electrode_b` taking numpy arrays x, y), or a strip profile
+    `electrode_b`), or a strip profile
     (`f_of_x`, `g_of_x` numpy functions mapping an array of x to the array of
     values of its shape; a constant may return a scalar) in which case the
     region is g(x) < y < f(x) with electrode a on the upper graph and b on
     the lower.
+    A predicate is called once per lattice, on the node abscissae x of
+    shape (nx, 1) and ordinates y of shape (1, ny), and returns boolean
+    values that broadcast to the lattice (nx, ny) (_classes): elementwise
+    numpy expressions in x and y do, also ones that read one coordinate.
     `periodic_x` identifies x and x + periodic_x.
     `bbox` (x0, y0, x1, y1) is the domain's own extent; the lattice pads it
     by 2h on every side that is not periodic (_classes).
@@ -104,7 +112,8 @@ class ModulusEstimate:
     error_bar: float
     extrapolated: bool
     # the interior nodes and PCG iterations at each mesh, of the part of the
-    # lattice that was solved (a half or quarter where it has mirrors)
+    # lattice that was solved (a half, quarter or eighth where it has
+    # mirrors)
     unknowns: tuple
     iterations: tuple
     # at each mesh, |A u - b| / |b| of the part's potential, and the seconds
@@ -128,9 +137,11 @@ def _classes(dom, h):
     coordinates are x0 + h·i and y0 + h·j from the padded corner.  Those of
     mesh h/2 at even indices are those of mesh h bit for bit (0.5·h is
     exact), so the lattice at h is the one at h/2 taken at even indices,
-    once _check has accepted both meshes.  A lattice of more than _MAX_NODES
-    nodes is refused before any array is allocated, and one whose arrays do
-    not fit in memory.
+    once _check has accepted both meshes.  The predicates are called on
+    the column of abscissae and the row of ordinates, and their results are
+    broadcast to the lattice, so no array of node coordinates is built.  A
+    lattice of more than _MAX_NODES nodes is refused before any array is
+    allocated, and one whose arrays do not fit in memory.
     """
     pad = 2.0 * dom.h
     x0, y0, x1, y1 = dom.bbox
@@ -162,11 +173,15 @@ def _classes(dom, h):
             cls[Y >= F] = _A
             cls[Y <= G] = _B
             return cls, fcol - gcol
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        cls = np.full(X.shape, _OUT, dtype=np.int8)
-        a = dom.electrode_a(X, Y)
-        b = dom.electrode_b(X, Y) & ~a
-        inn = dom.inside(X, Y) & ~a & ~b
+        x, y = xs[:, None], ys[None, :]
+
+        def lattice(predicate):
+            return np.broadcast_to(predicate(x, y), (nx, ny))
+
+        cls = np.full((nx, ny), _OUT, dtype=np.int8)
+        a = lattice(dom.electrode_a)
+        b = lattice(dom.electrode_b) & ~a
+        inn = lattice(dom.inside) & ~a & ~b
         cls[inn] = _IN
         cls[a] = _A
         cls[b] = _B
@@ -624,10 +639,22 @@ def _fold(cls, wrap):
     """The part of the lattice cls that an estimate solves: one half or
     quarter of it where its node classes are mirror-symmetric along x, y or
     both (_half, tried along x and then along y of that half), else all of
-    it.  Returns the part, whether it wraps along x, its mirror lines as
+    it; and of that, the nodes on and above its diagonal where it is square,
+    does not wrap, equals its transpose, and its mirror lines are none or
+    (0, 0) with (1, 0), so that the transpose keeps its conductances.
+    Returns the part, whether it wraps along x, its mirror lines as
     (axis, index), along which its links have conductance 1/2, and the
     lattice's energy over the part's.  The part of the lattice at mesh 2h
-    is the part's even-indexed nodes."""
+    is the part's even-indexed nodes.
+
+    The diagonal fold marks the nodes below the diagonal outside and
+    doubles the factor.  A 5-point stencil has no link along the diagonal,
+    so every link lies on one side of it, and each link below is the
+    transpose of one above with the same conductance: the potential is
+    symmetric, and the energy of the part's links is half the whole's.  A
+    diagonal node keeps its links above the diagonal, so its row is half
+    its row in the lattice before the fold.  The diagonal lies on
+    even-indexed nodes at every level of the hierarchy."""
     mirrors, scale = [], 1.0
     for axis in (0, 1):
         half = _half(np.moveaxis(cls, axis, 0), wrap and axis == 0)
@@ -638,6 +665,12 @@ def _fold(cls, wrap):
         mirrors += [(axis, line) for line in lines]
         scale *= factor
         wrap = wrap and axis != 0
+    # array_equal is false for a part that is not square
+    if (not wrap and mirrors in ([], [(0, 0), (1, 0)])
+            and np.array_equal(cls, cls.T)):
+        below = np.tri(len(cls), k=-1, dtype=bool)
+        cls = np.where(below, np.int8(_OUT), cls)
+        scale *= 2.0
     return cls, wrap, tuple(mirrors), scale
 
 
@@ -649,9 +682,9 @@ def discrete_modulus(domain):
     values.
 
     The estimate classifies one lattice, at h/2, and where its node classes
-    are mirror-symmetric solves only the half or quarter of it that _fold
-    keeps: the discrete problem is the same, so the scaled energies are the
-    whole lattice's up to rounding, while the unknowns, iterations and
+    are mirror-symmetric solves only the half, quarter or eighth of it that
+    _fold keeps: the discrete problem is the same, so the scaled energies
+    are the whole lattice's up to rounding, while the unknowns, iterations and
     residuals are those of the part.  It solves on the part's even-indexed
     nodes at h first, with the multigrid hierarchy of h/2 less its first
     level; the h/2 solve starts from the h potential, with electrode b at
@@ -737,8 +770,8 @@ def annulus_domain(r1, r2, h):
 
     The lattice is centred on a node: the bbox is +-R with R the least
     multiple of h at least r2, and the predicates read each node on the grid
-    (_on_grid), so the node classes are symmetric in x and in y and an
-    estimate solves a quarter (_fold).
+    (_on_grid), so the node classes are symmetric in x, in y and across the
+    diagonal, and an estimate solves an eighth (_fold).
     """
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
@@ -862,10 +895,13 @@ def strip_domain(pair, h=None):
     x is periodic with the pair's period; the two graphs are the electrodes,
     so the discrete modulus approximates the periodic-annulus modulus of the
     region (the modulus of the family joining the two boundary curves).
+    The least gap is read from the pair's offsets F + G, as the bounds read
+    it: f - g cancels to 0 where both graphs are near the midline.
     """
     xs = pair.x1 + pair.period * np.arange(2049) / 2048.0
     fs, gs = _sample(pair.f, xs), _sample(pair.g, xs)
-    min_gap = float(np.min(fs - gs))
+    F, G = pair.offsets()
+    min_gap = float(np.min(_sample(F, xs) + _sample(G, xs)))
     if h is None:
         h = min(min_gap / 4.0, pair.period / 64.0)
     # snap to an integer division of the period, unless period / h is past

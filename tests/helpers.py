@@ -1,8 +1,10 @@
 """Constructions that only the tests use: a smooth graph pair, a pair with
 both axes scaled, the half-collar envelope pair with the closed form of its
-vertical modulus, an oracle lattice checked at one mesh, and oracle solves
-at a single mesh, of the whole lattice or of the part an estimate solves."""
+vertical modulus, an oracle lattice checked at one mesh, the node classes of
+a predicate domain from full coordinate arrays, and oracle solves at a single
+mesh, of the whole lattice or of the part an estimate solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +79,20 @@ def checked_lattice(dom, h):
     cls, gaps = eo._classes(dom, h)
     eo._check(dom, h, gaps)
     return cls
+
+
+def meshgrid_classes(dom, h):
+    """Node classes of a predicate domain's lattice at mesh h, with each
+    predicate called on the full (nx, ny) coordinate arrays of the lattice
+    (np.meshgrid of its abscissae and ordinates): the reference for the
+    oracle's predicates on one column and one row, broadcast."""
+    def full(predicate):
+        return lambda x, y: predicate(
+            *np.meshgrid(x.ravel(), y.ravel(), indexing="ij"))
+
+    return eo._classes(dataclasses.replace(
+        dom, inside=full(dom.inside), electrode_a=full(dom.electrode_a),
+        electrode_b=full(dom.electrode_b)), h)[0]
 
 
 def solve_whole(dom, h):

@@ -641,6 +641,47 @@ def test_half_collar_past_the_float_range_is_one_refusal(capsys, l_alpha):
                    "leaves the float range; got l_alpha = %s\n" % l_alpha)
 
 
+@pytest.mark.parametrize("twist, limit", [("0", 1404.25), ("0.5", 1419.56)])
+@pytest.mark.parametrize("l_alpha", ["1405", "1410", "2000"])
+def test_glued_collar_past_the_float_range_is_one_refusal(capsys, l_alpha,
+                                                          twist, limit):
+    # at twist 0 the quadrature's sums would overflow (a numpy warning at
+    # 1405, a division at 1410); at twist 1/2 the integrand stays small, and
+    # the bounds hold until e^{l/2} overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf",
+                  "--l-gamma2", "inf", "--twist", twist])
+    out, err = capsys.readouterr()
+    if float(l_alpha) <= limit:
+        assert (rc, err) == (0, "")
+        bounds = strict_json(out)
+        assert 0.0 < bounds["lambda_lower"] <= bounds["lambda_upper"]
+        return
+    assert (rc, out) == (3, "")
+    assert err == ("numeric failure: glued-collar bounds take l_alpha up to "
+                   "%.2f at l_gamma = inf, l_gamma2 = inf and twist %s, past "
+                   "which they leave the float range; got l_alpha = %s\n"
+                   % (limit, twist, l_alpha))
+
+
+@pytest.mark.parametrize("l_alpha", [80, 200, 1000])
+def test_half_collar_oracle_gap_is_read_from_the_offsets(tmp_path, capsys,
+                                                         l_alpha):
+    # f - g rounds to 0 near x = 0, where the mesh it gave divided by zero;
+    # F + G does not, and its mesh needs a lattice past the solver's indices
+    cfg = write_config(tmp_path, {"shape": "half_collar", "l_alpha": l_alpha,
+                                  "l_gamma": "inf"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oracle", "--config", cfg]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"mesh refusal: h = \S+ needs a lattice of about \S+ "
+                        r"nodes at mesh \S+, past the \d+ that the solver's "
+                        r"int32 indices allow; coarsen the mesh\n", err)
+
+
 @pytest.mark.parametrize("kind", [["--standard"], ["--l-gamma", "inf"]])
 def test_collar_infinite_l_alpha_names_l_alpha(capsys, kind):
     assert run(["collar", "--l-alpha", "1e400"] + kind) == 2

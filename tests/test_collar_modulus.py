@@ -210,6 +210,28 @@ def test_half_collar_bounds_hold_up_to_their_float_range_limit(l_gamma, limit):
                 cm.HalfCollarSpec(limit + 0.01, l_gamma))
 
 
+@pytest.mark.parametrize("l_gamma, l_gamma2, twist, limit", [
+    (math.inf, math.inf, 0.0, 1404.25),
+    (math.inf, math.inf, 0.5, 1419.56),
+    (1.0, math.inf, 0.0, 1404.0),
+    (1.0, 1e-3, 0.1, 1405.74),
+    (1e-6, math.inf, 0.0, 1391.93),
+])
+def test_glued_collar_bounds_hold_up_to_their_float_range_limit(
+        l_gamma, l_gamma2, twist, limit):
+    # past the limit, adaptive Simpson's sums, cosh r(eta) or e^{l/2} in
+    # the envelope's closed forms would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = cm.glued_collar_lambda(
+            cm.GluedCollarSpec(limit, l_gamma, l_gamma2, twist))
+        assert 0.0 < bounds.lower <= bounds.upper < math.inf
+        with pytest.raises(OverflowError, match="up to %.2f at l_gamma = %g"
+                           % (limit, l_gamma)):
+            cm.glued_collar_lambda(
+                cm.GluedCollarSpec(limit + 0.01, l_gamma, l_gamma2, twist))
+
+
 def test_half_collar_gap_matches_high_precision_arcsin():
     l = 62.0
     spec = cm.HalfCollarSpec(l, math.inf)

@@ -7,7 +7,13 @@ from scipy.sparse.linalg import spsolve
 from hypcollar import extremal_oracle as eo
 from hypcollar import graph_modulus as gm
 
-from helpers import checked_lattice, sinusoid_pair, solve_at, solve_whole
+from helpers import (
+    checked_lattice,
+    meshgrid_classes,
+    sinusoid_pair,
+    solve_at,
+    solve_whole,
+)
 
 
 def test_rectangle_extrapolation_exact():
@@ -874,11 +880,12 @@ def _swapped_rectangle():
         # one interior row at h, on the y mirror: folded, it would link the
         # mirror's electrode a to b, so only x is folded
         (eo.rectangle_domain(100.0, 1.0 / 8, h=1.0 / 16), ((0, 0),), 2.0),
-        (eo.annulus_domain(1.0, math.e, h=1.0 / 32), ((0, 0), (1, 0)), 4.0),
-        (eo.annulus_domain(1.0, 2.0, h=1.0 / 24), ((0, 0), (1, 0)), 4.0),
+        # a quarter, and of it the eighth on and above its diagonal
+        (eo.annulus_domain(1.0, math.e, h=1.0 / 32), ((0, 0), (1, 0)), 8.0),
+        (eo.annulus_domain(1.0, 2.0, h=1.0 / 24), ((0, 0), (1, 0)), 8.0),
         # the padded side over h/2 rounds to just below 48: the side that h
         # divides keeps its last line, and the lattice its centre
-        (eo.annulus_domain(0.5, 1.0, h=0.1), ((0, 0), (1, 0)), 4.0),
+        (eo.annulus_domain(0.5, 1.0, h=0.1), ((0, 0), (1, 0)), 8.0),
         (eo.annular_sector_domain(1.0, 2.0, math.pi / 2, h=1.0 / 16), (), 0.5),
         # past a right angle either side of the bisector
         (eo.annular_sector_domain(1.0, 2.5, 4.0, h=1.0 / 24), (), 0.5),
@@ -905,6 +912,10 @@ def test_mirror_part_gives_the_whole_lattice_raw_values(dom, mirrors, scale):
     folded = [n for n, m in zip(fine.shape, part.shape) if m < n]
     assert folded and all(m == n // 2 + 1 for n, m in
                           zip(fine.shape, part.shape) if m < n)
+    # only an annulus's quarter is folded across its diagonal: nothing is
+    # left below it but outside nodes
+    below = np.tri(*part.shape, k=-1, dtype=bool)
+    assert np.all(part[below] == eo._OUT) == (dom.name == "annulus")
     est = eo.discrete_modulus(dom)
     whole = [solve_whole(dom, h)[0] for h in est.meshes]
     assert est.raw_values == pytest.approx(whole, rel=1e-12, abs=0)
@@ -999,3 +1010,114 @@ def test_mirror_weighted_assembly_matches_a_loop_over_the_lattice(shape, wrap):
         assert mat.has_canonical_format
         assert np.array_equal(mat.toarray(), want)
         assert np.array_equal(got_rhs, rhs)
+
+
+_SWAP = np.array([eo._OUT, eo._IN, eo._B, eo._A], dtype=np.int8)
+
+
+def _transpose_symmetric(n, seed):
+    """An n x n lattice of random node classes that equals its transpose."""
+    rng = np.random.default_rng(seed)
+    cls = rng.choice(4, size=(n, n), p=[0.2, 0.5, 0.15, 0.15]).astype(np.int8)
+    return np.triu(cls) + np.triu(cls, 1).T
+
+
+def test_diagonal_mirror_folds_a_square_transpose_symmetric_lattice():
+    # 6 lines per side: no x or y mirror on a line of even index
+    cls = _transpose_symmetric(6, 5)
+    part, wrap, mirrors, scale = eo._fold(cls, False)
+    assert (wrap, mirrors, scale) == (False, (), 2.0)
+    below = np.tri(6, k=-1, dtype=bool)
+    assert np.all(part[below] == eo._OUT)
+    assert np.array_equal(part[~below], cls[~below])
+
+
+def _swapped_across_the_diagonal():
+    """A 6 x 6 lattice whose transpose swaps its electrodes."""
+    upper = np.triu(_transpose_symmetric(6, 7), 1)
+    cls = upper + _SWAP[upper].T
+    assert np.array_equal(cls.T, _SWAP[cls])
+    assert not np.array_equal(cls.T, cls)
+    return cls
+
+
+def _x_mirror_of_a_transpose_symmetric_half():
+    """A 9 x 5 lattice symmetric about its line x = 4, whose half from that
+    line is 5 x 5 and equals its transpose, with no mirror along y."""
+    half = _transpose_symmetric(5, 11)
+    flipped = half[:, ::-1]
+    assert not (np.array_equal(flipped, half)
+                or np.array_equal(_SWAP[flipped], half))
+    return np.concatenate([half[:0:-1], half]), half
+
+
+def test_diagonal_mirror_is_not_folded_where_the_transpose_changes_the_part():
+    cls = _transpose_symmetric(6, 5)
+    # periodic along x, with 6 lines per period: no x mirror to unwrap it
+    assert eo._fold(cls, True) == (cls, True, (), 1.0)
+    # not square
+    wide = np.concatenate([cls, cls[:, :1]], axis=1)
+    assert eo._fold(wide, False) == (wide, False, (), 1.0)
+    # antisymmetric across the diagonal
+    swapped = _swapped_across_the_diagonal()
+    assert eo._fold(swapped, False) == (swapped, False, (), 1.0)
+    # only the x mirror (0, 0): its links along x = 0 have conductance 1/2,
+    # and their transposes along y = 0 would have 1, so the half stays whole
+    lattice, half = _x_mirror_of_a_transpose_symmetric_half()
+    part, wrap, mirrors, scale = eo._fold(lattice, False)
+    assert (wrap, mirrors, scale) == (False, ((0, 0),), 2.0)
+    assert np.array_equal(part, half)
+
+
+def _corner_square(h):
+    """The unit square with electrode a on its corner x + y <= 1/2 and b on
+    x + y >= 3/2: its node classes equal their transpose, and no mirror
+    along x or y maps them onto themselves."""
+    def square(x, y):
+        return (x >= 0) & (x <= 1) & (y >= 0) & (y <= 1)
+
+    return eo.GridDomain(
+        h=h, bbox=(0.0, 0.0, 1.0, 1.0), inside=square,
+        electrode_a=lambda x, y: square(x, y) & (x + y <= 0.5),
+        electrode_b=lambda x, y: square(x, y) & (x + y >= 1.5),
+        name="corner-square")
+
+
+@pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16, 1.0 / 32])
+def test_diagonal_mirror_part_gives_the_whole_lattice_raw_values(h):
+    dom = _corner_square(h)
+    fine = checked_lattice(dom, 0.5 * h)
+    assert np.array_equal(fine, fine.T)
+    part, wrap, mirrors, scale = eo._fold(fine, False)
+    assert (wrap, mirrors, scale) == (False, (), 2.0)
+    est = eo.discrete_modulus(dom)
+    whole = [solve_whole(dom, mesh)[0] for mesh in est.meshes]
+    assert est.raw_values == pytest.approx(whole, rel=1e-12, abs=0)
+    assert est.unknowns[1] == np.count_nonzero(part == eo._IN)
+    assert est.unknowns[1] < 0.6 * np.count_nonzero(fine == eo._IN)
+
+
+def _y_band(h):
+    """The band 0 < y < 1 over 0 <= x <= 1, whose predicates read y alone."""
+    return eo.GridDomain(h=h, bbox=(0.0, 0.0, 1.0, 1.0),
+                         inside=lambda x, y: (y > 0) & (y < 1),
+                         electrode_a=lambda x, y: y <= 0,
+                         electrode_b=lambda x, y: y >= 1, name="y-band")
+
+
+@pytest.mark.parametrize("make, meshes", [
+    (lambda h: eo.rectangle_domain(3.0, 1.0, h), (1.0 / 8, 1.0 / 16, 0.1)),
+    (lambda h: eo.annulus_domain(1.0, math.e, h), (1.0 / 8, 1.0 / 24, 0.1)),
+    (lambda h: eo.annular_sector_domain(1.0, 2.5, 4.0, h),
+     (1.0 / 8, 1.0 / 24, 0.1)),
+    (lambda h: eo.comb_domain(0.2, h), (1.0 / 80, 1.0 / 128, 0.0125)),
+    (_y_band, (1.0 / 8, 1.0 / 16, 0.1)),
+], ids=["rectangle", "annulus", "sector", "comb", "y-band"])
+def test_broadcast_classes_are_the_meshgrid_classes(make, meshes):
+    for h in meshes:
+        dom = make(h)
+        for mesh in (h, 0.5 * h):
+            got = eo._classes(dom, mesh)[0]
+            want = meshgrid_classes(dom, mesh)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -153,6 +153,14 @@ def _float_limit(past):
     return math.floor(100.0 * lo) / 100.0
 
 
+def _admitted_from(floor, *l_gammas):
+    """The least l_alpha that bounds requiring l_alpha >= floor admit under
+    the collar constraints l_gamma > r(l_alpha / 2) of the finite l_gammas:
+    as r is a decreasing involution, l_alpha > 2 r(l_gamma)."""
+    return max([floor] + [2.0 * collar_width(g) for g in l_gammas
+                          if g < math.inf])
+
+
 def nonstandard_half_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 
@@ -160,18 +168,27 @@ def nonstandard_half_collar_lambda(spec):
     the graph pair bounds the collar modulus, and extremal distance is its
     reciprocal: lower = 1/upper_modulus, upper = 1/vertical_modulus.  Past
     the l_alpha at which their quadrature leaves the float range (1402.87 at
-    l_gamma = inf) it raises OverflowError, naming that limit.
+    l_gamma = inf) it raises OverflowError, naming that limit, or, where the
+    limit is below every l_alpha that the collar constraint admits (at a
+    tiny l_gamma), the least admitted one.
     """
     if spec.l_alpha < 1.0:
         raise HypothesisError("half-collar bounds require l_alpha >= 1")
     t = 1.0 if math.isinf(spec.l_gamma) else math.tanh(spec.l_gamma)
     if _past_float_range(spec.l_alpha, t):
         # the test holds from l = 2 _LOG_MAX on, as t <= 1
+        limit = _float_limit(lambda l: _past_float_range(l, t))
+        least = _admitted_from(1.0, spec.l_gamma)
+        if limit < least:
+            raise OverflowError(
+                "half-collar bounds at l_gamma = %g leave the float range at "
+                "every l_alpha that the collar constraint admits (l_alpha > "
+                "%.2f); got l_alpha = %g"
+                % (spec.l_gamma, least, spec.l_alpha))
         raise OverflowError(
             "half-collar bounds take l_alpha up to %.2f at l_gamma = %g, past "
             "which their quadrature leaves the float range; got l_alpha = %g"
-            % (_float_limit(lambda l: _past_float_range(l, t)), spec.l_gamma,
-               spec.l_alpha))
+            % (limit, spec.l_gamma, spec.l_alpha))
     pair = nonstandard_half_collar_graphs(spec)
     delta = 1.0 / spec.l_alpha
     mod = sandwich_bounds(pair, delta)
@@ -324,20 +341,29 @@ def glued_collar_lambda(spec):
     computed; the upper bound is the reciprocal of the vertical modulus of
     the full graph pair.  Past the l_alpha at which their closed forms or
     their quadrature leave the float range (1404.25 at l_gamma = l_gamma2 =
-    inf and twist 0) it raises OverflowError, naming that limit.
+    inf and twist 0) it raises OverflowError, naming that limit, or, where
+    the limit is below every l_alpha that the collar constraints admit (at a
+    tiny l_gamma or l_gamma2), the least admitted one.
     """
     if spec.l_alpha < 2.0:
         raise HypothesisError("glued-collar bounds require l_alpha >= 2")
     ts = [1.0 if math.isinf(g) else math.tanh(g)
           for g in (spec.l_gamma, spec.l_gamma2)]
     if _glued_past_float_range(spec.l_alpha, *ts, spec.twist):
+        limit = _float_limit(lambda l: _glued_past_float_range(
+            l, *ts, spec.twist))
+        least = _admitted_from(2.0, spec.l_gamma, spec.l_gamma2)
+        at = (spec.l_gamma, spec.l_gamma2, spec.twist)
+        if limit < least:
+            raise OverflowError(
+                "glued-collar bounds at l_gamma = %g, l_gamma2 = %g and twist "
+                "%g leave the float range at every l_alpha that the collar "
+                "constraints admit (l_alpha > %.2f); got l_alpha = %g"
+                % (*at, least, spec.l_alpha))
         raise OverflowError(
             "glued-collar bounds take l_alpha up to %.2f at l_gamma = %g, "
             "l_gamma2 = %g and twist %g, past which they leave the float "
-            "range; got l_alpha = %g"
-            % (_float_limit(lambda l: _glued_past_float_range(
-                l, *ts, spec.twist)),
-               spec.l_gamma, spec.l_gamma2, spec.twist, spec.l_alpha))
+            "range; got l_alpha = %g" % (limit, *at, spec.l_alpha))
     delta = 1.0 / spec.l_alpha
     env_v = glued_envelope_vertical_modulus(spec)
     area = glued_envelope_area(spec)

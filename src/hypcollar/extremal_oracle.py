@@ -1,7 +1,11 @@
 """Independent discrete oracle for moduli of curve families.
 
-A domain is discretised on a square lattice (staircase approximation); the
-Dirichlet problem u = 0 / 1 on the two electrodes with insulating remaining
+A domain is three point predicates, its inside and its two electrodes
+(GridDomain); a strip gives its graphs so (strip_domain).  Each shape's
+constructor refuses a mesh too coarse for its features: a strip's least gap
+and a comb's slit spacing must span 3 mesh cells.  The domain is
+discretised on a square lattice (staircase approximation); the Dirichlet
+problem u = 0 / 1 on the two electrodes with insulating remaining
 boundary is solved with multigrid-preconditioned CG, residual 1e-8 (a
 geometric V-cycle with Galerkin coarse operators, after Briggs, Henson &
 McCormick, "A Multigrid Tutorial", SIAM 2000), and the modulus of the family
@@ -62,14 +66,9 @@ class OracleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GridDomain:
-    """A planar domain with two electrodes, ready for discretisation.
+    """A planar domain with two electrodes, ready for discretisation: three
+    vectorised point predicates, `inside`, `electrode_a` and `electrode_b`.
 
-    Either give vectorised point predicates (`inside`, `electrode_a`,
-    `electrode_b`), or a strip profile
-    (`f_of_x`, `g_of_x` numpy functions mapping an array of x to the array of
-    values of its shape; a constant may return a scalar) in which case the
-    region is g(x) < y < f(x) with electrode a on the upper graph and b on
-    the lower.
     A predicate is called once per lattice, on the node abscissae x of
     shape (nx, 1) and ordinates y of shape (1, ny), and returns boolean
     values that broadcast to the lattice (nx, ny) (_classes): elementwise
@@ -81,25 +80,15 @@ class GridDomain:
 
     h: float
     bbox: Tuple[float, float, float, float]
-    inside: Optional[Callable] = None
-    electrode_a: Optional[Callable] = None
-    electrode_b: Optional[Callable] = None
-    f_of_x: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
-    g_of_x: "Optional[Callable[[np.ndarray], np.ndarray]]" = None
+    inside: Callable
+    electrode_a: Callable
+    electrode_b: Callable
     periodic_x: Optional[float] = None
     name: str = ""
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("mesh size must be positive")
-        strip = self.f_of_x is not None and self.g_of_x is not None
-        preds = (
-            self.inside is not None
-            and self.electrode_a is not None
-            and self.electrode_b is not None
-        )
-        if not (strip or preds):
-            raise ValueError("give either predicates or a strip profile")
 
 
 @dataclass(frozen=True)
@@ -128,20 +117,20 @@ _OUT, _IN, _A, _B = 0, 1, 2, 3
 
 
 def _classes(dom, h):
-    """Node classes of the lattice at mesh h, and for a strip profile the gap
-    between the graphs at each lattice column (None for predicates).
+    """Node classes of the lattice at mesh h.
 
     The lattice covers dom.bbox padded by 2·dom.h on every side that is not
-    periodic (for a strip profile, y only), so an electrode on the edge of
-    bbox has lattice nodes past the interior at both meshes.  Node
-    coordinates are x0 + h·i and y0 + h·j from the padded corner.  Those of
-    mesh h/2 at even indices are those of mesh h bit for bit (0.5·h is
-    exact), so the lattice at h is the one at h/2 taken at even indices,
-    once _check has accepted both meshes.  The predicates are called on
-    the column of abscissae and the row of ordinates, and their results are
-    broadcast to the lattice, so no array of node coordinates is built.  A
-    lattice of more than _MAX_NODES nodes is refused before any array is
-    allocated, and one whose arrays do not fit in memory.
+    periodic, so an electrode on the edge of bbox has lattice nodes past the
+    interior at both meshes.  Node coordinates are x0 + h·i and y0 + h·j
+    from the padded corner.  Those of mesh h/2 at even indices are those of
+    mesh h bit for bit (0.5·h is exact), so the lattice at h is the one at
+    h/2 taken at even indices.  The predicates are called on the column of
+    abscissae and the row of ordinates, and their results are broadcast to
+    the lattice, so no array of node coordinates is built.  A lattice of
+    more than _MAX_NODES nodes is refused before any array is allocated, and
+    one whose arrays do not fit in memory.  Then, along a periodic x, a
+    dom.h that does not divide the period is refused, at either mesh: h/2
+    divides it where dom.h does.
     """
     pad = 2.0 * dom.h
     x0, y0, x1, y1 = dom.bbox
@@ -155,25 +144,15 @@ def _classes(dom, h):
         raise ResolutionError(refusal % (
             "past the %d that the solver's int32 indices allow" % _MAX_NODES))
     if dom.periodic_x:
+        if not _divides(dom.h, dom.periodic_x):
+            raise ResolutionError("mesh must divide the period")
         nx = int(round(dom.periodic_x / h))
     else:
         nx = _steps(h, x1 - x0) + 1
     ny = _steps(h, y1 - y0) + 1
     try:
-        xs = x0 + h * np.arange(nx)
-        ys = y0 + h * np.arange(ny)
-        if dom.f_of_x is not None and dom.g_of_x is not None:
-            fcol = _sample(dom.f_of_x, xs)
-            gcol = _sample(dom.g_of_x, xs)
-            Y = ys[None, :]
-            F = fcol[:, None]
-            G = gcol[:, None]
-            cls = np.full((nx, ny), _OUT, dtype=np.int8)
-            cls[(Y > G) & (Y < F)] = _IN
-            cls[Y >= F] = _A
-            cls[Y <= G] = _B
-            return cls, fcol - gcol
-        x, y = xs[:, None], ys[None, :]
+        x = (x0 + h * np.arange(nx))[:, None]
+        y = (y0 + h * np.arange(ny))[None, :]
 
         def lattice(predicate):
             return np.broadcast_to(predicate(x, y), (nx, ny))
@@ -185,7 +164,7 @@ def _classes(dom, h):
         cls[inn] = _IN
         cls[a] = _A
         cls[b] = _B
-        return cls, None
+        return cls
     except MemoryError:
         raise ResolutionError(refusal % "more than fits in memory") from None
 
@@ -200,18 +179,6 @@ def _steps(h, length):
     round(length / h) of them, whichever way the quotient rounds."""
     return int(round(length / h) if _divides(h, length)
                else math.floor(length / h))
-
-
-def _check(dom, h, gaps):
-    """Refuse mesh h if it does not divide the period or a strip gap (gaps,
-    at its columns) is thinner than 3 mesh cells."""
-    if dom.periodic_x and not _divides(h, dom.periodic_x):
-        raise ResolutionError("mesh must divide the period")
-    if gaps is not None and np.min(gaps) < 3.0 * h:
-        raise ResolutionError(
-            "gap %.3g is thinner than 3 mesh cells (h = %.3g); "
-            "refine the mesh" % (float(np.min(gaps)), h)
-        )
 
 
 def _compressed(cols, vals, n_cols):
@@ -688,20 +655,18 @@ def discrete_modulus(domain):
     residuals are those of the part.  It solves on the part's even-indexed
     nodes at h first, with the multigrid hierarchy of h/2 less its first
     level; the h/2 solve starts from the h potential, with electrode b at
-    1, interpolated by that first level.  Mesh h is checked and solved
-    before mesh h/2 is checked, so a refusal is the one a solve at h alone
-    would give.
+    1, interpolated by that first level.  The lattice and the period are
+    refused by _classes, before any solve; a feature too thin for the mesh
+    is refused where the domain is built.
     """
     h = domain.h
-    fine, gaps = _classes(domain, 0.5 * h)
-    _check(domain, h, None if gaps is None else gaps[::2])
-    part, wrap, mirrors, scale = _fold(fine, domain.periodic_x is not None)
+    part, wrap, mirrors, scale = _fold(_classes(domain, 0.5 * h),
+                                       domain.periodic_x is not None)
     transfers = _transfers(part, wrap)
     t0 = time.perf_counter()
     e1, u1, it1, res1 = _solve(part[::2, ::2], wrap, transfers[1:], h,
                                mirrors=mirrors)
     t1 = time.perf_counter()
-    _check(domain, 0.5 * h, gaps)
     x0 = None
     if transfers:
         interp, _, lift = transfers[0]
@@ -895,8 +860,13 @@ def strip_domain(pair, h=None):
     x is periodic with the pair's period; the two graphs are the electrodes,
     so the discrete modulus approximates the periodic-annulus modulus of the
     region (the modulus of the family joining the two boundary curves).
-    The least gap is read from the pair's offsets F + G, as the bounds read
-    it: f - g cancels to 0 where both graphs are near the midline.
+    Electrode a is y >= f(x), electrode b is y <= g(x), and the inside is
+    g(x) < y < f(x), each graph read on the lattice's column of abscissae
+    (graph_modulus._sample).  The mesh is snapped to divide the period, and
+    a mesh whose least gap is thinner than 3 cells is refused here: the gap
+    holds at least 3 cells at h and 6 at h/2.  The least gap is read from
+    the pair's offsets F + G, as the bounds read it: f - g cancels to 0
+    where both graphs are near the midline.
     """
     xs = pair.x1 + pair.period * np.arange(2049) / 2048.0
     fs, gs = _sample(pair.f, xs), _sample(pair.g, xs)
@@ -918,8 +888,10 @@ def strip_domain(pair, h=None):
     return GridDomain(
         h=h,
         bbox=(pair.x1, float(np.min(gs)), pair.x2, float(np.max(fs))),
-        f_of_x=pair.f,
-        g_of_x=pair.g,
+        inside=lambda x, y: ((y > _sample(pair.g, x))
+                             & (y < _sample(pair.f, x))),
+        electrode_a=lambda x, y: y >= _sample(pair.f, x),
+        electrode_b=lambda x, y: y <= _sample(pair.g, x),
         periodic_x=pair.period,
         name=pair.label or "strip",
     )

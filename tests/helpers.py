@@ -1,8 +1,8 @@
 """Constructions that only the tests use: a smooth graph pair, a pair with
 both axes scaled, the half-collar envelope pair with the closed form of its
-vertical modulus, an oracle lattice checked at one mesh, the node classes of
-a predicate domain from full coordinate arrays, and oracle solves at a single
-mesh, of the whole lattice or of the part an estimate solves."""
+vertical modulus, the node classes of a predicate domain from full
+coordinate arrays and of a strip from its profile, and oracle solves at a
+single mesh, of the whole lattice or of the part an estimate solves."""
 
 import dataclasses
 import math
@@ -73,14 +73,6 @@ def half_collar_envelope_vertical_modulus(spec):
     return 4.0 * (1.0 - math.exp(-0.5 * l)) * math.exp(spec.r_eta)
 
 
-def checked_lattice(dom, h):
-    """Node classes of the domain's lattice at mesh h, refused as the oracle
-    refuses that mesh."""
-    cls, gaps = eo._classes(dom, h)
-    eo._check(dom, h, gaps)
-    return cls
-
-
 def meshgrid_classes(dom, h):
     """Node classes of a predicate domain's lattice at mesh h, with each
     predicate called on the full (nx, ny) coordinate arrays of the lattice
@@ -92,14 +84,39 @@ def meshgrid_classes(dom, h):
 
     return eo._classes(dataclasses.replace(
         dom, inside=full(dom.inside), electrode_a=full(dom.electrode_a),
-        electrode_b=full(dom.electrode_b)), h)[0]
+        electrode_b=full(dom.electrode_b)), h)
+
+
+def profile_classes(pair, h):
+    """Node classes of the lattice of eo.strip_domain(pair, h) at its meshes
+    h and h/2, from the strip profile: f and g sampled once on the lattice's
+    column of abscissae, inside where g < y < f, electrode a where y >= f
+    and b where y <= g, b last.  The reference for the strip's three
+    predicates."""
+    dom = eo.strip_domain(pair, h)
+    pad = 2.0 * dom.h
+    x0, y0, _, y1 = dom.bbox
+    y0, y1 = y0 - pad, y1 + pad
+    lattices = []
+    for mesh in (dom.h, 0.5 * dom.h):
+        xs = x0 + mesh * np.arange(int(round(dom.periodic_x / mesh)))
+        ys = y0 + mesh * np.arange(eo._steps(mesh, y1 - y0) + 1)
+        F = gm._sample(pair.f, xs)[:, None]
+        G = gm._sample(pair.g, xs)[:, None]
+        Y = ys[None, :]
+        cls = np.full((len(xs), len(ys)), eo._OUT, dtype=np.int8)
+        cls[(Y > G) & (Y < F)] = eo._IN
+        cls[Y >= F] = eo._A
+        cls[Y <= G] = eo._B
+        lattices.append(cls)
+    return lattices
 
 
 def solve_whole(dom, h):
     """The oracle's solve on the domain's whole lattice at mesh h, with the
     hierarchy of that lattice: the energy, the potential and the PCG
     iterations."""
-    cls = checked_lattice(dom, h)
+    cls = eo._classes(dom, h)
     wrap = dom.periodic_x is not None
     return eo._solve(cls, wrap, eo._transfers(cls, wrap), h)[:3]
 
@@ -109,10 +126,9 @@ def solve_at(dom, h):
     lattice that an estimate of the domain solves there (eo._fold of the
     lattice at dom.h / 2, at dom.h its even-indexed nodes), with the
     hierarchy of that part alone and no start: the energy of the whole
-    lattice, the part's potential and the PCG iterations.  Mesh h is
+    lattice, the part's potential and the PCG iterations.  The domain is
     refused as the oracle refuses it."""
-    checked_lattice(dom, h)
-    part, wrap, mirrors, scale = eo._fold(eo._classes(dom, 0.5 * dom.h)[0],
+    part, wrap, mirrors, scale = eo._fold(eo._classes(dom, 0.5 * dom.h),
                                           dom.periodic_x is not None)
     part = {dom.h: part[::2, ::2], 0.5 * dom.h: part}[h]
     energy, u, iterations, _ = eo._solve(part, wrap, eo._transfers(part, wrap),

@@ -665,6 +665,45 @@ def test_glued_collar_past_the_float_range_is_one_refusal(capsys, l_alpha,
                    % (limit, twist, l_alpha))
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--l-gamma", "1e-320"],
+     "half-collar bounds at l_gamma = 9.99989e-321 leave the float range at "
+     "every l_alpha that the collar constraint admits (l_alpha > 1475.04); "
+     "got l_alpha = 2000"),
+    (["--l-gamma", "1e-300", "--l-gamma2", "inf", "--twist", "0"],
+     "glued-collar bounds at l_gamma = 1e-300, l_gamma2 = inf and twist 0 "
+     "leave the float range at every l_alpha that the collar constraints "
+     "admit (l_alpha > 1382.94); got l_alpha = 2000"),
+], ids=["half-collar", "glued-collar"])
+def test_a_tiny_l_gamma_past_the_float_range_names_no_unadmitted_limit(
+        capsys, argv, err):
+    # the float-range limit (0.00 and 38.01 here) lies below every l_alpha
+    # that the collar constraint admits at this l_gamma, 2 r(l_gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["collar", "--l-alpha", "2000"] + argv) == 3
+    assert capsys.readouterr() == ("", "numeric failure: %s\n" % err)
+
+
+@pytest.mark.parametrize("h, code", [(0.125, 5), (0.117, 0)])
+def test_a_strip_gap_under_3_mesh_cells_is_refused(tmp_path, capsys, h, code):
+    # the least gap of the l_alpha = 2 half-collar is 0.353: 3 cells of
+    # 0.117 but not of 0.125, which divides the period
+    cfg = write_config(tmp_path, {"shape": "half_collar", "l_alpha": 2.0,
+                                  "l_gamma": "inf", "h": h})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oracle", "--config", cfg]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        assert strict_json(out)["meshes"][0] == pytest.approx(1.0 / 9)
+        return
+    assert out == ""
+    assert err == ("mesh refusal: gap 0.353 is thinner than 3 mesh cells "
+                   "(h = 0.125); need h <= 0.118\n")
+
+
 @pytest.mark.parametrize("l_alpha", [80, 200, 1000])
 def test_half_collar_oracle_gap_is_read_from_the_offsets(tmp_path, capsys,
                                                          l_alpha):

@@ -8,8 +8,8 @@ from hypcollar import extremal_oracle as eo
 from hypcollar import graph_modulus as gm
 
 from helpers import (
-    checked_lattice,
     meshgrid_classes,
+    profile_classes,
     sinusoid_pair,
     solve_at,
     solve_whole,
@@ -159,9 +159,9 @@ def _edge_energy(cls, u, wrap):
 def test_preconditioned_solve_matches_direct(dom):
     wrap = dom.periodic_x is not None
     if wrap:
-        assert checked_lattice(dom, dom.h).shape[0] % 2 == 1
+        assert eo._classes(dom, dom.h).shape[0] % 2 == 1
     for h in (dom.h, 0.5 * dom.h):
-        cls = checked_lattice(dom, h)
+        cls = eo._classes(dom, h)
         mat, rhs = eo._assemble(cls, wrap)
         direct = _edge_energy(cls, spsolve(mat.tocsc(), rhs), wrap)
         energy, _, _ = solve_at(dom, h)
@@ -209,45 +209,31 @@ def test_interior_nodes_linked_to_no_electrode_carry_no_energy(centre, radius):
     ids=["rectangle", "annulus", "sector", "comb", "odd-periodic-strip"],
 )
 def test_lattice_at_h_is_the_even_nodes_at_half_h(dom):
-    coarse = checked_lattice(dom, dom.h)
-    fine = checked_lattice(dom, 0.5 * dom.h)
+    coarse = eo._classes(dom, dom.h)
+    fine = eo._classes(dom, 0.5 * dom.h)
     assert np.count_nonzero(coarse == eo._IN) > 0
     assert np.array_equal(coarse, fine[::2, ::2])
 
 
-def _flat_strip(gap, dip_at=None, dip=None, h=1.0 / 16):
-    """Periodic strip 0 < y < gap over [0, 1); at x == dip_at the upper
-    graph comes down to dip."""
-    return eo.GridDomain(
-        h=h,
-        bbox=(0.0, 0.0, 1.0, gap),
-        f_of_x=lambda x: np.where(x == dip_at, dip, gap),
-        g_of_x=lambda x: 0.0,
-        periodic_x=1.0,
-    )
-
-
 def test_refusals_keep_their_order(tmp_path, monkeypatch, capsys):
+    # a strip whose least gap is under 3 mesh cells is refused where it is
+    # built, before any lattice is classified, and the refusal names h
     from hypcollar import cli
+    from hypcollar import collar_modulus as cm
 
-    h = 1.0 / 16
-    # 2.5 h passes at h/2 (>= 1.5 h) but not at h: the refusal names h
-    thin = _flat_strip(2.5 * h)
-    checked_lattice(thin, 0.5 * h)
-    with pytest.raises(eo.ResolutionError, match=r"\(h = %.3g\)" % h):
-        eo.discrete_modulus(thin)
-    monkeypatch.setattr(cli, "_oracle_domain", lambda cfg: thin)
+    pair = cm.nonstandard_half_collar_graphs(cm.HalfCollarSpec(2.0, math.inf))
+    with pytest.raises(eo.ResolutionError, match=r"\(h = 0.125\)"):
+        eo.strip_domain(pair, h=0.125)
+
+    def classified(dom, h):
+        raise AssertionError("a lattice was classified")
+
+    monkeypatch.setattr(eo, "_classes", classified)
     config = tmp_path / "strip.json"
-    config.write_text('{"shape": "rectangle"}')
+    config.write_text('{"shape": "half_collar", "l_alpha": 2.0, '
+                      '"l_gamma": "inf", "h": 0.125}')
     assert cli.main(["oracle", "--config", str(config)]) == cli.EXIT_RESOLUTION
-    assert "(h = %.3g)" % h in capsys.readouterr().err
-    # a dip at an odd node of h/2 is seen at h/2 only: h is refused first
-    # when both are, and h is solved first when only h/2 is
-    for gap, refused in ((2.5 * h, h), (4 * h, 0.5 * h)):
-        dipped = _flat_strip(gap, dip_at=0.5 * h, dip=h)
-        with pytest.raises(eo.ResolutionError, match=r"\(h = %.3g\)" % refused):
-            eo.discrete_modulus(dipped)
-    assert solve_at(dipped, dipped.h)[0] > 0
+    assert "(h = 0.125)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -430,7 +416,7 @@ def _coarsest_operator(dom, h):
     hierarchy, as the multigrid preconditioner forms them, and the depth of
     the hierarchy."""
     wrap = dom.periodic_x is not None
-    cls = checked_lattice(dom, h)
+    cls = eo._classes(dom, h)
     a, _ = eo._assemble(cls, wrap)
     transfers = eo._transfers(cls, wrap)
     for interp, restrict, _ in transfers:
@@ -531,7 +517,7 @@ def test_coarsest_solve_matches_the_shifted_system(dom, h, levels, floating,
     # one factor, whose order keeps every link within two lattice widths of
     # the diagonal, also across a periodic seam
     (diagonals, columns), = bands
-    width = checked_lattice(dom, h)[::2**depth, ::2**depth].shape[1]
+    width = eo._classes(dom, h)[::2**depth, ::2**depth].shape[1]
     assert columns == n
     assert diagonals - 1 <= 2 * width + 2
 
@@ -572,7 +558,7 @@ def _preconditioned_system(dom):
     """The lattice matrix, right-hand side and V-cycle of the solve at the
     domain's own mesh."""
     wrap = dom.periodic_x is not None
-    cls = checked_lattice(dom, dom.h)
+    cls = eo._classes(dom, dom.h)
     mat, rhs = eo._assemble(cls, wrap)
     return mat, rhs, eo._multigrid(mat, eo._transfers(cls, wrap))
 
@@ -676,7 +662,7 @@ def test_a_wrapper_of_cg_sees_every_solve_of_an_estimate(monkeypatch):
 )
 def test_kernel_product_is_the_sparse_product(dom, h):
     wrap = dom.periodic_x is not None
-    cls = checked_lattice(dom, h)
+    cls = eo._classes(dom, h)
     lattice, _ = eo._assemble(cls, wrap)
     galerkin, depth = _coarsest_operator(dom, h)
     assert depth > 0
@@ -741,7 +727,7 @@ def _csr_bytes(mat):
 )
 def test_kernel_galerkin_products_are_the_sparse_products(dom, h):
     wrap = dom.periodic_x is not None
-    cls = checked_lattice(dom, h)
+    cls = eo._classes(dom, h)
     a, _ = eo._assemble(cls, wrap)
     transfers = eo._transfers(cls, wrap)
     assert len(transfers) >= 2
@@ -785,7 +771,7 @@ def _slit_runs(cls, rows):
 @pytest.mark.parametrize("eps, h", [(0.2, None), (0.35, 0.01), (0.25, 0.0075)])
 def test_comb_slits_are_one_node_wide_at_both_meshes(eps, h):
     dom = eo.comb_domain(eps, h)
-    fine = checked_lattice(dom, 0.5 * dom.h)
+    fine = eo._classes(dom, 0.5 * dom.h)
     coarse = fine[::2, ::2]
     # the rows strictly between the slits' lower end and the top electrode,
     # at h and the same rows at h/2, from the padded lattice origin y0 - 2h
@@ -824,7 +810,7 @@ def _neighbours(cls, wrap):
 def test_both_electrodes_border_the_interior_at_both_meshes(dom):
     wrap = dom.periodic_x is not None
     for h in (dom.h, 0.5 * dom.h):
-        cls = checked_lattice(dom, h)
+        cls = eo._classes(dom, h)
         near = _neighbours(cls, wrap)
         inner = cls == eo._IN
         for electrode in (eo._A, eo._B):
@@ -903,7 +889,7 @@ def _swapped_rectangle():
 )
 def test_mirror_part_gives_the_whole_lattice_raw_values(dom, mirrors, scale):
     wrap = dom.periodic_x is not None
-    fine = checked_lattice(dom, 0.5 * dom.h)
+    fine = eo._classes(dom, 0.5 * dom.h)
     part, part_wrap, got_mirrors, got_scale = eo._fold(fine, wrap)
     assert (got_mirrors, got_scale) == (mirrors, scale)
     assert not part_wrap
@@ -955,7 +941,7 @@ def _rectangle_less_one_node(h):
 )
 def test_mirror_not_found_solves_the_whole_lattice(dom):
     wrap = dom.periodic_x is not None
-    fine = checked_lattice(dom, 0.5 * dom.h)
+    fine = eo._classes(dom, 0.5 * dom.h)
     part, part_wrap, mirrors, scale = eo._fold(fine, wrap)
     assert part is fine and part_wrap == wrap
     assert (mirrors, scale) == ((), 1.0)
@@ -1086,7 +1072,7 @@ def _corner_square(h):
 @pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16, 1.0 / 32])
 def test_diagonal_mirror_part_gives_the_whole_lattice_raw_values(h):
     dom = _corner_square(h)
-    fine = checked_lattice(dom, 0.5 * h)
+    fine = eo._classes(dom, 0.5 * h)
     assert np.array_equal(fine, fine.T)
     part, wrap, mirrors, scale = eo._fold(fine, False)
     assert (wrap, mirrors, scale) == (False, (), 2.0)
@@ -1117,7 +1103,46 @@ def test_broadcast_classes_are_the_meshgrid_classes(make, meshes):
     for h in meshes:
         dom = make(h)
         for mesh in (h, 0.5 * h):
-            got = eo._classes(dom, mesh)[0]
+            got = eo._classes(dom, mesh)
             want = meshgrid_classes(dom, mesh)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _half_collar_pair(l_alpha, l_gamma):
+    from hypcollar import collar_modulus as cm
+    from hypcollar.hypgeom import collar_width
+
+    if l_gamma is None:  # just past the collar constraint
+        l_gamma = collar_width(0.5 * l_alpha) + 0.3
+    spec = cm.HalfCollarSpec(l_alpha, l_gamma)
+    return cm.nonstandard_half_collar_graphs(spec)
+
+
+def _glued_pair(twist):
+    from hypcollar import collar_modulus as cm
+    from hypcollar.hypgeom import collar_width
+
+    return cm.glued_collar_graphs(cm.GluedCollarSpec(
+        2.6, math.inf, collar_width(1.3) + 0.5, twist))
+
+
+@pytest.mark.parametrize("make, h", [
+    *[pytest.param(lambda l=l, g=g: _half_collar_pair(l, g), None,
+                   id="half-collar-%g-%s" % (l, "inf" if g else "r+0.3"))
+      for l in (1.5, 4.85, 8.0) for g in (math.inf, None)],
+    *[pytest.param(lambda t=t: _glued_pair(t), None, id="glued-%g" % t)
+      for t in (0.0, 0.5, -0.125)],
+    pytest.param(lambda: sinusoid_pair(0.5, 0.2), 1.0 / 45, id="sinusoid"),
+    pytest.param(lambda: gm.constant_pair(0.25), None, id="constant"),
+])
+def test_strip_predicates_classify_as_the_profile(make, h):
+    # the strip's predicates, called on a column and a row and broadcast,
+    # against the profile reference, f and g sampled once per column
+    pair = make()
+    dom = eo.strip_domain(pair, h)
+    for mesh, want in zip((dom.h, 0.5 * dom.h), profile_classes(pair, h)):
+        got = eo._classes(dom, mesh)
+        assert np.count_nonzero(want == eo._IN) > 0
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

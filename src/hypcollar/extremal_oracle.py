@@ -16,12 +16,13 @@ Every estimate solves at two meshes (h and h/2) and combines the values by
 Richardson extrapolation assuming first-order convergence.  The two meshes
 share one lattice (the one at h is the h/2 lattice at even indices), whose
 node classes the domain's predicates give from one column of abscissae and
-one row of ordinates, broadcast to the lattice.  Where its node classes are
-mirror-symmetric along x, y or both (symmetric, or antisymmetric: mirrored
-with the electrodes swapped), found by comparing the class array with its
-flip, only the half or quarter on one side of the mirror lines is solved,
-with conductance 1/2 along a symmetric mirror line or the antisymmetric one
-as an electrode; where that part is square and equals its transpose, with
+one row of ordinates, broadcast to the lattice; the predicates of an annulus
+or a sector share one radius (and angle) array per lattice (_per_lattice).
+Where its node classes are mirror-symmetric along x, y or both (symmetric,
+or antisymmetric: mirrored with the electrodes swapped), found by comparing
+the class array with its flip, only the half or quarter on one side of the
+mirror lines is solved, with conductance 1/2 along a symmetric mirror line
+or the antisymmetric one as an electrode; where that part is square and equals its transpose, with
 conductances that the transpose keeps, only its nodes on and above the
 diagonal are.  The part's energy is scaled to the whole lattice's: the same
 discrete problem, so the same value up to rounding.  The meshes share one
@@ -34,14 +35,19 @@ from the h solution interpolated by the first of them, with electrode b at
 coarsest, shifted by 1e-12 relative on the diagonal, by banded Cholesky in
 reverse Cuthill-McKee order, on the first call of its preconditioner, so a
 solve whose start meets the tolerance builds neither.
+Every matrix, transfer and Galerkin product is a bare CSR record (_CSR) of
+the arrays that scipy's compiled sparse routines read, and the module calls
+those routines itself; only the ordering of the coarsest level is handed a
+scipy matrix.
 Each estimate reports, per mesh, the unknowns and PCG iterations of the part
 solved, the final relative residual and the seconds of the solve.
 """
 
 import math
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from ._lazy import numpy as np
 
@@ -181,24 +187,48 @@ def _steps(h, length):
                else math.floor(length / h))
 
 
+class _CSR(NamedTuple):
+    """A CSR matrix as the arrays that scipy's compiled routines read: the
+    float64 values, their int32 column indices and row pointers, and the
+    shape (rows, columns).  No index is checked and nothing is converted."""
+
+    data: object
+    indices: object
+    indptr: object
+    shape: tuple
+
+
+def _trimmed(arr, nnz):
+    """arr[:nnz], copied where that frees more than half of arr: the trim of
+    scipy's CSR constructor."""
+    return arr[:nnz].copy() if nnz < len(arr) // 2 else arr[:nnz]
+
+
 def _compressed(cols, vals, n_cols):
-    """The CSR matrix of n_cols columns whose row i holds vals[i, k] (vals[i]
-    if vals has one value per row) at column cols[i, k] wherever
+    """The CSR matrix (_CSR) of n_cols columns whose row i holds vals[i, k]
+    (vals[i] if vals has one value per row) at column cols[i, k] wherever
     cols[i, k] >= 0, for an (n, k) int32 table cols: int32 indices, entries
-    in table order, and sum_duplicates sorts the rows out of column order
-    (along a periodic seam) and merges the entries that share a column."""
-    from scipy import sparse
+    in table order.  Where that is not canonical, scipy's compiled routines
+    sort the rows out of column order (along a periodic seam) and merge the
+    entries that share a column, as csr_matrix.sum_duplicates does (imported
+    on the first estimate)."""
+    from scipy.sparse._sparsetools import (
+        csr_has_canonical_format, csr_sort_indices, csr_sum_duplicates)
 
     links = cols >= 0
     # each row's links: a sum of columns is faster than a row reduction
     row_len = sum(links.view(np.int8)[:, k] for k in range(cols.shape[1]))
-    indptr = np.zeros(len(cols) + 1, dtype=np.int32)
+    n = len(cols)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(row_len, out=indptr[1:])
     data = np.repeat(vals, row_len) if vals.ndim == 1 else vals[links]
-    mat = sparse.csr_matrix((data, cols[links], indptr),
-                            shape=(len(cols), n_cols))
-    mat.sum_duplicates()
-    return mat
+    indices = cols[links]
+    if not csr_has_canonical_format(n, indptr, indices):
+        csr_sort_indices(n, indptr, indices, data)
+        csr_sum_duplicates(n, n_cols, indptr, indices, data)
+        nnz = indptr[-1]
+        indices, data = _trimmed(indices, nnz), _trimmed(data, nnz)
+    return _CSR(data, indices, indptr, (n, n_cols))
 
 
 def _assemble(cls, wrap, mirrors=()):
@@ -308,26 +338,26 @@ def _prolongation(lat, wrap):
 
 
 def _transpose(mat):
-    """mat.T.tocsr() of a CSR matrix with int32 indices: the compiled routine
-    that it calls (imported on the first estimate), on int32 arrays, without
-    its index checks."""
-    from scipy import sparse
+    """The transpose of a _CSR matrix, as a _CSR matrix: scipy's compiled
+    routine of mat.T.tocsr() (imported on the first estimate), on its int32
+    arrays, without its index checks."""
     from scipy.sparse._sparsetools import csr_tocsc
 
     m, n = mat.shape
+    nnz = len(mat.data)
     indptr = np.empty(n + 1, dtype=np.int32)
-    indices = np.empty(mat.nnz, dtype=np.int32)
-    data = np.empty(mat.nnz)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
     csr_tocsc(m, n, mat.indptr, mat.indices, mat.data, indptr, indices, data)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, m))
+    return _CSR(data, indices, indptr, (n, m))
 
 
 def _matmul(x, y):
-    """x @ y of two CSR matrices with int32 indices: the compiled routines
-    that it calls (imported on the first estimate), on int32 arrays, without
-    its dispatch, conversions and index checks.  As there, entries that sum
-    to zero are dropped."""
-    from scipy import sparse
+    """x @ y of two _CSR matrices, as a _CSR matrix: scipy's compiled
+    routines of the sparse product (imported on the first estimate), on
+    their int32 arrays, without its dispatch, conversions and index checks.
+    As there, entries that sum to zero are dropped, and the arrays are
+    trimmed to the entries kept (_trimmed)."""
     from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 
     m, n = x.shape[0], y.shape[1]
@@ -337,8 +367,8 @@ def _matmul(x, y):
     data = np.empty(nnz)
     csr_matmat(m, n, x.indptr, x.indices, x.data, y.indptr, y.indices,
                y.data, indptr, indices, data)
-    # the constructor trims the arrays to indptr[-1] entries
-    return sparse.csr_matrix((data, indices, indptr), shape=(m, n))
+    nnz = indptr[-1]
+    return _CSR(_trimmed(data, nnz), _trimmed(indices, nnz), indptr, (m, n))
 
 
 def _transfers(lat, wrap):
@@ -366,7 +396,7 @@ def _transfers(lat, wrap):
 
 def _coarsest(a):
     """Banded Cholesky solve of the coarsest operator a + 1e-12 max(diag a) I,
-    for a CSR matrix a: a function r -> x valid until its next call.
+    for a _CSR matrix a: a function r -> x valid until its next call.
 
     The unknowns are taken in reverse Cuthill-McKee order, which keeps the
     links of a periodic seam near the diagonal, and the upper triangle in
@@ -378,11 +408,15 @@ def _coarsest(a):
     carries no energy.  Band storage holds every diagonal entry, also where
     a Galerkin product dropped the zero of an isolated node.
     """
+    from scipy import sparse
     from scipy.linalg.lapack import dpbtrf, dpbtrs
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     n = a.shape[0]
-    order = reverse_cuthill_mckee(a, symmetric_mode=True)
+    # the one scipy matrix of an estimate: the ordering takes no bare arrays
+    order = reverse_cuthill_mckee(
+        sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape),
+        symmetric_mode=True)
     # rank[i]: the position of unknown i in the order
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
@@ -410,10 +444,10 @@ def _coarsest(a):
 
 
 def _product(mat):
-    """The product y = mat @ x of a CSR matrix, written into a preallocated
+    """The product y = mat @ x of a _CSR matrix, written into a preallocated
     y: scipy's compiled CSR product (imported on the first solve) run on a
-    zeroed y, the routine and the arithmetic of `mat @ x`, without its
-    dispatch and its freshly allocated result."""
+    zeroed y, the routine and the arithmetic of `mat @ x` for a scipy
+    matrix, without its dispatch and its freshly allocated result."""
     from scipy.sparse._sparsetools import csr_matvec
 
     m, n = mat.shape
@@ -432,7 +466,8 @@ def _multigrid(mat, transfers):
     r -> M r to precondition CG with.
 
     The levels are those of `transfers` (from _transfers), with Galerkin
-    operators R (A P) (_matmul); the coarsest level is solved by _coarsest,
+    operators R (A P) (_matmul) and each level's diagonal read by scipy's
+    compiled csr_diagonal; the coarsest level is solved by _coarsest,
     banded Cholesky in reverse Cuthill-McKee order.
     Each level smooths with _SWEEPS damped-Jacobi sweeps before and after its
     coarse correction, so the cycle is symmetric positive definite.  Each
@@ -441,12 +476,15 @@ def _multigrid(mat, transfers):
     vector returned is one of them (with no level, the coarsest solve's),
     valid until the next call of the V-cycle; the argument r is only read.
     """
+    from scipy.sparse._sparsetools import csr_diagonal
+
     levels = []
     a = mat
     for interp, restrict, _ in transfers:
-        d = a.diagonal()  # 0 at an interior node with no linked neighbour
-        damp = np.divide(_OMEGA, d, out=np.zeros_like(d), where=d > 0)
         n = a.shape[0]
+        d = np.empty(n)  # 0 at an interior node with no linked neighbour
+        csr_diagonal(0, n, n, a.indptr, a.indices, a.data, d)
+        damp = np.divide(_OMEGA, d, out=np.zeros_like(d), where=d > 0)
         levels.append((_product(a), damp, _product(interp), _product(restrict),
                        np.empty(n), np.empty(n), np.empty(restrict.shape[0])))
         a = _matmul(restrict, _matmul(a, interp))
@@ -479,7 +517,7 @@ def _multigrid(mat, transfers):
 
 
 def cg(A, b, x0, M, callback=None):
-    """Conjugate gradients for the CSR matrix A from x0 (only read),
+    """Conjugate gradients for the _CSR matrix A from x0 (only read),
     preconditioned by M (a function r -> M r, such as a V-cycle of
     _multigrid), in the arithmetic of scipy 1.17's scipy.sparse.linalg.cg at
     rtol=CG_TOL and atol=0, step for step: the iterates and the iteration
@@ -545,7 +583,8 @@ def _solve(cls, wrap, transfers, h, x0=None, mirrors=()):
     # electrode a and 1 on b, is u.(A u - 2 rhs) + sum(rhs) for any u.  In
     # this arrangement nothing cancels: rhs.(1 - u) is the flux into b, and
     # u.(A u - rhs) is the residual's small share.
-    residual = mat @ u - rhs
+    residual = _product(mat)(u, np.empty(len(u)))
+    residual -= rhs
     energy = float(u @ residual + rhs @ (1.0 - u))
     if energy <= 0.0:
         raise OracleError("zero energy: electrodes are not connected")
@@ -670,7 +709,8 @@ def discrete_modulus(domain):
     x0 = None
     if transfers:
         interp, _, lift = transfers[0]
-        x0 = interp @ u1 + lift
+        x0 = _product(interp)(u1, np.empty(interp.shape[0]))
+        x0 += lift
     t2 = time.perf_counter()
     e2, u2, it2, res2 = _solve(part, wrap, transfers, 0.5 * h, x0,
                                mirrors=mirrors)
@@ -730,18 +770,39 @@ def _multiple(length, h):
     return h * math.ceil(steps) if math.isfinite(steps) else length
 
 
+def _per_lattice(geometry):
+    """geometry(x, y), computed once for the column x and row y of a lattice
+    however many of a domain's predicates read it (_classes calls each on
+    the same two arrays).  The value is held through weak references to x
+    and y and released when x is freed, so no lattice-sized array outlives
+    _classes; other arguments, such as plain floats, are not held."""
+    last = []
+
+    def cached(x, y):
+        if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)):
+            return geometry(x, y)
+        if not (last and last[0]() is x and last[1]() is y):
+            last[:] = [weakref.ref(x), weakref.ref(y), geometry(x, y)]
+            weakref.finalize(x, last.clear)
+        return last[2]
+
+    return cached
+
+
 def annulus_domain(r1, r2, h):
     """Round annulus, electrodes = the two boundary circles.
 
     The lattice is centred on a node: the bbox is +-R with R the least
     multiple of h at least r2, and the predicates read each node on the grid
     (_on_grid), so the node classes are symmetric in x, in y and across the
-    diagonal, and an estimate solves an eighth (_fold).
+    diagonal, and an estimate solves an eighth (_fold).  The three
+    predicates share one radius array per lattice (_per_lattice).
     """
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
     big = _multiple(r2, h)
 
+    @_per_lattice
     def radius(x, y):
         return np.hypot(_on_grid(x, h), _on_grid(y, h))
 
@@ -767,7 +828,8 @@ def annular_sector_domain(r1, r2, theta, h):
     The bbox corners are multiples of h, symmetric in y, and the predicates
     read each node on the grid (_on_grid), so the flip y -> -y maps the node
     classes onto themselves with the electrodes swapped, and an estimate
-    solves the half above the x-axis (_fold).
+    solves the half above the x-axis (_fold).  The three predicates share
+    one radius and one angle array per lattice (_per_lattice).
     """
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
@@ -780,6 +842,7 @@ def annular_sector_domain(r1, r2, theta, h):
     top = r2 if side_angle >= 0.5 * math.pi else r2 * math.sin(side_angle)
     left = min(r1 * math.cos(side_angle), r2 * math.cos(side_angle))
 
+    @_per_lattice
     def polar(x, y):
         x, y = _on_grid(x, h), _on_grid(y, h)
         return np.hypot(x, y), np.arctan2(y, x), y

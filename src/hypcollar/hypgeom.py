@@ -70,17 +70,36 @@ def eta_length(l_alpha, l_gamma):
     return eta
 
 
-def standard_half_collar_lambda(l_alpha):
-    """Extremal distance across the standard half-collar of a geodesic alpha.
-
-    lambda(l) = arctan(1 / sinh(l/2)) / l at l = l_alpha.  Behaves like
-    1/(l e^{l/2}) for large l and like (pi/2)/l for small l.
-    """
-    l = _require_positive("l_alpha", l_alpha)
+def _standard_lambda(l):
     u = 0.5 * l
     if u > 700.0:
         return 2.0 * math.exp(-u) / l
     return math.atan(1.0 / math.sinh(u)) / l
+
+
+def standard_half_collar_lambda(l_alpha):
+    """Extremal distance across the standard half-collar of a geodesic alpha.
+
+    lambda(l) = arctan(1 / sinh(l/2)) / l at l = l_alpha.  Behaves like
+    1/(l e^{l/2}) for large l and like (pi/2)/l for small l.  Past the
+    l_alpha at which lambda falls below the least normal float (1403.685) it
+    raises OverflowError, naming that limit rounded down to two decimals.
+    """
+    l = _require_positive("l_alpha", l_alpha)
+    lam = _standard_lambda(l)
+    if lam < sys.float_info.min:
+        # bisection of the test, which is monotone in l and holds at
+        # l = 2 ln(max float), where e^{-l/2} / l is past the least normal
+        lo, hi = 0.0, 2.0 * math.log(sys.float_info.max)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = _standard_lambda(mid) < sys.float_info.min
+            lo, hi = (lo, mid) if below else (mid, hi)
+        raise OverflowError(
+            "the standard half-collar's lambda takes l_alpha up to %.2f, past "
+            "which it falls below the least normal float; got l_alpha = %g"
+            % (math.floor(100.0 * lo) / 100.0, l))
+    return lam
 
 
 def normalize_twist(t):

@@ -1,8 +1,9 @@
 """Constructions that only the tests use: a smooth graph pair, a pair with
 both axes scaled, the half-collar envelope pair with the closed form of its
 vertical modulus, the node classes of a predicate domain from full
-coordinate arrays and of a strip from its profile, and oracle solves at a
-single mesh, of the whole lattice or of the part an estimate solves."""
+coordinate arrays and of a strip from its profile, oracle solves at a
+single mesh, of the whole lattice or of the part an estimate solves, and the
+scipy matrix of an oracle matrix."""
 
 import dataclasses
 import math
@@ -134,3 +135,13 @@ def solve_at(dom, h):
     energy, u, iterations, _ = eo._solve(part, wrap, eo._transfers(part, wrap),
                                          h, mirrors=mirrors)
     return scale * energy, u, iterations
+
+
+def scipy_csr(mat):
+    """The scipy CSR matrix on the arrays of an oracle matrix (eo._CSR, or a
+    scipy CSR matrix), so that scipy's own operations can be compared with
+    the oracle's."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((mat.data, mat.indices, mat.indptr),
+                             shape=mat.shape)

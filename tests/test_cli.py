@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -593,6 +594,28 @@ def test_collar_standard(capsys):
     assert out["lambda"] == pytest.approx(0.3525134217776191, rel=1e-12)
 
 
+_STANDARD_REFUSAL = (
+    "numeric failure: the standard half-collar's lambda takes l_alpha up to "
+    "1403.68, past which it falls below the least normal float; got l_alpha "
+    "= %g\n")
+
+
+@pytest.mark.parametrize("l_alpha", ["1403", "1404", "1430", "1500", "1e300"])
+def test_collar_standard_past_the_least_normal_float_is_refused(capsys,
+                                                                l_alpha):
+    # lambda ~ 2 e^{-l/2} / l is subnormal past l_alpha = 1403.685, and 0.0
+    # from about 1490 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["collar", "--l-alpha", l_alpha, "--standard"])
+    out, err = capsys.readouterr()
+    if l_alpha == "1403":
+        assert (rc, err) == (0, "")
+        assert strict_json(out)["lambda"] >= sys.float_info.min
+        return
+    assert (rc, out, err) == (3, "", _STANDARD_REFUSAL % float(l_alpha))
+
+
 def test_collar_nonstandard(capsys):
     assert run(["collar", "--l-alpha", "8", "--l-gamma", "inf"]) == 0
     out = strict_json(capsys.readouterr().out)
@@ -648,15 +671,20 @@ def test_glued_collar_past_the_float_range_is_one_refusal(capsys, l_alpha,
     # at twist 0 the quadrature's sums would overflow (a numpy warning at
     # 1405, a division at 1410); at twist 1/2 the integrand stays small, and
     # the bounds hold until e^{l/2} overflows
+    from hypcollar import collar_modulus as cm
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf",
                   "--l-gamma2", "inf", "--twist", twist])
+        if float(l_alpha) <= limit:
+            bounds = cm.glued_collar_lambda(cm.GluedCollarSpec(
+                float(l_alpha), math.inf, math.inf, float(twist)))
     out, err = capsys.readouterr()
     if float(l_alpha) <= limit:
-        assert (rc, err) == (0, "")
-        bounds = strict_json(out)
-        assert 0.0 < bounds["lambda_lower"] <= bounds["lambda_upper"]
+        assert 0.0 < bounds.lower <= bounds.upper
+        # the output's standard_lambda is past the least normal float
+        assert (rc, out, err) == (3, "", _STANDARD_REFUSAL % float(l_alpha))
         return
     assert (rc, out) == (3, "")
     assert err == ("numeric failure: glued-collar bounds take l_alpha up to "

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -73,7 +74,10 @@ def test_standard_half_collar_lambda():
     # asymptotics
     assert abs(hg.standard_half_collar_lambda(40.0) * 40.0 * math.exp(20.0) - 2.0) < 1e-8
     assert abs(hg.standard_half_collar_lambda(1e-6) * 1e-6 - math.pi / 2) < 1e-5
-    assert hg.standard_half_collar_lambda(1440.0) > 0
+    # normal up to l = 1403.685, then past the float range of normal numbers
+    assert hg.standard_half_collar_lambda(1403.0) >= sys.float_info.min
+    with pytest.raises(OverflowError, match="up to 1403.68"):
+        hg.standard_half_collar_lambda(1440.0)
 
 
 @given(st.floats(min_value=-100, max_value=100, allow_nan=False))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypcollar import graph_modulus as gm
 from helpers import (
     meshgrid_classes,
     profile_classes,
+    scipy_csr,
     sinusoid_pair,
     solve_at,
     solve_whole,
@@ -163,7 +165,7 @@ def test_preconditioned_solve_matches_direct(dom):
     for h in (dom.h, 0.5 * dom.h):
         cls = eo._classes(dom, h)
         mat, rhs = eo._assemble(cls, wrap)
-        direct = _edge_energy(cls, spsolve(mat.tocsc(), rhs), wrap)
+        direct = _edge_energy(cls, spsolve(scipy_csr(mat).tocsc(), rhs), wrap)
         energy, _, _ = solve_at(dom, h)
         assert energy == pytest.approx(direct, rel=1e-10)
 
@@ -285,6 +287,7 @@ def test_assembly_matches_a_loop_over_the_lattice(shape, wrap):
                 eo._assemble(cls, wrap)
             continue
         mat, got_rhs = eo._assemble(cls, wrap)
+        mat = scipy_csr(mat)
         assert mat.has_canonical_format
         assert np.array_equal(mat.toarray(), want)
         assert np.array_equal(got_rhs, rhs)
@@ -329,7 +332,7 @@ def test_prolongation_matches_a_loop_over_the_lattice(shape, wrap):
                 want_lift[r] /= total
         interp, lift, got_coarse = eo._prolongation(cls, wrap)
         assert np.array_equal(got_coarse, coarse)
-        assert np.array_equal(interp.toarray(), want)
+        assert np.array_equal(scipy_csr(interp).toarray(), want)
         assert np.array_equal(lift, want_lift)
 
 
@@ -390,6 +393,7 @@ def test_prolongation_equals_the_kronecker_product(wrap):
         p = rng.dirichlet(np.ones(4))
         cls = rng.choice(4, size=shape, p=p).astype(np.int8)
         interp, lift, coarse = eo._prolongation(cls, wrap)
+        interp = scipy_csr(interp)
         want, want_lift = _kron_prolongation(cls, wrap)
         assert interp.shape == want.shape
         assert interp.has_canonical_format
@@ -413,14 +417,15 @@ def _glued_collar_strip():
 
 def _coarsest_operator(dom, h):
     """The lattice matrix at mesh h after the Galerkin products of its
-    hierarchy, as the multigrid preconditioner forms them, and the depth of
-    the hierarchy."""
+    hierarchy, as the multigrid preconditioner forms them, by scipy, and
+    the depth of the hierarchy."""
     wrap = dom.periodic_x is not None
     cls = eo._classes(dom, h)
     a, _ = eo._assemble(cls, wrap)
+    a = scipy_csr(a)
     transfers = eo._transfers(cls, wrap)
     for interp, restrict, _ in transfers:
-        a = (restrict @ (a @ interp)).tocsr()
+        a = (scipy_csr(restrict) @ (a @ scipy_csr(interp))).tocsr()
     return a, len(transfers)
 
 
@@ -600,7 +605,7 @@ def test_cg_is_scipys_cg_bit_for_bit(dom, start, monkeypatch):
 
     def theirs(maxiter):
         iterates = []
-        x, info = scipy_cg(mat, rhs, x0=x0 if start else None,
+        x, info = scipy_cg(scipy_csr(mat), rhs, x0=x0 if start else None,
                            rtol=eo.CG_TOL, atol=0.0, maxiter=maxiter,
                            M=LinearOperator(mat.shape, matvec=vcycle,
                                             dtype=float),
@@ -674,7 +679,7 @@ def test_kernel_product_is_the_sparse_product(dom, h):
         y = np.full(mat.shape[0], np.nan)
         got = eo._product(mat)(x, y)
         assert got is y
-        assert got.tobytes() == (mat @ x).tobytes()
+        assert got.tobytes() == (scipy_csr(mat) @ x).tobytes()
 
 
 @pytest.mark.parametrize("dom", _SOLVER_DOMAINS, ids=_SOLVER_IDS)
@@ -734,12 +739,92 @@ def test_kernel_galerkin_products_are_the_sparse_products(dom, h):
     for interp, restrict, _ in transfers:
         # every array, its int32 dtype and the shape, byte for byte
         assert restrict.indices.dtype == np.int32
-        assert _csr_bytes(restrict) == _csr_bytes(interp.T.tocsr())
+        assert _csr_bytes(restrict) == _csr_bytes(scipy_csr(interp).T.tocsr())
         assert _csr_bytes(eo._transpose(interp)) == _csr_bytes(restrict)
         galerkin = eo._matmul(restrict, eo._matmul(a, interp))
-        want = (restrict @ (a @ interp)).tocsr()
+        want = (scipy_csr(restrict)
+                @ (scipy_csr(a) @ scipy_csr(interp))).tocsr()
         assert _csr_bytes(galerkin) == _csr_bytes(want)
         a = galerkin
+
+
+def _scipy_compressed(cols, vals, n_cols):
+    """The CSR matrix of a table of columns, as scipy builds it:
+    csr_matrix of the links in table order, then sum_duplicates."""
+    from scipy import sparse
+
+    links = cols >= 0
+    row_len = np.count_nonzero(links, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
+    data = np.repeat(vals, row_len) if vals.ndim == 1 else vals[links]
+    mat = sparse.csr_matrix((data, cols[links], indptr),
+                            shape=(len(cols), n_cols))
+    mat.sum_duplicates()
+    return mat
+
+
+def test_compressed_is_scipys_sum_duplicates_bit_for_bit(monkeypatch):
+    # the tables of periodic lattices of 1 to 6 nodes along x: the seam puts
+    # rows out of column order, and along 1 or 2 nodes (1 coarse node) a
+    # node's neighbours, or a fine node's parents, share a column
+    tables = []
+    compressed = eo._compressed
+
+    def recorded(cols, vals, n_cols):
+        tables.append((cols, vals, n_cols))
+        return compressed(cols, vals, n_cols)
+
+    monkeypatch.setattr(eo, "_compressed", recorded)
+    rng = np.random.default_rng(17)
+    for nx in range(1, 7):
+        for _ in range(5):
+            cls = rng.choice(4, size=(nx, 5),
+                             p=[0.1, 0.6, 0.1, 0.2]).astype(np.int8)
+            eo._prolongation(cls, True)
+            try:
+                eo._assemble(cls, True)
+            except eo.OracleError:  # no electrode b next to the interior
+                pass
+    merged = unsorted = 0
+    for cols, vals, n_cols in tables:
+        got = compressed(cols, vals, n_cols)
+        want = _scipy_compressed(cols, vals, n_cols)
+        assert _csr_bytes(got) == _csr_bytes(want)
+        merged += len(got.data) < np.count_nonzero(cols >= 0)
+        unsorted += any(np.any(np.diff(row[row >= 0]) < 0) for row in cols)
+    assert merged > 0 and unsorted > 0
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 45),
+        eo.annulus_domain(1.0, math.e, h=1.0 / 32),
+    ],
+    ids=["periodic-strip", "annulus"],
+)
+def test_an_estimate_builds_scipy_matrices_only_to_order_the_coarsest(
+        dom, monkeypatch):
+    # every other matrix of an estimate is a bare eo._CSR record
+    from scipy import sparse
+
+    built, factored = [], []
+    init, coarsest = sparse.csr_matrix.__init__, eo._coarsest
+
+    def counted_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counted_coarsest(a):
+        assert type(a) is eo._CSR
+        factored.append(a.shape[0])
+        return coarsest(a)
+
+    monkeypatch.setattr(sparse.csr_matrix, "__init__", counted_init)
+    monkeypatch.setattr(eo, "_coarsest", counted_coarsest)
+    est = eo.discrete_modulus(dom)
+    assert min(est.iterations) > 0 and len(factored) == 2
+    assert len(built) in (0, len(factored))
 
 
 def test_a_solve_that_starts_converged_builds_no_hierarchy(monkeypatch):
@@ -993,6 +1078,7 @@ def test_mirror_weighted_assembly_matches_a_loop_over_the_lattice(shape, wrap):
                 eo._assemble(cls, wrap, mirrors)
             continue
         mat, got_rhs = eo._assemble(cls, wrap, mirrors)
+        mat = scipy_csr(mat)
         assert mat.has_canonical_format
         assert np.array_equal(mat.toarray(), want)
         assert np.array_equal(got_rhs, rhs)
@@ -1146,3 +1232,44 @@ def test_strip_predicates_classify_as_the_profile(make, h):
         assert np.count_nonzero(want == eo._IN) > 0
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dom, geometry", [
+    (eo.annulus_domain(1.0, math.e, h=1.0 / 32), ("hypot",)),
+    (eo.annular_sector_domain(1.0, 2.5, 4.0, h=1.0 / 16),
+     ("hypot", "arctan2")),
+], ids=["annulus", "sector"])
+def test_predicates_share_one_geometry_per_lattice(dom, geometry,
+                                                   monkeypatch):
+    import dataclasses
+
+    # a point, not a lattice, is read as before
+    assert dom.inside(1.5, 0.0) and not dom.electrode_a(1.5, 0.0)
+    calls, arrays = [], []
+
+    def counted(name, ufunc):
+        def call(*args, **kwargs):
+            calls.append(name)
+            out = ufunc(*args, **kwargs)
+            arrays.append(weakref.ref(out))
+            return out
+        return call
+
+    for name in geometry:
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    inside = dom.inside
+
+    def recorded(x, y):
+        arrays.append(weakref.ref(x))
+        return inside(x, y)
+
+    dom = dataclasses.replace(dom, inside=recorded)
+    for mesh in (dom.h, 0.5 * dom.h):
+        calls.clear()
+        arrays.clear()
+        eo._classes(dom, mesh)
+        # once per lattice for all three predicates, at each lattice
+        assert sorted(calls) == sorted(geometry)
+        # the geometry and the abscissae are freed with the lattice
+        assert len(arrays) == len(geometry) + 1
+        assert all(ref() is None for ref in arrays)

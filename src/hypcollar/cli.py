@@ -25,7 +25,12 @@ from .classifier import (
     sweep_scaled,
     sweep_two_parameter,
 )
-from .hypgeom import HypothesisError, ResolutionError, standard_half_collar_lambda
+from .hypgeom import (
+    HypothesisError,
+    ResolutionError,
+    in_float_range,
+    standard_half_collar_lambda,
+)
 from .surfaces import (
     AbelianCover,
     AlternatingLogAffine,
@@ -375,7 +380,9 @@ def cmd_collar(args):
             "lambda_lower": bounds.lower,
             "lambda_upper": bounds.upper,
             "lambda_geometric_mean": bounds.geometric_mean,
-            "analytic_proxy": 1.0 / collar_modulus.glued_collar_proxy(spec),
+            "analytic_proxy": in_float_range(
+                "the glued collar's analytic proxy",
+                lambda: 1.0 / collar_modulus.glued_collar_proxy(spec), **vars(spec)),
             "standard_lambda": standard_half_collar_lambda(l_alpha),
         }
         _emit(data, args.output)

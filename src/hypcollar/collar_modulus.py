@@ -8,7 +8,6 @@ reciprocal of the periodic-annulus modulus, which the rectangle-sandwich of
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 from ._lazy import numpy as np
@@ -17,6 +16,7 @@ from .hypgeom import (
     HypothesisError,
     collar_width,
     eta_length,
+    in_float_range,
     validate_twist,
 )
 from .graph_modulus import (
@@ -27,10 +27,6 @@ from .graph_modulus import (
     sandwich_bounds,
     vertical_modulus,
 )
-
-
-# the natural logarithm of the largest float
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _wrap(x):
@@ -133,66 +129,23 @@ def nonstandard_half_collar_graphs(spec):
     )
 
 
-def _past_float_range(l, t):
-    """Whether the half-collar bounds at l_alpha = l and tanh(l_gamma) = t
-    pass the float range.  With eta = atanh(t / cosh(l/2)) small, cosh r(eta)
-    = coth(eta), so the integrand 1/G of the vertical modulus peaks at x = 0
-    at l / arcsin(tanh(eta)), about l cosh(l/2) / t, and adaptive Simpson's
-    rule adds six values of about that size."""
-    return 0.5 * l + math.log(3.0 * l / t) >= _LOG_MAX
-
-
-def _float_limit(past):
-    """The l_alpha past which the bounds leave the float range, rounded down
-    to two decimals: by bisection of past(l), which is monotone in l and
-    holds from l = 2 _LOG_MAX on."""
-    lo, hi = 0.0, 2.0 * _LOG_MAX
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if past(mid) else (mid, hi)
-    return math.floor(100.0 * lo) / 100.0
-
-
-def _admitted_from(floor, *l_gammas):
-    """The least l_alpha that bounds requiring l_alpha >= floor admit under
-    the collar constraints l_gamma > r(l_alpha / 2) of the finite l_gammas:
-    as r is a decreasing involution, l_alpha > 2 r(l_gamma)."""
-    return max([floor] + [2.0 * collar_width(g) for g in l_gammas
-                          if g < math.inf])
-
-
 def nonstandard_half_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of the nonstandard half-collar.
 
     Requires l_alpha >= 1.  With delta = 1/l_alpha, the rectangle sandwich for
     the graph pair bounds the collar modulus, and extremal distance is its
-    reciprocal: lower = 1/upper_modulus, upper = 1/vertical_modulus.  Past
-    the l_alpha at which their quadrature leaves the float range (1402.87 at
-    l_gamma = inf) it raises OverflowError, naming that limit, or, where the
-    limit is below every l_alpha that the collar constraint admits (at a
-    tiny l_gamma), the least admitted one.
+    reciprocal: lower = 1/upper_modulus, upper = 1/vertical_modulus.  Where
+    their quadrature leaves the float range, from l_alpha = 1402.88 at
+    l_gamma = inf, it raises OverflowError (in_float_range).
     """
     if spec.l_alpha < 1.0:
         raise HypothesisError("half-collar bounds require l_alpha >= 1")
-    t = 1.0 if math.isinf(spec.l_gamma) else math.tanh(spec.l_gamma)
-    if _past_float_range(spec.l_alpha, t):
-        # the test holds from l = 2 _LOG_MAX on, as t <= 1
-        limit = _float_limit(lambda l: _past_float_range(l, t))
-        least = _admitted_from(1.0, spec.l_gamma)
-        if limit < least:
-            raise OverflowError(
-                "half-collar bounds at l_gamma = %g leave the float range at "
-                "every l_alpha that the collar constraint admits (l_alpha > "
-                "%.2f); got l_alpha = %g"
-                % (spec.l_gamma, least, spec.l_alpha))
-        raise OverflowError(
-            "half-collar bounds take l_alpha up to %.2f at l_gamma = %g, past "
-            "which their quadrature leaves the float range; got l_alpha = %g"
-            % (limit, spec.l_gamma, spec.l_alpha))
-    pair = nonstandard_half_collar_graphs(spec)
-    delta = 1.0 / spec.l_alpha
-    mod = sandwich_bounds(pair, delta)
-    return ModulusBounds(lower=1.0 / mod.upper, upper=1.0 / mod.lower)
+
+    def bounds():
+        mod = sandwich_bounds(nonstandard_half_collar_graphs(spec), 1.0 / spec.l_alpha)
+        return 1.0 / mod.upper, 1.0 / mod.lower
+
+    return ModulusBounds(*in_float_range("half-collar bounds", bounds, **vars(spec)))
 
 
 def glued_collar_graphs(spec):
@@ -314,24 +267,6 @@ def glued_collar_proxy(spec):
     )
 
 
-def _glued_past_float_range(l, t1, t2, twist):
-    """Whether the glued-collar bounds at l_alpha = l, tanh(l_gamma) = t1,
-    tanh(l_gamma2) = t2 and the twist pass the float range.  As for the
-    half-collar (_past_float_range), cosh r(eta_i) is about cosh(l/2) / t_i;
-    the graphs take it, and the envelope's closed forms take e^{l/2}, so
-    both stay in range while e^{l/2} / min(1, t1, t2) does (a factor 2 to
-    spare for the rounding of eta_i near the subnormals).  With
-    arcsin(u) >= u, the integrand 1/(F + G) of the vertical modulus is at
-    most l over the least of (cosh(l x) t1 + cosh(l (x - twist)) t2) /
-    cosh(l/2), which is hypot(t1 - t2, 2 sqrt(t1 t2) cosh(l twist / 2)) /
-    cosh(l/2); adaptive Simpson's rule adds six values of about that peak."""
-    if 0.5 * l - math.log(min(1.0, t1, t2)) >= _LOG_MAX:
-        return True
-    least = math.hypot(t1 - t2, 2.0 * math.sqrt(t1) * math.sqrt(t2)
-                       * math.cosh(0.5 * l * twist))
-    return 0.5 * l + math.log(3.0 * l / least) >= _LOG_MAX
-
-
 def glued_collar_lambda(spec):
     """Two-sided bounds on the extremal distance of a glued collar.
 
@@ -339,35 +274,20 @@ def glued_collar_lambda(spec):
     of the envelope pair (whose region is contained in the collar), with its
     vertical modulus and area in closed form and only the deviation constant
     computed; the upper bound is the reciprocal of the vertical modulus of
-    the full graph pair.  Past the l_alpha at which their closed forms or
-    their quadrature leave the float range (1404.25 at l_gamma = l_gamma2 =
-    inf and twist 0) it raises OverflowError, naming that limit, or, where
-    the limit is below every l_alpha that the collar constraints admit (at a
-    tiny l_gamma or l_gamma2), the least admitted one.
+    the full graph pair.  Where their closed forms or their quadrature leave
+    the float range, from l_alpha = 1404.27 at l_gamma = l_gamma2 = inf and
+    twist 0, it raises OverflowError (in_float_range).
     """
     if spec.l_alpha < 2.0:
         raise HypothesisError("glued-collar bounds require l_alpha >= 2")
-    ts = [1.0 if math.isinf(g) else math.tanh(g)
-          for g in (spec.l_gamma, spec.l_gamma2)]
-    if _glued_past_float_range(spec.l_alpha, *ts, spec.twist):
-        limit = _float_limit(lambda l: _glued_past_float_range(
-            l, *ts, spec.twist))
-        least = _admitted_from(2.0, spec.l_gamma, spec.l_gamma2)
-        at = (spec.l_gamma, spec.l_gamma2, spec.twist)
-        if limit < least:
-            raise OverflowError(
-                "glued-collar bounds at l_gamma = %g, l_gamma2 = %g and twist "
-                "%g leave the float range at every l_alpha that the collar "
-                "constraints admit (l_alpha > %.2f); got l_alpha = %g"
-                % (*at, least, spec.l_alpha))
-        raise OverflowError(
-            "glued-collar bounds take l_alpha up to %.2f at l_gamma = %g, "
-            "l_gamma2 = %g and twist %g, past which they leave the float "
-            "range; got l_alpha = %g" % (limit, *at, spec.l_alpha))
-    delta = 1.0 / spec.l_alpha
-    env_v = glued_envelope_vertical_modulus(spec)
-    area = glued_envelope_area(spec)
-    c = rectangle_deviation(glued_collar_envelope(spec), delta)
-    env_mod = rectangle_sandwich(env_v, c, area, delta)
-    full_v = vertical_modulus(glued_collar_graphs(spec))
-    return ModulusBounds(lower=1.0 / env_mod.upper, upper=1.0 / full_v)
+
+    def bounds():
+        delta = 1.0 / spec.l_alpha
+        env_v = glued_envelope_vertical_modulus(spec)
+        area = glued_envelope_area(spec)
+        c = rectangle_deviation(glued_collar_envelope(spec), delta)
+        env_mod = rectangle_sandwich(env_v, c, area, delta)
+        full_v = vertical_modulus(glued_collar_graphs(spec))
+        return 1.0 / env_mod.upper, 1.0 / full_v
+
+    return ModulusBounds(*in_float_range("glued-collar bounds", bounds, **vars(spec)))

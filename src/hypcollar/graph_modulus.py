@@ -252,23 +252,21 @@ def _integrand(pair, trees):
     """The forest integrand of `trees`, (inverse, substitution) pairs: it
     takes the list of the trees' point arrays to the list of their values of
     1/(F + G) (inverse) or F + G, times dx/ds on a substituted piece.  F and
-    G are evaluated once, at the points of all the trees; overflow, division
-    by zero (a zero gap) and invalid operations raise FloatingPointError."""
+    G are evaluated once, at the points of all the trees."""
     F, G = pair.offsets()
 
     def integrand(parts):
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            maps = [(s, None) if sub is None else sub(s) for (_, sub), s in zip(trees, parts)]
-            x = np.concatenate([xk for xk, _ in maps])
-            gap = np.asarray(F(x) + G(x), dtype=float)
-            if gap.shape != x.shape:  # constant offsets may give a scalar
-                gap = np.broadcast_to(gap, x.shape)
-            values, start = [], 0
-            for (inverse, _), (xk, jac) in zip(trees, maps):
-                v = gap[start:start + len(xk)]
-                start += len(xk)
-                v = 1.0 / v if inverse else v
-                values.append(v if jac is None else v * jac)
+        maps = [(s, None) if sub is None else sub(s) for (_, sub), s in zip(trees, parts)]
+        x = np.concatenate([xk for xk, _ in maps])
+        gap = np.asarray(F(x) + G(x), dtype=float)
+        if gap.shape != x.shape:  # constant offsets may give a scalar
+            gap = np.broadcast_to(gap, x.shape)
+        values, start = [], 0
+        for (inverse, _), (xk, jac) in zip(trees, maps):
+            v = gap[start:start + len(xk)]
+            start += len(xk)
+            v = 1.0 / v if inverse else v
+            values.append(v if jac is None else v * jac)
         return values
 
     return integrand
@@ -284,6 +282,10 @@ def _integrals(pair, inverse):
     is 0 at the end, and where the integrand is concentrated at the other
     end (large l) the estimate in s reads about 0.  Each integral sums its
     pieces in window order.
+
+    The integrand, the estimates and the walk's sums run under one errstate:
+    overflow, division by zero (a zero gap) and invalid operations raise
+    FloatingPointError.
     """
     pts = _split_points(pair)
     pieces = [(a, b, _substitution(pair, a, b)) for a, b in zip(pts[:-1], pts[1:])]
@@ -291,21 +293,22 @@ def _integrals(pair, inverse):
     # Simpson's estimates in x of the substituted trees, from one call
     mapped = [(inv, a, b) for inv, a, b, sub in trees if sub is not None]
     in_x = _integrand(pair, [(inv, None) for inv, _, _ in mapped])
-    estimates = iter(in_x([np.array([a, 0.5 * (a + b), b]) for _, a, b in mapped])
-                     if mapped else ())
-    scale = []
-    for _, a, b, sub in trees:
-        if sub is None:
-            scale.append(None)
-        else:
-            fa, fm, fb = next(estimates)
-            scale.append(abs(float((b - a) / 6.0 * (fa + 4.0 * fm + fb))))
-    values = adaptive_simpson(
-        _integrand(pair, [(inv, sub) for inv, _, _, sub in trees]),
-        [a if sub is None else 0.0 for _, a, _, sub in trees],
-        [b if sub is None else 1.0 for _, _, b, sub in trees],
-        scale=scale,
-    )
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        estimates = iter(in_x([np.array([a, 0.5 * (a + b), b]) for _, a, b in mapped])
+                         if mapped else ())
+        scale = []
+        for _, a, b, sub in trees:
+            if sub is None:
+                scale.append(None)
+            else:
+                fa, fm, fb = next(estimates)
+                scale.append(abs(float((b - a) / 6.0 * (fa + 4.0 * fm + fb))))
+        values = adaptive_simpson(
+            _integrand(pair, [(inv, sub) for inv, _, _, sub in trees]),
+            [a if sub is None else 0.0 for _, a, _, sub in trees],
+            [b if sub is None else 1.0 for _, _, b, sub in trees],
+            scale=scale,
+        )
     totals = [0.0] * len(inverse)
     for k, v in enumerate(values):
         totals[k // len(pieces)] += v

@@ -52,7 +52,8 @@ def eta_length(l_alpha, l_gamma):
     eta is the shortest arc from the boundary alpha to itself separating the
     other two boundaries; its half-length satisfies
     tanh(eta) = tanh(l_gamma) / cosh(l_alpha / 2), with tanh(inf) = 1 when the
-    opposite boundary degenerates.
+    opposite boundary degenerates.  An eta that underflows to 0 raises
+    FloatingPointError.
     """
     l_alpha = _require_positive("l_alpha", l_alpha)
     l_gamma = _require_positive("l_gamma", l_gamma, allow_inf=True)
@@ -64,42 +65,47 @@ def eta_length(l_alpha, l_gamma):
     else:
         eta = math.atanh(t / math.cosh(u))
     if eta == 0.0:
-        raise ArithmeticError(
+        raise FloatingPointError(
             "eta underflows to 0 at l_alpha = %r, l_gamma = %r" % (l_alpha, l_gamma)
         )
     return eta
 
 
-def _standard_lambda(l):
-    u = 0.5 * l
-    if u > 700.0:
-        return 2.0 * math.exp(-u) / l
-    return math.atan(1.0 / math.sinh(u)) / l
+def in_float_range(what, compute, **params):
+    """compute(), with every number it returns a normal float.
+
+    An OverflowError or FloatingPointError raised by compute, or a returned
+    number (a float, or each float of a tuple) below the least normal float
+    or above the largest, becomes one OverflowError that names `what` and
+    each of `params`, the collar's parameters, in order.
+    """
+    try:
+        result = compute()
+        if all(sys.float_info.min <= v <= sys.float_info.max for v in
+               (result if isinstance(result, tuple) else (result,))):
+            return result
+    except (OverflowError, FloatingPointError):
+        pass
+    raise OverflowError(
+        "%s at %s cannot be computed within the range of normal floats"
+        % (what, ", ".join("%s = %g" % kv for kv in params.items())))
 
 
 def standard_half_collar_lambda(l_alpha):
     """Extremal distance across the standard half-collar of a geodesic alpha.
 
     lambda(l) = arctan(1 / sinh(l/2)) / l at l = l_alpha.  Behaves like
-    1/(l e^{l/2}) for large l and like (pi/2)/l for small l.  Past the
-    l_alpha at which lambda falls below the least normal float (1403.685) it
-    raises OverflowError, naming that limit rounded down to two decimals.
+    1/(l e^{l/2}) for large l and like (pi/2)/l for small l.  Past
+    l_alpha = 1403.685, where lambda falls below the least normal float, it
+    raises OverflowError (in_float_range).
     """
     l = _require_positive("l_alpha", l_alpha)
-    lam = _standard_lambda(l)
-    if lam < sys.float_info.min:
-        # bisection of the test, which is monotone in l and holds at
-        # l = 2 ln(max float), where e^{-l/2} / l is past the least normal
-        lo, hi = 0.0, 2.0 * math.log(sys.float_info.max)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = _standard_lambda(mid) < sys.float_info.min
-            lo, hi = (lo, mid) if below else (mid, hi)
-        raise OverflowError(
-            "the standard half-collar's lambda takes l_alpha up to %.2f, past "
-            "which it falls below the least normal float; got l_alpha = %g"
-            % (math.floor(100.0 * lo) / 100.0, l))
-    return lam
+    u = 0.5 * l
+    return in_float_range(
+        "the standard half-collar's lambda",
+        lambda: (2.0 * math.exp(-u) / l if u > 700.0
+                 else math.atan(1.0 / math.sinh(u)) / l),
+        l_alpha=l)
 
 
 def normalize_twist(t):

@@ -595,9 +595,8 @@ def test_collar_standard(capsys):
 
 
 _STANDARD_REFUSAL = (
-    "numeric failure: the standard half-collar's lambda takes l_alpha up to "
-    "1403.68, past which it falls below the least normal float; got l_alpha "
-    "= %g\n")
+    "numeric failure: the standard half-collar's lambda at l_alpha = %g "
+    "cannot be computed within the range of normal floats\n")
 
 
 @pytest.mark.parametrize("l_alpha", ["1403", "1404", "1430", "1500", "1e300"])
@@ -612,6 +611,19 @@ def test_collar_standard_past_the_least_normal_float_is_refused(capsys,
     if l_alpha == "1403":
         assert (rc, err) == (0, "")
         assert strict_json(out)["lambda"] >= sys.float_info.min
+        return
+    assert (rc, out, err) == (3, "", _STANDARD_REFUSAL % float(l_alpha))
+
+
+@pytest.mark.parametrize("l_alpha", ["1e-300", "1e-310", "1e-320"])
+def test_collar_standard_past_the_largest_float_is_refused(capsys, l_alpha):
+    # lambda ~ (pi/2) / l passes the largest float below l_alpha = 8.7e-309,
+    # where it would print as "inf"
+    rc = run(["collar", "--l-alpha", l_alpha, "--standard"])
+    out, err = capsys.readouterr()
+    if l_alpha == "1e-300":
+        assert (rc, err) == (0, "")
+        assert strict_json(out)["lambda"] == pytest.approx(0.5 * math.pi / 1e-300)
         return
     assert (rc, out, err) == (3, "", _STANDARD_REFUSAL % float(l_alpha))
 
@@ -659,18 +671,18 @@ def test_half_collar_past_the_float_range_is_one_refusal(capsys, l_alpha):
         assert run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("numeric failure: half-collar bounds take l_alpha up to "
-                   "1402.87 at l_gamma = inf, past which their quadrature "
-                   "leaves the float range; got l_alpha = %s\n" % l_alpha)
+    assert err == ("numeric failure: half-collar bounds at l_alpha = %s, "
+                   "l_gamma = inf cannot be computed within the range of "
+                   "normal floats\n" % l_alpha)
 
 
 @pytest.mark.parametrize("twist, limit", [("0", 1404.25), ("0.5", 1419.56)])
-@pytest.mark.parametrize("l_alpha", ["1405", "1410", "2000"])
+@pytest.mark.parametrize("l_alpha", ["1405", "1410", "1421", "2000"])
 def test_glued_collar_past_the_float_range_is_one_refusal(capsys, l_alpha,
                                                           twist, limit):
     # at twist 0 the quadrature's sums would overflow (a numpy warning at
     # 1405, a division at 1410); at twist 1/2 the integrand stays small, and
-    # the bounds hold until e^{l/2} overflows
+    # the bounds hold until e^{l/2} overflows in the envelope's closed forms
     from hypcollar import collar_modulus as cm
 
     with warnings.catch_warnings():
@@ -687,30 +699,68 @@ def test_glued_collar_past_the_float_range_is_one_refusal(capsys, l_alpha,
         assert (rc, out, err) == (3, "", _STANDARD_REFUSAL % float(l_alpha))
         return
     assert (rc, out) == (3, "")
-    assert err == ("numeric failure: glued-collar bounds take l_alpha up to "
-                   "%.2f at l_gamma = inf, l_gamma2 = inf and twist %s, past "
-                   "which they leave the float range; got l_alpha = %s\n"
-                   % (limit, twist, l_alpha))
+    assert err == ("numeric failure: glued-collar bounds at l_alpha = %s, "
+                   "l_gamma = inf, l_gamma2 = inf, twist = %s cannot be "
+                   "computed within the range of normal floats\n"
+                   % (l_alpha, twist))
 
 
 @pytest.mark.parametrize("argv, err", [
     (["--l-gamma", "1e-320"],
-     "half-collar bounds at l_gamma = 9.99989e-321 leave the float range at "
-     "every l_alpha that the collar constraint admits (l_alpha > 1475.04); "
-     "got l_alpha = 2000"),
+     "half-collar bounds at l_alpha = 2000, l_gamma = 9.99989e-321 cannot be "
+     "computed within the range of normal floats"),
     (["--l-gamma", "1e-300", "--l-gamma2", "inf", "--twist", "0"],
-     "glued-collar bounds at l_gamma = 1e-300, l_gamma2 = inf and twist 0 "
-     "leave the float range at every l_alpha that the collar constraints "
-     "admit (l_alpha > 1382.94); got l_alpha = 2000"),
+     "glued-collar bounds at l_alpha = 2000, l_gamma = 1e-300, l_gamma2 = "
+     "inf, twist = 0 cannot be computed within the range of normal floats"),
 ], ids=["half-collar", "glued-collar"])
 def test_a_tiny_l_gamma_past_the_float_range_names_no_unadmitted_limit(
         capsys, argv, err):
-    # the float-range limit (0.00 and 38.01 here) lies below every l_alpha
-    # that the collar constraint admits at this l_gamma, 2 r(l_gamma)
+    # the collar constraint admits l_gamma = 1e-320 only from l_alpha 1475.04
+    # on, and 1e-300 from 1382.94 on: the refusal names the collar, and no
+    # l_alpha limit that the constraint would rule out
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["collar", "--l-alpha", "2000"] + argv) == 3
     assert capsys.readouterr() == ("", "numeric failure: %s\n" % err)
+
+
+@pytest.mark.parametrize("l_alpha", ["1389", "1389.25", "1391.75", "1392"])
+def test_glued_collar_proxy_past_the_float_range_is_one_refusal(capsys,
+                                                                l_alpha):
+    # at l_gamma = 1e-6 the printed proxy 1/e^{r(eta_1)} is normal at 1389,
+    # subnormal from 1389.25 on, and its e^{r(eta_1)} overflows at 1392, all
+    # below the l_alpha at which the bounds leave the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["collar", "--l-alpha", l_alpha, "--l-gamma", "1e-6",
+                  "--l-gamma2", "inf", "--twist", "0"])
+    out, err = capsys.readouterr()
+    if l_alpha == "1389":
+        assert (rc, err) == (0, "")
+        assert strict_json(out)["analytic_proxy"] >= sys.float_info.min
+        return
+    assert (rc, out) == (3, "")
+    assert err == ("numeric failure: the glued collar's analytic proxy at "
+                   "l_alpha = %s, l_gamma = 1e-06, l_gamma2 = inf, twist = 0 "
+                   "cannot be computed within the range of normal floats\n"
+                   % l_alpha)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l-alpha", l, "--l-gamma", "inf"] for l in ("1", "8", "80", "745", "1000")
+] + [["--l-alpha", "80", "--l-gamma", "inf", "--l-gamma2", "inf", "--twist", "0.5"]])
+def test_collar_bounds_raise_no_warning(capsys, argv):
+    # inside the float range every printed number is a normal float, and
+    # no numpy warning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["collar"] + argv)
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    data = strict_json(out)
+    assert (sys.float_info.min <= data["lambda_lower"] <= data["lambda_upper"]
+            < math.inf)
+    assert data["standard_lambda"] >= sys.float_info.min
 
 
 @pytest.mark.parametrize("h, code", [(0.125, 5), (0.117, 0)])

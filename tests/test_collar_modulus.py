@@ -204,32 +204,55 @@ def test_half_collar_bounds_hold_up_to_their_float_range_limit(l_gamma, limit):
         warnings.simplefilter("error")
         bounds = cm.nonstandard_half_collar_lambda(cm.HalfCollarSpec(limit, l_gamma))
         assert 0.0 < bounds.lower <= bounds.upper < math.inf
-        with pytest.raises(OverflowError, match="up to %.2f at l_gamma = %g"
-                           % (limit, l_gamma)):
+        with pytest.raises(OverflowError, match="^half-collar bounds at "
+                           "l_alpha = %g, l_gamma = %g cannot be computed "
+                           % (limit + 0.01, l_gamma)):
             cm.nonstandard_half_collar_lambda(
                 cm.HalfCollarSpec(limit + 0.01, l_gamma))
 
 
-@pytest.mark.parametrize("l_gamma, l_gamma2, twist, limit", [
-    (math.inf, math.inf, 0.0, 1404.25),
-    (math.inf, math.inf, 0.5, 1419.56),
-    (1.0, math.inf, 0.0, 1404.0),
-    (1.0, 1e-3, 0.1, 1405.74),
-    (1e-6, math.inf, 0.0, 1391.93),
+@pytest.mark.parametrize("l_gamma, l_gamma2, twist, limit, past", [
+    (math.inf, math.inf, 0.0, 1404.25, 1404.27),
+    (math.inf, math.inf, 0.5, 1419.56, 1419.57),
+    (1.0, math.inf, 0.0, 1404.0, 1404.01),
+    (1.0, 1e-3, 0.1, 1405.74, 1407.14),
+    (1e-6, math.inf, 0.0, 1391.93, 1393.33),
 ])
 def test_glued_collar_bounds_hold_up_to_their_float_range_limit(
-        l_gamma, l_gamma2, twist, limit):
-    # past the limit, adaptive Simpson's sums, cosh r(eta) or e^{l/2} in
-    # the envelope's closed forms would overflow
+        l_gamma, l_gamma2, twist, limit, past):
+    # the bounds hold from below the limit that an overflow model once
+    # predicted up to 0.01 before `past`, where adaptive Simpson's sums,
+    # cosh r(eta) or e^{l/2} in the envelope's closed forms overflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = cm.glued_collar_lambda(
-            cm.GluedCollarSpec(limit, l_gamma, l_gamma2, twist))
-        assert 0.0 < bounds.lower <= bounds.upper < math.inf
-        with pytest.raises(OverflowError, match="up to %.2f at l_gamma = %g"
-                           % (limit, l_gamma)):
+        for l in (limit, past - 0.01):
+            bounds = cm.glued_collar_lambda(
+                cm.GluedCollarSpec(l, l_gamma, l_gamma2, twist))
+            assert 0.0 < bounds.lower <= bounds.upper < math.inf
+        with pytest.raises(OverflowError, match="^glued-collar bounds at "
+                           "l_alpha = %g, l_gamma = %g, l_gamma2 = %g, twist "
+                           "= %g cannot be computed "
+                           % (past, l_gamma, l_gamma2, twist)):
             cm.glued_collar_lambda(
-                cm.GluedCollarSpec(limit + 0.01, l_gamma, l_gamma2, twist))
+                cm.GluedCollarSpec(past, l_gamma, l_gamma2, twist))
+
+
+@pytest.mark.parametrize("twist", [0.1, 0.5, -0.125])
+def test_glued_collar_bounds_continue_past_the_predicted_limit(twist):
+    # at l_gamma = 1e-6 an overflow model refused from l_alpha 1391.93 on,
+    # with a factor 2 to spare; ln lambda_lower continues its slope from
+    # below that limit, and eta, though subnormal, keeps about 50 bits
+    def log_lower(l):
+        spec = cm.GluedCollarSpec(l, 1e-6, math.inf, twist)
+        return math.log(cm.glued_collar_lambda(spec).lower)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = log_lower(1390.0), log_lower(1391.0)
+        for l in (1392.0, 1393.0, 1393.25):
+            assert log_lower(l) == pytest.approx(b + (b - a) * (l - 1391.0),
+                                                 abs=1e-9)
+    assert hg.eta_length(1393.25, 1e-6) > 2.0 ** 50 * 5e-324
 
 
 def test_half_collar_gap_matches_high_precision_arcsin():

@@ -5,40 +5,30 @@ A domain is three point predicates, its inside and its two electrodes
 constructor refuses a mesh too coarse for its features: a strip's least gap
 and a comb's slit spacing must span 3 mesh cells.  The domain is
 discretised on a square lattice (staircase approximation); the Dirichlet
-problem u = 0 / 1 on the two electrodes with insulating remaining
-boundary is solved with multigrid-preconditioned CG, residual 1e-8 (a
-geometric V-cycle with Galerkin coarse operators, after Briggs, Henson &
-McCormick, "A Multigrid Tutorial", SIAM 2000), and the modulus of the family
-of curves connecting the electrodes is the discrete Dirichlet energy.  The
-energy's error is quadratic in the residual, so at 1e-8 it is at the
-rounding floor of the energy.
+problem u = 0 / 1 on the two electrodes with insulating remaining boundary
+is solved with multigrid-preconditioned CG (a geometric V-cycle with
+Galerkin coarse operators, after Briggs, Henson & McCormick, "A Multigrid
+Tutorial", SIAM 2000) to residual 1e-8, where the energy, whose error is
+quadratic in the residual, is at its rounding floor; the modulus of the
+family of curves connecting the electrodes is the discrete Dirichlet energy.
 Every estimate solves at two meshes (h and h/2) and combines the values by
 Richardson extrapolation assuming first-order convergence.  The two meshes
 share one lattice (the one at h is the h/2 lattice at even indices), whose
 node classes the domain's predicates give from one column of abscissae and
-one row of ordinates, broadcast to the lattice; the predicates of an annulus
-or a sector share one radius (and angle) array per lattice (_per_lattice).
-Where its node classes are mirror-symmetric along x, y or both (symmetric,
-or antisymmetric: mirrored with the electrodes swapped), found by comparing
-the class array with its flip, only the half or quarter on one side of the
-mirror lines is solved, with conductance 1/2 along a symmetric mirror line
-or the antisymmetric one as an electrode; where that part is square and equals its transpose, with
-conductances that the transpose keeps, only its nodes on and above the
-diagonal are.  The part's energy is scaled to the whole lattice's: the same
-discrete problem, so the same value up to rounding.  The meshes share one
-multigrid hierarchy of transfers of that part, which are bilinear
-interpolations renormalised over the nodes that are not outside, each
-compressed to CSR from a table of parents on its lattice, as the lattice
-matrix is from a table of neighbours (_compressed); the h/2 solve starts
-from the h solution interpolated by the first of them, with electrode b at
-1.  A solve builds its Galerkin operators, and factors the
-coarsest, shifted by 1e-12 relative on the diagonal, by banded Cholesky in
-reverse Cuthill-McKee order, on the first call of its preconditioner, so a
-solve whose start meets the tolerance builds neither.
+one row of ordinates (_classes).
+Where its node classes are mirror-symmetric along x, y or both, or square
+and equal to their transpose, only a half, quarter or eighth of the lattice
+is solved (_fold), and its energy is scaled to the whole lattice's: the
+same discrete problem, so the same value up to rounding.  The meshes share
+one multigrid hierarchy of bilinear transfers of that part (_transfers);
+the h/2 solve starts from the h solution interpolated by the first of them,
+with electrode b at 1.  A solve builds its Galerkin operators, and factors
+the coarsest, shifted by 1e-12 relative on the diagonal, by banded Cholesky
+in lattice order (_lattice_order), on the first call of its preconditioner,
+so a solve whose start meets the tolerance builds neither.
 Every matrix, transfer and Galerkin product is a bare CSR record (_CSR) of
 the arrays that scipy's compiled sparse routines read, and the module calls
-those routines itself; only the ordering of the coarsest level is handed a
-scipy matrix.
+those routines itself; an estimate builds no scipy matrix.
 Each estimate reports, per mesh, the unknowns and PCG iterations of the part
 solved, the final relative residual and the seconds of the solve.
 """
@@ -377,11 +367,10 @@ def _transfers(lat, wrap):
     electrode-b lift.
 
     Lattices are halved by _prolongation until at most _COARSEST unknowns
-    are left or the lattice is too thin to halve.  The last is solved by
-    banded Cholesky in reverse Cuthill-McKee order (_coarsest), so a lattice
-    of at most _COARSEST unknowns has no level below it.  The hierarchy
-    below lat[::2, ::2] is this one without its first level, so meshes h
-    and h/2 share one.
+    are left or the lattice is too thin to halve; the last is solved
+    directly (_coarsest), so a lattice of at most _COARSEST unknowns has no
+    level below it.  The hierarchy below lat[::2, ::2] is this one without
+    its first level, so meshes h and h/2 share one.
     """
     chain = []
     n = np.count_nonzero(lat == _IN)
@@ -394,33 +383,42 @@ def _transfers(lat, wrap):
     return chain
 
 
-def _coarsest(a):
+def _lattice_order(lat, wrap):
+    """The unknowns of the lattice lat (its interior nodes in row-major
+    order) row by row along its longer axis, so that a 9-point link spans at
+    most the shorter side plus one places (George & Liu, 1981, ch. 4).  A
+    periodic x keeps its axis, with its rows in the order 0, N-1, 1, N-2,
+    ..., so that a link across the seam spans at most two rows."""
+    inner = lat == _IN
+    index = np.where(inner, np.cumsum(inner).reshape(lat.shape) - 1, -1)
+    if wrap:
+        p = np.arange(len(lat))
+        index = index[np.where(p % 2, len(lat) - 1 - p // 2, p // 2)]
+    elif lat.shape[0] < lat.shape[1]:
+        index = index.T
+    return index[index >= 0]
+
+
+def _coarsest(a, order):
     """Banded Cholesky solve of the coarsest operator a + 1e-12 max(diag a) I,
     for a _CSR matrix a: a function r -> x valid until its next call.
 
-    The unknowns are taken in reverse Cuthill-McKee order, which keeps the
-    links of a periodic seam near the diagonal, and the upper triangle in
-    that order is scattered into LAPACK upper band storage, factored by
-    dpbtrf and solved by dpbtrs.  Only that triangle is read, so the solve
-    is exactly symmetric.  The shift keeps the factorisation defined when
-    some interior nodes are linked to neither electrode: the lattice matrix
-    is then singular, but the system stays consistent and their potential
-    carries no energy.  Band storage holds every diagonal entry, also where
-    a Galerkin product dropped the zero of an isolated node.
+    The upper triangle of a, its unknowns in `order` (_lattice_order), is
+    scattered into LAPACK upper band storage, factored by dpbtrf and solved
+    by dpbtrs.  Only that triangle is read, so the solve is exactly
+    symmetric.  The shift keeps the factorisation defined when some interior
+    nodes are linked to neither electrode: the lattice matrix is then
+    singular, but the system stays consistent and their potential carries no
+    energy.  Band storage holds every diagonal entry, also where a Galerkin
+    product dropped the zero of an isolated node.
     """
-    from scipy import sparse
     from scipy.linalg.lapack import dpbtrf, dpbtrs
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     n = a.shape[0]
-    # the one scipy matrix of an estimate: the ordering takes no bare arrays
-    order = reverse_cuthill_mckee(
-        sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape),
-        symmetric_mode=True)
     # rank[i]: the position of unknown i in the order
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    rows = rank[np.repeat(np.arange(n), np.diff(a.indptr))]
+    rows = np.repeat(rank, np.diff(a.indptr))
     cols = rank[a.indices]
     upper = rows <= cols
     rows, cols = rows[upper], cols[upper]
@@ -461,14 +459,14 @@ def _product(mat):
     return product
 
 
-def _multigrid(mat, transfers):
+def _multigrid(mat, transfers, order):
     """Geometric multigrid V-cycle for the lattice matrix: a function
     r -> M r to precondition CG with.
 
     The levels are those of `transfers` (from _transfers), with Galerkin
     operators R (A P) (_matmul) and each level's diagonal read by scipy's
-    compiled csr_diagonal; the coarsest level is solved by _coarsest,
-    banded Cholesky in reverse Cuthill-McKee order.
+    compiled csr_diagonal; the coarsest level is solved by _coarsest, its
+    unknowns in `order`.
     Each level smooths with _SWEEPS damped-Jacobi sweeps before and after its
     coarse correction, so the cycle is symmetric positive definite.  Each
     level owns preallocated work vectors, and every product writes into one
@@ -488,7 +486,7 @@ def _multigrid(mat, transfers):
         levels.append((_product(a), damp, _product(interp), _product(restrict),
                        np.empty(n), np.empty(n), np.empty(restrict.shape[0])))
         a = _matmul(restrict, _matmul(a, interp))
-    coarsest = _coarsest(a)
+    coarsest = _coarsest(a, order)
     upward = levels[::-1]
 
     def sweep(a, damp, r, x, t):
@@ -574,7 +572,9 @@ def _solve(cls, wrap, transfers, h, x0=None, mirrors=()):
     def precondition(r):
         nonlocal vcycle
         if vcycle is None:
-            vcycle = _multigrid(mat, transfers)
+            k = 2**len(transfers)  # the coarsest lattice is cls[::k, ::k]
+            vcycle = _multigrid(mat, transfers,
+                                _lattice_order(cls[::k, ::k], wrap))
         return vcycle(r)
 
     u, iterations = cg(mat, rhs, np.zeros(len(rhs)) if x0 is None else x0,

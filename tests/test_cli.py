@@ -838,11 +838,29 @@ def test_oracle_rectangle_side_the_mesh_does_not_divide_exit_5(
     # the lattice would solve a 3.0 x 1 rectangle, or one with no electrode b
     cfg = write_config(tmp_path, {"shape": "rectangle", "width": width,
                                   "height": height, "h": 0.0625})
-    assert run(["oracle", "--config", cfg]) == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oracle", "--config", cfg]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "mesh refusal: mesh h = 0.0625 does not divide the %s\n" % side)
+
+
+def test_oracle_comb_whose_mesh_divides_neither_side_exits_0(tmp_path,
+                                                              capsys):
+    # the lattice pads the comb by 2h, so where h divides neither eps nor 1
+    # the top electrode keeps its lattice nodes (the benchmark's comb of
+    # seed 4001)
+    cfg = write_config(tmp_path, {"shape": "comb",
+                                  "epsilon": 0.45511480400657883,
+                                  "h": 0.042542284403658905})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oracle", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert strict_json(out)["modulus"] >= 1.0 / 0.45511480400657883
 
 
 @pytest.mark.parametrize("side", ["width", "height"])

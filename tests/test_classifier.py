@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -182,10 +181,11 @@ def test_sigma_overflow_exit_codes(tmp_path, capsys, a_even, a_odd, code, text):
     captured = capsys.readouterr()
     assert text in (captured.err if code else captured.out)
     # the same in a fresh interpreter, where the sigma build is the first
-    # use of numpy
+    # use of numpy, with every warning an error
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "hypcollar.cli", "classify", "--config", str(path)],
+        [sys.executable, "-W", "error", "-m", "hypcollar.cli", "classify",
+         "--config", str(path)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code,) + captured
@@ -195,18 +195,16 @@ def test_sigma_path_raises_no_warning():
     alternating = lambda a_even, a_odd: sf.ExplicitPrefixThenTail(
         values=(1.0,), tail=sf.AlternatingLogAffine(
             even=sf.log_affine(a=a_even, n0=1.0), odd=sf.log_affine(a=a_odd, n0=1.0)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for lengths in (
-            sf.log_affine(a=5.0, c=0.1, n0=1.0, n1=2.0),
-            sf.log_affine(a=6.0, b=5.0, c=1.0, n0=1.0, n1=2.0),
-            sf.ExplicitPrefixThenTail(values=(1.0, 2.5), tail=sf.log_affine(a=6.0, n0=1.0)),
-            sf.Linear(slope=1.0, intercept=1.0),
-            alternating(5.0, 5.0),
-        ):
-            assert cl.classify_sigma_series(lengths) is None
-        with pytest.raises(OverflowError, match="math range error"):
-            cl.classify_sigma_series(alternating(7.0, 5.0))
+    for lengths in (
+        sf.log_affine(a=5.0, c=0.1, n0=1.0, n1=2.0),
+        sf.log_affine(a=6.0, b=5.0, c=1.0, n0=1.0, n1=2.0),
+        sf.ExplicitPrefixThenTail(values=(1.0, 2.5), tail=sf.log_affine(a=6.0, n0=1.0)),
+        sf.Linear(slope=1.0, intercept=1.0),
+        alternating(5.0, 5.0),
+    ):
+        assert cl.classify_sigma_series(lengths) is None
+    with pytest.raises(OverflowError, match="math range error"):
+        cl.classify_sigma_series(alternating(7.0, 5.0))
 
 
 @pytest.mark.parametrize("lengths, overflows", [

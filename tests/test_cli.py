@@ -75,6 +75,7 @@ _CONST1 = {"kind": "constant", "value": 1.0}
 @pytest.mark.parametrize("config, key", [
     # each type refuses a key that only another type reads
     ({"type": "flute", "lengths": _CONST1, "use_twists": True}, "use_twists"),
+    ({"type": "flute", "lengths": _CONST1, "beta_bound": 2}, "beta_bound"),
     ({"type": "bi_infinite_flute", "lengths": _CONST1, "beta_bound": 2.0},
      "beta_bound"),
     ({"type": "loch_ness", "lengths": _CONST1, "count_exponent": 1.0},
@@ -469,11 +470,18 @@ def test_cancelling_log_lengths_decay_like_a_power(tmp_path, capsys):
     assert out["series"]["detail"] == "p=1 q=0 r=0"
 
 
+def test_a_warning_fails_a_test():
+    # pyproject.toml's filterwarnings turns every warning into an error, so
+    # no test needs its own filter to hold the package to "no warning"
+    with pytest.raises(UserWarning, match="^x$"):
+        warnings.warn("x")
+
+
 def _fresh_python(script, *argv):
     """Run `script` in a fresh interpreter that imports this checkout's
-    package; the finished process."""
+    package, with every warning an error; the finished process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypcollar.__file__)))
-    return subprocess.run([sys.executable, "-c", script, *argv],
+    return subprocess.run([sys.executable, "-W", "error", "-c", script, *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
 
@@ -524,9 +532,12 @@ _RAN = (
 
 
 def test_each_command_runs_only_the_layers_it_uses(tmp_path):
+    log3 = {"kind": "log_affine", "a": 3.0, "n0": 1.0}
     nested = write_config(tmp_path, {"type": "flute", "lengths": {
-        "kind": "prefix", "values": [1.0],
-        "tail": {"kind": "log_affine", "a": 3.0, "n0": 1.0}}}, "nested.json")
+        "kind": "prefix", "values": [1.0], "tail": log3}}, "nested.json")
+    twice = write_config(tmp_path, {"type": "flute", "lengths": {
+        "kind": "prefix", "values": [1.0], "tail": {
+            "kind": "prefix", "values": [2.0], "tail": log3}}}, "twice.json")
     sweep = write_config(tmp_path, {"family": "two-parameter", "a": [1.0, 3.0],
                                     "b": [1.0, 3.0]}, "sweep.json")
     rect = write_config(tmp_path, {"shape": "rectangle", "width": 2.0,
@@ -537,6 +548,7 @@ def test_each_command_runs_only_the_layers_it_uses(tmp_path):
         "    assert getattr(hypcollar, name) is sys.modules['hypcollar.' + name]\n"
         "runs = [ran()]\n"
         "for argv in (['classify', '--config', sys.argv[1]],\n"
+        "             ['classify', '--config', sys.argv[4]],\n"
         "             ['sweep', '--config', sys.argv[2]],\n"
         "             ['collar', '--l-alpha', '4', '--standard'],\n"
         "             ['collar', '--l-alpha', '4', '--l-gamma', '1'],\n"
@@ -545,11 +557,11 @@ def test_each_command_runs_only_the_layers_it_uses(tmp_path):
         "    runs.append(ran())\n"
         "print(runs)\n"
     )
-    proc = _fresh_python(script, nested, sweep, rect)
+    proc = _fresh_python(script, nested, sweep, rect, twice)
     assert proc.returncode == 0, proc.stderr
     none, bounds, every = [False] * 3, [True, True, False], [True] * 3
     assert proc.stdout.splitlines()[-1] == str(
-        [none, none, none, none, bounds, every])
+        [none, none, none, none, none, bounds, every])
 
 
 def test_error_paths_keep_their_exit_codes_without_the_oracle(tmp_path):
@@ -604,9 +616,7 @@ def test_collar_standard_past_the_least_normal_float_is_refused(capsys,
                                                                 l_alpha):
     # lambda ~ 2 e^{-l/2} / l is subnormal past l_alpha = 1403.685, and 0.0
     # from about 1490 on
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run(["collar", "--l-alpha", l_alpha, "--standard"])
+    rc = run(["collar", "--l-alpha", l_alpha, "--standard"])
     out, err = capsys.readouterr()
     if l_alpha == "1403":
         assert (rc, err) == (0, "")
@@ -666,9 +676,7 @@ def test_oracle_eta_underflow_is_numeric_failure(tmp_path, capsys):
 def test_half_collar_past_the_float_range_is_one_refusal(capsys, l_alpha):
     # one message past the limit, whether the quadrature's sums, cosh r(eta)
     # or eta itself would leave the float range
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf"]) == 3
+    assert run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("numeric failure: half-collar bounds at l_alpha = %s, "
@@ -685,13 +693,11 @@ def test_glued_collar_past_the_float_range_is_one_refusal(capsys, l_alpha,
     # the bounds hold until e^{l/2} overflows in the envelope's closed forms
     from hypcollar import collar_modulus as cm
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf",
-                  "--l-gamma2", "inf", "--twist", twist])
-        if float(l_alpha) <= limit:
-            bounds = cm.glued_collar_lambda(cm.GluedCollarSpec(
-                float(l_alpha), math.inf, math.inf, float(twist)))
+    rc = run(["collar", "--l-alpha", l_alpha, "--l-gamma", "inf",
+              "--l-gamma2", "inf", "--twist", twist])
+    if float(l_alpha) <= limit:
+        bounds = cm.glued_collar_lambda(cm.GluedCollarSpec(
+            float(l_alpha), math.inf, math.inf, float(twist)))
     out, err = capsys.readouterr()
     if float(l_alpha) <= limit:
         assert 0.0 < bounds.lower <= bounds.upper
@@ -718,9 +724,7 @@ def test_a_tiny_l_gamma_past_the_float_range_names_no_unadmitted_limit(
     # the collar constraint admits l_gamma = 1e-320 only from l_alpha 1475.04
     # on, and 1e-300 from 1382.94 on: the refusal names the collar, and no
     # l_alpha limit that the constraint would rule out
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["collar", "--l-alpha", "2000"] + argv) == 3
+    assert run(["collar", "--l-alpha", "2000"] + argv) == 3
     assert capsys.readouterr() == ("", "numeric failure: %s\n" % err)
 
 
@@ -730,10 +734,8 @@ def test_glued_collar_proxy_past_the_float_range_is_one_refusal(capsys,
     # at l_gamma = 1e-6 the printed proxy 1/e^{r(eta_1)} is normal at 1389,
     # subnormal from 1389.25 on, and its e^{r(eta_1)} overflows at 1392, all
     # below the l_alpha at which the bounds leave the float range
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run(["collar", "--l-alpha", l_alpha, "--l-gamma", "1e-6",
-                  "--l-gamma2", "inf", "--twist", "0"])
+    rc = run(["collar", "--l-alpha", l_alpha, "--l-gamma", "1e-6",
+              "--l-gamma2", "inf", "--twist", "0"])
     out, err = capsys.readouterr()
     if l_alpha == "1389":
         assert (rc, err) == (0, "")
@@ -752,9 +754,7 @@ def test_glued_collar_proxy_past_the_float_range_is_one_refusal(capsys,
 def test_collar_bounds_raise_no_warning(capsys, argv):
     # inside the float range every printed number is a normal float, and
     # no numpy warning is raised on the way
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = run(["collar"] + argv)
+    rc = run(["collar"] + argv)
     out, err = capsys.readouterr()
     assert (rc, err) == (0, "")
     data = strict_json(out)
@@ -769,9 +769,7 @@ def test_a_strip_gap_under_3_mesh_cells_is_refused(tmp_path, capsys, h, code):
     # 0.117 but not of 0.125, which divides the period
     cfg = write_config(tmp_path, {"shape": "half_collar", "l_alpha": 2.0,
                                   "l_gamma": "inf", "h": h})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["oracle", "--config", cfg]) == code
+    assert run(["oracle", "--config", cfg]) == code
     out, err = capsys.readouterr()
     if code == 0:
         assert err == ""
@@ -789,9 +787,7 @@ def test_half_collar_oracle_gap_is_read_from_the_offsets(tmp_path, capsys,
     # F + G does not, and its mesh needs a lattice past the solver's indices
     cfg = write_config(tmp_path, {"shape": "half_collar", "l_alpha": l_alpha,
                                   "l_gamma": "inf"})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["oracle", "--config", cfg]) == 5
+    assert run(["oracle", "--config", cfg]) == 5
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(r"mesh refusal: h = \S+ needs a lattice of about \S+ "
@@ -838,9 +834,7 @@ def test_oracle_rectangle_side_the_mesh_does_not_divide_exit_5(
     # the lattice would solve a 3.0 x 1 rectangle, or one with no electrode b
     cfg = write_config(tmp_path, {"shape": "rectangle", "width": width,
                                   "height": height, "h": 0.0625})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["oracle", "--config", cfg]) == 5
+    assert run(["oracle", "--config", cfg]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -855,9 +849,7 @@ def test_oracle_comb_whose_mesh_divides_neither_side_exits_0(tmp_path,
     cfg = write_config(tmp_path, {"shape": "comb",
                                   "epsilon": 0.45511480400657883,
                                   "h": 0.042542284403658905})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["oracle", "--config", cfg]) == 0
+    assert run(["oracle", "--config", cfg]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert strict_json(out)["modulus"] >= 1.0 / 0.45511480400657883
@@ -936,7 +928,8 @@ def test_oracle_lattice_past_memory_is_a_mesh_refusal(tmp_path):
                                   "height": 1, "h": 1e-4})
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypcollar.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "hypcollar.cli", "oracle", "--config", cfg],
+        [sys.executable, "-W", "error", "-m", "hypcollar.cli", "oracle",
+         "--config", cfg],
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         capture_output=True, text=True, timeout=120)
@@ -1052,3 +1045,14 @@ def test_sweep_number_errors_name_the_index(tmp_path, capsys, data, message):
 
 def test_verify_unknown_suite(capsys):
     assert run(["verify", "--suite", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["calibration", "standard-collar", "comb",
+                                   "sandwich"])
+def test_each_verify_suite_passes(capsys, suite):
+    assert run(["verify", "--suite", suite]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = strict_json(out)
+    assert report["suite"] == suite and report["ok"] is True
+    assert all(check["ok"] for check in report["checks"])

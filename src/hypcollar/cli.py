@@ -492,7 +492,7 @@ def cmd_oracle(args):
             "meshes": list(est.meshes),
             "raw_values": list(est.raw_values),
             "error_bar": est.error_bar,
-            "extrapolated": est.extrapolated,
+            "extrapolated": True,
         },
         args.output,
     )

@@ -1,9 +1,10 @@
 """Independent discrete oracle for moduli of curve families.
 
-A domain is three point predicates, its inside and its two electrodes
-(GridDomain); a strip gives its graphs so (strip_domain).  Each shape's
-constructor refuses a mesh too coarse for its features: a strip's least gap
-and a comb's slit spacing must span 3 mesh cells.  The domain is
+A domain is one function of the lattice's coordinates that gives its
+inside and its two electrodes (GridDomain); a strip gives its graphs so,
+each read once per lattice (strip_domain).  Each shape's constructor
+refuses a mesh too coarse for its features: a strip's least gap and a
+comb's slit spacing must span 3 mesh cells.  The domain is
 discretised on a square lattice (staircase approximation); the Dirichlet
 problem u = 0 / 1 on the two electrodes with insulating remaining boundary
 is solved with multigrid-preconditioned CG (a geometric V-cycle with
@@ -14,7 +15,7 @@ family of curves connecting the electrodes is the discrete Dirichlet energy.
 Every estimate solves at two meshes (h and h/2) and combines the values by
 Richardson extrapolation assuming first-order convergence.  The two meshes
 share one lattice (the one at h is the h/2 lattice at even indices), whose
-node classes the domain's predicates give from one column of abscissae and
+node classes the domain's function gives from one column of abscissae and
 one row of ordinates (_classes).
 Where its node classes are mirror-symmetric along x, y or both, or square
 and equal to their transpose, only a half, quarter or eighth of the lattice
@@ -35,7 +36,6 @@ solved, the final relative residual and the seconds of the solve.
 
 import math
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -62,13 +62,14 @@ class OracleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GridDomain:
-    """A planar domain with two electrodes, ready for discretisation: three
-    vectorised point predicates, `inside`, `electrode_a` and `electrode_b`.
+    """A planar domain with two electrodes, ready for discretisation: one
+    vectorised function `classes(x, y) -> (inside, a, b)` of its inside and
+    its electrodes a and b, which computes the geometry they share once.
 
-    A predicate is called once per lattice, on the node abscissae x of
-    shape (nx, 1) and ordinates y of shape (1, ny), and returns boolean
-    values that broadcast to the lattice (nx, ny) (_classes): elementwise
-    numpy expressions in x and y do, also ones that read one coordinate.
+    It is called once per lattice, on the node abscissae x of shape (nx, 1)
+    and ordinates y of shape (1, ny), and returns three boolean masks that
+    broadcast to the lattice (nx, ny) (_classes): elementwise numpy
+    expressions in x and y do, also ones that read one coordinate.
     `periodic_x` identifies x and x + periodic_x.
     `bbox` (x0, y0, x1, y1) is the domain's own extent; the lattice pads it
     by 2h on every side that is not periodic (_classes).
@@ -76,9 +77,7 @@ class GridDomain:
 
     h: float
     bbox: Tuple[float, float, float, float]
-    inside: Callable
-    electrode_a: Callable
-    electrode_b: Callable
+    classes: Callable
     periodic_x: Optional[float] = None
     name: str = ""
 
@@ -95,7 +94,6 @@ class ModulusEstimate:
     meshes: tuple
     raw_values: tuple
     error_bar: float
-    extrapolated: bool
     # the interior nodes and PCG iterations at each mesh, of the part of the
     # lattice that was solved (a half, quarter or eighth where it has
     # mirrors)
@@ -120,13 +118,14 @@ def _classes(dom, h):
     interior at both meshes.  Node coordinates are x0 + h·i and y0 + h·j
     from the padded corner.  Those of mesh h/2 at even indices are those of
     mesh h bit for bit (0.5·h is exact), so the lattice at h is the one at
-    h/2 taken at even indices.  The predicates are called on the column of
-    abscissae and the row of ordinates, and their results are broadcast to
-    the lattice, so no array of node coordinates is built.  A lattice of
-    more than _MAX_NODES nodes is refused before any array is allocated, and
-    one whose arrays do not fit in memory.  Then, along a periodic x, a
-    dom.h that does not divide the period is refused, at either mesh: h/2
-    divides it where dom.h does.
+    h/2 taken at even indices.  dom.classes is called once, on the column
+    of abscissae and the row of ordinates, and each of its masks is
+    broadcast to the lattice, so no array of node coordinates is built.
+    Electrode b takes no node of a, and the inside none of either.  A
+    lattice of more than _MAX_NODES nodes is refused before any array is
+    allocated, and one whose arrays do not fit in memory.  Then, along a
+    periodic x, a dom.h that does not divide the period is refused, at
+    either mesh: h/2 divides it where dom.h does.
     """
     pad = 2.0 * dom.h
     x0, y0, x1, y1 = dom.bbox
@@ -149,14 +148,11 @@ def _classes(dom, h):
     try:
         x = (x0 + h * np.arange(nx))[:, None]
         y = (y0 + h * np.arange(ny))[None, :]
-
-        def lattice(predicate):
-            return np.broadcast_to(predicate(x, y), (nx, ny))
-
+        inn, a, b = (np.broadcast_to(mask, (nx, ny))
+                     for mask in dom.classes(x, y))
         cls = np.full((nx, ny), _OUT, dtype=np.int8)
-        a = lattice(dom.electrode_a)
-        b = lattice(dom.electrode_b) & ~a
-        inn = lattice(dom.inside) & ~a & ~b
+        b = b & ~a
+        inn = inn & ~a & ~b
         cls[inn] = _IN
         cls[a] = _A
         cls[b] = _B
@@ -721,7 +717,6 @@ def discrete_modulus(domain):
         meshes=(h, 0.5 * h),
         raw_values=(v1, v2),
         error_bar=abs(v2 - v1),
-        extrapolated=True,
         unknowns=(len(u1), len(u2)),
         iterations=(it1, it2),
         residuals=(res1, res2),
@@ -742,14 +737,14 @@ def rectangle_domain(width, height, h):
         if math.isfinite(length / h) and not _divides(h, length):
             raise ResolutionError("mesh h = %.3g does not divide the %s %.3g"
                                   % (h, side, length))
-    return GridDomain(
-        h=h,
-        bbox=(0.0, 0.0, width, height),
-        inside=lambda x, y: (x >= 0) & (x <= width) & (y > 0) & (y < height),
-        electrode_a=lambda x, y: (y <= 0) & (x >= 0) & (x <= width),
-        electrode_b=lambda x, y: (y >= height) & (x >= 0) & (x <= width),
-        name="rectangle",
-    )
+
+    def classes(x, y):
+        across = (x >= 0) & (x <= width)
+        return (across & (y > 0) & (y < height), across & (y <= 0),
+                across & (y >= height))
+
+    return GridDomain(h=h, bbox=(0.0, 0.0, width, height), classes=classes,
+                      name="rectangle")
 
 
 def _on_grid(v, h):
@@ -770,54 +765,25 @@ def _multiple(length, h):
     return h * math.ceil(steps) if math.isfinite(steps) else length
 
 
-def _per_lattice(geometry):
-    """geometry(x, y), computed once for the column x and row y of a lattice
-    however many of a domain's predicates read it (_classes calls each on
-    the same two arrays).  The value is held through weak references to x
-    and y and released when x is freed, so no lattice-sized array outlives
-    _classes; other arguments, such as plain floats, are not held."""
-    last = []
-
-    def cached(x, y):
-        if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)):
-            return geometry(x, y)
-        if not (last and last[0]() is x and last[1]() is y):
-            last[:] = [weakref.ref(x), weakref.ref(y), geometry(x, y)]
-            weakref.finalize(x, last.clear)
-        return last[2]
-
-    return cached
-
-
 def annulus_domain(r1, r2, h):
     """Round annulus, electrodes = the two boundary circles.
 
     The lattice is centred on a node: the bbox is +-R with R the least
-    multiple of h at least r2, and the predicates read each node on the grid
-    (_on_grid), so the node classes are symmetric in x, in y and across the
-    diagonal, and an estimate solves an eighth (_fold).  The three
-    predicates share one radius array per lattice (_per_lattice).
+    multiple of h at least r2, and the node classes are read from one
+    radius array of the nodes on the grid (_on_grid), so they are symmetric
+    in x, in y and across the diagonal, and an estimate solves an eighth
+    (_fold).
     """
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
     big = _multiple(r2, h)
 
-    @_per_lattice
-    def radius(x, y):
-        return np.hypot(_on_grid(x, h), _on_grid(y, h))
+    def classes(x, y):
+        r = np.hypot(_on_grid(x, h), _on_grid(y, h))
+        return (r > r1) & (r < r2), r <= r1, r >= r2
 
-    def inside(x, y):
-        r = radius(x, y)
-        return (r > r1) & (r < r2)
-
-    return GridDomain(
-        h=h,
-        bbox=(-big, -big, big, big),
-        inside=inside,
-        electrode_a=lambda x, y: radius(x, y) <= r1,
-        electrode_b=lambda x, y: radius(x, y) >= r2,
-        name="annulus",
-    )
+    return GridDomain(h=h, bbox=(-big, -big, big, big), classes=classes,
+                      name="annulus")
 
 
 def annular_sector_domain(r1, r2, theta, h):
@@ -825,11 +791,11 @@ def annular_sector_domain(r1, r2, theta, h):
     electrodes = the two radial sides, a below the x-axis and b above it.
 
     The modulus of curves joining the radial sides is ln(r2/r1) / theta.
-    The bbox corners are multiples of h, symmetric in y, and the predicates
-    read each node on the grid (_on_grid), so the flip y -> -y maps the node
-    classes onto themselves with the electrodes swapped, and an estimate
-    solves the half above the x-axis (_fold).  The three predicates share
-    one radius and one angle array per lattice (_per_lattice).
+    The bbox corners are multiples of h, symmetric in y, and the node
+    classes are read from one radius and one angle array of the nodes on
+    the grid (_on_grid), so the flip y -> -y maps them onto themselves with
+    the electrodes swapped, and an estimate solves the half above the x-axis
+    (_fold).
     """
     if not 0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
@@ -842,31 +808,21 @@ def annular_sector_domain(r1, r2, theta, h):
     top = r2 if side_angle >= 0.5 * math.pi else r2 * math.sin(side_angle)
     left = min(r1 * math.cos(side_angle), r2 * math.cos(side_angle))
 
-    @_per_lattice
-    def polar(x, y):
+    def classes(x, y):
         x, y = _on_grid(x, h), _on_grid(y, h)
-        return np.hypot(x, y), np.arctan2(y, x), y
-
-    def inside(x, y):
-        r, phi, _ = polar(x, y)
-        return (r > r1) & (r < r2) & (np.abs(phi) < side_angle)
-
-    def side(sign):
-        # the band r1 - 2h <= r <= r2 + 2h past the radial side on the side
-        # of the x-axis given by sign
-        def electrode(x, y):
-            r, phi, y = polar(x, y)
-            return ((r >= r1 - pad) & (r <= r2 + pad)
-                    & (sign * phi >= side_angle) & (sign * y > 0))
-        return electrode
+        r, phi = np.hypot(x, y), np.arctan2(y, x)
+        # the electrodes: the band r1 - 2h <= r <= r2 + 2h past each radial
+        # side, a below the x-axis and b above it
+        band = (r >= r1 - pad) & (r <= r2 + pad)
+        return ((r > r1) & (r < r2) & (np.abs(phi) < side_angle),
+                band & (phi <= -side_angle) & (y < 0),
+                band & (phi >= side_angle) & (y > 0))
 
     big = _multiple(top, h)
     return GridDomain(
         h=h,
         bbox=(-_multiple(-left, h), -big, _multiple(r2, h), big),
-        inside=inside,
-        electrode_a=side(-1.0),
-        electrode_b=side(1.0),
+        classes=classes,
         name="annular-sector",
     )
 
@@ -894,27 +850,19 @@ def comb_domain(epsilon, h=None):
         )
     y_low = epsilon * epsilon
 
-    def on_slit(x, y):
+    def classes(x, y):
         # a column of mesh h is one of mesh h/2 too; 0.25 h takes one node
         # of it at either mesh
         k = np.rint(x * n_slits)
         column = np.rint(k * spacing / h) * h
-        return (
-            (y >= y_low)
-            & (k >= 2)
-            & (k <= n_slits - 1)
-            & (np.abs(x - column) <= 0.25 * h)
-        )
+        slit = ((k >= 2) & (k <= n_slits - 1)
+                & (np.abs(x - column) <= 0.25 * h) & (y >= y_low))
+        across = (x >= 0) & (x <= 1)
+        return (across & (y > 0) & (y < epsilon), across & (y <= 0),
+                across & ((y >= epsilon) | slit))
 
-    return GridDomain(
-        h=h,
-        bbox=(0.0, 0.0, 1.0, epsilon),
-        inside=lambda x, y: (x >= 0) & (x <= 1) & (y > 0) & (y < epsilon),
-        electrode_a=lambda x, y: (y <= 0) & (x >= 0) & (x <= 1),
-        electrode_b=lambda x, y: ((y >= epsilon) | on_slit(x, y))
-        & (x >= 0) & (x <= 1),
-        name="comb",
-    )
+    return GridDomain(h=h, bbox=(0.0, 0.0, 1.0, epsilon), classes=classes,
+                      name="comb")
 
 
 def strip_domain(pair, h=None):
@@ -924,12 +872,12 @@ def strip_domain(pair, h=None):
     so the discrete modulus approximates the periodic-annulus modulus of the
     region (the modulus of the family joining the two boundary curves).
     Electrode a is y >= f(x), electrode b is y <= g(x), and the inside is
-    g(x) < y < f(x), each graph read on the lattice's column of abscissae
-    (graph_modulus._sample).  The mesh is snapped to divide the period, and
-    a mesh whose least gap is thinner than 3 cells is refused here: the gap
-    holds at least 3 cells at h and 6 at h/2.  The least gap is read from
-    the pair's offsets F + G, as the bounds read it: f - g cancels to 0
-    where both graphs are near the midline.
+    g(x) < y < f(x), each graph read once per lattice, on its column of
+    abscissae (graph_modulus._sample).  The mesh is snapped to divide the
+    period, and a mesh whose least gap is thinner than 3 cells is refused
+    here: the gap holds at least 3 cells at h and 6 at h/2.  The least gap
+    is read from the pair's offsets F + G, as the bounds read it: f - g
+    cancels to 0 where both graphs are near the midline.
     """
     xs = pair.x1 + pair.period * np.arange(2049) / 2048.0
     fs, gs = _sample(pair.f, xs), _sample(pair.g, xs)
@@ -948,13 +896,15 @@ def strip_domain(pair, h=None):
             "gap %.3g is thinner than 3 mesh cells (h = %.3g); "
             "need h <= %.3g" % (min_gap, h, min_gap / 3.0)
         )
+
+    def classes(x, y):
+        f, g = _sample(pair.f, x), _sample(pair.g, x)
+        return (y > g) & (y < f), y >= f, y <= g
+
     return GridDomain(
         h=h,
         bbox=(pair.x1, float(np.min(gs)), pair.x2, float(np.max(fs))),
-        inside=lambda x, y: ((y > _sample(pair.g, x))
-                             & (y < _sample(pair.f, x))),
-        electrode_a=lambda x, y: y >= _sample(pair.f, x),
-        electrode_b=lambda x, y: y <= _sample(pair.g, x),
+        classes=classes,
         periodic_x=pair.period,
         name=pair.label or "strip",
     )

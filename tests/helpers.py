@@ -1,9 +1,9 @@
 """Constructions that only the tests use: a smooth graph pair, a pair with
 both axes scaled, the half-collar envelope pair with the closed form of its
-vertical modulus, the node classes of a predicate domain from full
-coordinate arrays and of a strip from its profile, oracle solves at a
-single mesh, of the whole lattice or of the part an estimate solves, and the
-scipy matrix of an oracle matrix."""
+vertical modulus, the node classes of a domain from full coordinate arrays
+and of a strip from its profile, oracle solves at a single mesh, of the
+whole lattice or of the part an estimate solves, and the scipy matrix of an
+oracle matrix."""
 
 import dataclasses
 import math
@@ -75,25 +75,22 @@ def half_collar_envelope_vertical_modulus(spec):
 
 
 def meshgrid_classes(dom, h):
-    """Node classes of a predicate domain's lattice at mesh h, with each
-    predicate called on the full (nx, ny) coordinate arrays of the lattice
+    """Node classes of a domain's lattice at mesh h, with its classes
+    function called on the full (nx, ny) coordinate arrays of the lattice
     (np.meshgrid of its abscissae and ordinates): the reference for the
-    oracle's predicates on one column and one row, broadcast."""
-    def full(predicate):
-        return lambda x, y: predicate(
-            *np.meshgrid(x.ravel(), y.ravel(), indexing="ij"))
+    oracle's call on one column and one row, broadcast."""
+    def full(x, y):
+        return dom.classes(*np.meshgrid(x.ravel(), y.ravel(), indexing="ij"))
 
-    return eo._classes(dataclasses.replace(
-        dom, inside=full(dom.inside), electrode_a=full(dom.electrode_a),
-        electrode_b=full(dom.electrode_b)), h)
+    return eo._classes(dataclasses.replace(dom, classes=full), h)
 
 
 def profile_classes(pair, h):
     """Node classes of the lattice of eo.strip_domain(pair, h) at its meshes
     h and h/2, from the strip profile: f and g sampled once on the lattice's
     column of abscissae, inside where g < y < f, electrode a where y >= f
-    and b where y <= g, b last.  The reference for the strip's three
-    predicates."""
+    and b where y <= g, b last.  The reference for the strip's classes
+    function."""
     dom = eo.strip_domain(pair, h)
     pad = 2.0 * dom.h
     x0, y0, _, y1 = dom.bbox

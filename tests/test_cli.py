@@ -985,7 +985,7 @@ def test_comb_rows_need_a_ratio_below_one(monkeypatch):
 
     monkeypatch.setattr(eo, "discrete_modulus", lambda dom: eo.ModulusEstimate(
         value=4.0, meshes=(dom.h,), raw_values=(4.0,), error_bar=0.0,
-        extrapolated=False, unknowns=(0,), iterations=(0,)))
+        unknowns=(0,), iterations=(0,)))
     (row,) = cli.comb_checks((0.2,))
     assert row[1] == pytest.approx(1.25)
     assert row[2] == "< 1 and decreasing"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -25,7 +26,7 @@ from helpers import (
 def test_rectangle_extrapolation_exact():
     # raw discrete value is (W + h)/H; one Richardson step cancels it exactly
     est = eo.discrete_modulus(eo.rectangle_domain(3.0, 1.0, h=1.0 / 32))
-    assert est.extrapolated
+    assert est.value == 2.0 * est.raw_values[1] - est.raw_values[0]
     assert est.value == pytest.approx(3.0, abs=1e-9)
     assert est.raw_values[0] == pytest.approx(3.0 + 1.0 / 32, abs=1e-9)
     assert est.error_bar == pytest.approx(1.0 / 64, abs=1e-9)
@@ -41,17 +42,19 @@ def test_rectangle_aspect_sweep():
         assert est.value == pytest.approx(w / ht, rel=1e-6)
 
 
+def _electrodes_swapped(dom):
+    """The domain dom with its electrodes a and b swapped."""
+    def classes(x, y):
+        inside, a, b = dom.classes(x, y)
+        return inside, b, a
+
+    return dataclasses.replace(dom, classes=classes)
+
+
 def test_electrode_swap_symmetry():
     # conductance between two electrodes does not depend on orientation
     base = eo.rectangle_domain(1.0, 1.0, h=1.0 / 8)
-    swapped = eo.GridDomain(
-        h=base.h,
-        bbox=base.bbox,
-        inside=base.inside,
-        electrode_a=base.electrode_b,
-        electrode_b=base.electrode_a,
-        name="swapped",
-    )
+    swapped = _electrodes_swapped(base)
     a = solve_whole(base, base.h)[0]
     b = solve_whole(swapped, swapped.h)[0]
     assert a == pytest.approx(b, abs=1e-12)
@@ -109,9 +112,9 @@ def test_disconnected_electrodes_raise():
     dom = eo.GridDomain(
         h=1.0 / 8,
         bbox=(0.0, 0.0, 1.0, 1.0),
-        inside=lambda x, y: (x >= 0) & (x <= 1) & (y > 0) & (y < 1),
-        electrode_a=lambda x, y: y <= 0,
-        electrode_b=lambda x, y: y >= 5.0,  # outside the bounding box
+        # electrode b lies outside the bounding box
+        classes=lambda x, y: ((x >= 0) & (x <= 1) & (y > 0) & (y < 1),
+                              y <= 0, y >= 5.0),
         name="disconnected",
     )
     with pytest.raises(eo.OracleError):
@@ -182,22 +185,27 @@ def test_multigrid_iterations_do_not_grow_with_refinement():
     assert fine <= 1.5 * coarse
 
 
+def _rectangle_and(extra):
+    """The rectangle [0, 2] x [0, 1] at mesh 1/16, electrodes = bottom and
+    top sides, in the bbox [0, 4] x [0, 1], with the nodes where extra(x, y)
+    holds inside too."""
+    def classes(x, y):
+        across = x <= 2
+        return ((across & (y > 0) & (y < 1)) | extra(x, y),
+                across & (y <= 0), across & (y >= 1))
+
+    return eo.GridDomain(h=1.0 / 16, bbox=(0.0, 0.0, 4.0, 1.0),
+                         classes=classes)
+
+
 @pytest.mark.parametrize("centre", [(3.0, 0.5), (3.0 + 1.0 / 16, 0.5)])
 @pytest.mark.parametrize("radius", [0.01, 0.3])
 def test_interior_nodes_linked_to_no_electrode_carry_no_energy(centre, radius):
     # a disc of interior nodes away from the electrodes makes the lattice
     # matrix singular; a single node (radius 0.01) has no links at all
-    def domain(extra):
-        return eo.GridDomain(
-            h=1.0 / 16,
-            bbox=(0.0, 0.0, 4.0, 1.0),
-            inside=lambda x, y: ((x <= 2) & (y > 0) & (y < 1)) | extra(x, y),
-            electrode_a=lambda x, y: (y <= 0) & (x <= 2),
-            electrode_b=lambda x, y: (y >= 1) & (x <= 2),
-        )
-
-    disc = domain(lambda x, y: np.hypot(x - centre[0], y - centre[1]) < radius)
-    plain = domain(lambda x, y: np.zeros_like(x, dtype=bool))
+    disc = _rectangle_and(
+        lambda x, y: np.hypot(x - centre[0], y - centre[1]) < radius)
+    plain = _rectangle_and(lambda x, y: np.zeros_like(x, dtype=bool))
     assert eo.discrete_modulus(disc).raw_values == pytest.approx(
         eo.discrete_modulus(plain).raw_values, rel=1e-10)
 
@@ -345,9 +353,7 @@ def test_periodic_predicates_need_a_dividing_mesh():
     dom = eo.GridDomain(
         h=1.0 / 16,
         bbox=(0.0, 0.0, 1.03, 1.0),
-        inside=lambda x, y: (y > 0) & (y < 1),
-        electrode_a=lambda x, y: y <= 0,
-        electrode_b=lambda x, y: y >= 1,
+        classes=lambda x, y: ((y > 0) & (y < 1), y <= 0, y >= 1),
         periodic_x=1.03,
     )
     with pytest.raises(eo.ResolutionError, match="divide the period"):
@@ -453,24 +459,12 @@ def _floating_clusters(a):
     [
         # one interior node at (3, 0.5), apart from the rest: its Galerkin
         # row stores no diagonal
-        (eo.GridDomain(
-            h=1.0 / 16,
-            bbox=(0.0, 0.0, 4.0, 1.0),
-            inside=lambda x, y: (((x <= 2) & (y > 0) & (y < 1))
-                                 | (np.hypot(x - 3.0, y - 0.5) < 0.01)),
-            electrode_a=lambda x, y: (y <= 0) & (x <= 2),
-            electrode_b=lambda x, y: (y >= 1) & (x <= 2),
-        ), 1.0 / 64, 2, 0),
+        (_rectangle_and(lambda x, y: np.hypot(x - 3.0, y - 0.5) < 0.01),
+         1.0 / 64, 2, 0),
         # a 3 x 3 block of interior nodes about (3, 0.5), linked to each
         # other and to neither electrode: the operator is singular
-        (eo.GridDomain(
-            h=1.0 / 16,
-            bbox=(0.0, 0.0, 4.0, 1.0),
-            inside=lambda x, y: (((x <= 2) & (y > 0) & (y < 1))
-                                 | (np.hypot(x - 3.0, y - 0.5) < 0.09)),
-            electrode_a=lambda x, y: (y <= 0) & (x <= 2),
-            electrode_b=lambda x, y: (y >= 1) & (x <= 2),
-        ), 1.0 / 16, 0, 9),
+        (_rectangle_and(lambda x, y: np.hypot(x - 3.0, y - 0.5) < 0.09),
+         1.0 / 16, 0, 9),
         # links across the periodic seam, 90 cells per period at h
         (eo.strip_domain(sinusoid_pair(0.5, 0.2), h=1.0 / 90), 1.0 / 180, 2, 0),
         # the glued strip at t = 1/4, which no mirror folds, at the h/2 of its
@@ -588,8 +582,7 @@ def test_estimate_reports_residuals_and_seconds(dom):
         assert seconds > 0
     # the diagnostics default to empty for estimates built without them
     bare = eo.ModulusEstimate(value=1.0, meshes=(1.0,), raw_values=(1.0,),
-                              error_bar=0.0, extrapolated=False,
-                              unknowns=(1,), iterations=(0,))
+                              error_bar=0.0, unknowns=(1,), iterations=(0,))
     assert bare.residuals == bare.seconds == ()
 
 
@@ -988,10 +981,7 @@ def _half_collar():
 def _swapped_rectangle():
     """The 3 x 1 rectangle at mesh 1/16 with electrode b at the bottom: the
     half above its y mirror holds electrode a."""
-    rect = eo.rectangle_domain(3.0, 1.0, h=1.0 / 16)
-    return eo.GridDomain(h=rect.h, bbox=rect.bbox, inside=rect.inside,
-                         electrode_a=rect.electrode_b,
-                         electrode_b=rect.electrode_a)
+    return _electrodes_swapped(eo.rectangle_domain(3.0, 1.0, h=1.0 / 16))
 
 
 @pytest.mark.parametrize(
@@ -1056,12 +1046,11 @@ def _rectangle_less_one_node(h):
     with its node (1/4, 1/4) outside."""
     rect = eo.rectangle_domain(2.0, 1.0, h)
 
-    def inside(x, y):
-        return rect.inside(x, y) & ~((x == 0.25) & (y == 0.25))
+    def classes(x, y):
+        inside, a, b = rect.classes(x, y)
+        return inside & ~((x == 0.25) & (y == 0.25)), a, b
 
-    return eo.GridDomain(h=h, bbox=rect.bbox, inside=inside,
-                         electrode_a=rect.electrode_a,
-                         electrode_b=rect.electrode_b)
+    return eo.GridDomain(h=h, bbox=rect.bbox, classes=classes)
 
 
 @pytest.mark.parametrize(
@@ -1201,14 +1190,12 @@ def _corner_square(h):
     """The unit square with electrode a on its corner x + y <= 1/2 and b on
     x + y >= 3/2: its node classes equal their transpose, and no mirror
     along x or y maps them onto themselves."""
-    def square(x, y):
-        return (x >= 0) & (x <= 1) & (y >= 0) & (y <= 1)
+    def classes(x, y):
+        square = (x >= 0) & (x <= 1) & (y >= 0) & (y <= 1)
+        return square, square & (x + y <= 0.5), square & (x + y >= 1.5)
 
-    return eo.GridDomain(
-        h=h, bbox=(0.0, 0.0, 1.0, 1.0), inside=square,
-        electrode_a=lambda x, y: square(x, y) & (x + y <= 0.5),
-        electrode_b=lambda x, y: square(x, y) & (x + y >= 1.5),
-        name="corner-square")
+    return eo.GridDomain(h=h, bbox=(0.0, 0.0, 1.0, 1.0), classes=classes,
+                         name="corner-square")
 
 
 @pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16, 1.0 / 32])
@@ -1226,11 +1213,11 @@ def test_diagonal_mirror_part_gives_the_whole_lattice_raw_values(h):
 
 
 def _y_band(h):
-    """The band 0 < y < 1 over 0 <= x <= 1, whose predicates read y alone."""
-    return eo.GridDomain(h=h, bbox=(0.0, 0.0, 1.0, 1.0),
-                         inside=lambda x, y: (y > 0) & (y < 1),
-                         electrode_a=lambda x, y: y <= 0,
-                         electrode_b=lambda x, y: y >= 1, name="y-band")
+    """The band 0 < y < 1 over 0 <= x <= 1, whose classes read y alone."""
+    return eo.GridDomain(
+        h=h, bbox=(0.0, 0.0, 1.0, 1.0),
+        classes=lambda x, y: ((y > 0) & (y < 1), y <= 0, y >= 1),
+        name="y-band")
 
 
 @pytest.mark.parametrize("make, meshes", [
@@ -1279,7 +1266,7 @@ def _glued_pair(twist):
     pytest.param(lambda: gm.constant_pair(0.25), None, id="constant"),
 ])
 def test_strip_predicates_classify_as_the_profile(make, h):
-    # the strip's predicates, called on a column and a row and broadcast,
+    # the strip's classes, called on a column and a row and broadcast,
     # against the profile reference, f and g sampled once per column
     pair = make()
     dom = eo.strip_domain(pair, h)
@@ -1290,42 +1277,60 @@ def test_strip_predicates_classify_as_the_profile(make, h):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dom, geometry", [
-    (eo.annulus_domain(1.0, math.e, h=1.0 / 32), ("hypot",)),
-    (eo.annular_sector_domain(1.0, 2.5, 4.0, h=1.0 / 16),
-     ("hypot", "arctan2")),
-], ids=["annulus", "sector"])
-def test_predicates_share_one_geometry_per_lattice(dom, geometry,
-                                                   monkeypatch):
-    import dataclasses
+def _strip_counted(counted):
+    """The sinusoid strip at mesh 1/45, its graphs f and g wrapped by
+    counted."""
+    pair = sinusoid_pair(0.5, 0.2)
+    return eo.strip_domain(dataclasses.replace(
+        pair, f=counted("f", pair.f), g=counted("g", pair.g)), h=1.0 / 45)
 
-    # a point, not a lattice, is read as before
-    assert dom.inside(1.5, 0.0) and not dom.electrode_a(1.5, 0.0)
+
+@pytest.mark.parametrize("make, geometry, point", [
+    (lambda counted: eo.rectangle_domain(3.0, 1.0, h=1.0 / 16), (),
+     (1.5, 0.5)),
+    (lambda counted: eo.annulus_domain(1.0, math.e, h=1.0 / 32), ("hypot",),
+     (1.5, 0.0)),
+    (lambda counted: eo.annular_sector_domain(1.0, 2.5, 4.0, h=1.0 / 16),
+     ("hypot", "arctan2"), (1.5, 0.0)),
+    (lambda counted: eo.comb_domain(0.2), (), (0.5, 0.02)),
+    # a strip reads a point as a 0-d array
+    (_strip_counted, ("f", "g"), (np.array(0.5), 0.25)),
+], ids=["rectangle", "annulus", "sector", "comb", "strip"])
+def test_classes_reads_its_geometry_once_per_lattice(make, geometry, point,
+                                                     monkeypatch):
     calls, arrays = [], []
 
-    def counted(name, ufunc):
+    def counted(name, func):
         def call(*args, **kwargs):
             calls.append(name)
-            out = ufunc(*args, **kwargs)
+            out = func(*args, **kwargs)
             arrays.append(weakref.ref(out))
             return out
         return call
 
+    # a point of the inside is read as one node
+    inside, a, b = make(lambda name, func: func).classes(*point)
+    assert inside and not a and not b
+    # the numpy geometry; a strip's graphs are counted where it is built
     for name in geometry:
-        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
-    inside = dom.inside
+        if hasattr(np, name):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    dom = make(counted)
+    classes = dom.classes
 
     def recorded(x, y):
-        arrays.append(weakref.ref(x))
-        return inside(x, y)
+        calls.append("classes")
+        masks = classes(x, y)
+        arrays.extend(weakref.ref(v) for v in (x, *masks))
+        return masks
 
-    dom = dataclasses.replace(dom, inside=recorded)
+    dom = dataclasses.replace(dom, classes=recorded)
     for mesh in (dom.h, 0.5 * dom.h):
         calls.clear()
         arrays.clear()
         eo._classes(dom, mesh)
-        # once per lattice for all three predicates, at each lattice
-        assert sorted(calls) == sorted(geometry)
-        # the geometry and the abscissae are freed with the lattice
-        assert len(arrays) == len(geometry) + 1
+        # one call per lattice, which reads each piece of geometry once
+        assert sorted(calls) == sorted(("classes",) + geometry)
+        # the abscissae, the geometry and the masks are freed with the lattice
+        assert len(arrays) == len(geometry) + 4
         assert all(ref() is None for ref in arrays)
